@@ -73,9 +73,7 @@ def _load_weights(selector: str):
 
 def cmd_calibrate(args) -> int:
     events = ingest.parse_events(args.events, fmt=args.events_format)
-    seeds = None
-    if args.seeds_file:
-        seeds = [line.strip() for line in open(args.seeds_file) if line.strip()]
+    seeds = _read_seed_file(args.seeds_file) if args.seeds_file else None
     corpus_filter = ingest.CorpusFilter(trim_quantile=args.trim)
     filtered = ingest.apply_filters(events, seeds, corpus_filter)
     if not filtered.events:
@@ -179,14 +177,39 @@ def _build_oracle(args) -> GraphOracle:
     return _oracle_from_descriptor(desc, Path.cwd())
 
 
+def _read_seed_file(path) -> list[str]:
+    """One seed id per line; blank lines are skipped."""
+    try:
+        with open(path) as fh:
+            return [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read seeds file: {exc}") from exc
+
+
 def _read_seeds(args) -> list:
     if args.seeds and args.seeds_file:
         raise ConfigError("pass --seeds or --seeds-file, not both")
     if args.seeds:
         return [s.strip() for s in args.seeds.split(",") if s.strip()]
     if args.seeds_file:
-        return [line.strip() for line in open(args.seeds_file) if line.strip()]
+        return _read_seed_file(args.seeds_file)
     raise ConfigError("no seeds given")
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read manifest: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("oracle"), dict):
+        raise DataError(f"{path}: not a sample manifest")
+    missing = [key for key in ("strategy", "rng_seed", "weights", "seeds", "budget")
+               if key not in manifest]
+    if missing:
+        raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
+    return manifest
 
 
 def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
@@ -201,8 +224,7 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
     return coerced
 
 
-def _execute_sample(manifest: dict, out: Path, base: Path) -> sampler.SampleTrace:
-    oracle = _oracle_from_descriptor(manifest["oracle"], base)
+def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle) -> sampler.SampleTrace:
     weights = _load_weights(manifest["weights"])
     seeds = _coerce_seed_ids(manifest["seeds"], oracle)
     state = sampler.init(seeds, oracle, weights)
@@ -230,8 +252,9 @@ def cmd_sample(args) -> int:
     out = _out_dir(args.out)
     if args.from_manifest:
         manifest_path = Path(args.from_manifest)
-        manifest = json.loads(manifest_path.read_text())
-        trace = _execute_sample(manifest, out, manifest_path.parent)
+        manifest = _read_manifest(manifest_path)
+        oracle = _oracle_from_descriptor(manifest["oracle"], manifest_path.parent)
+        trace = _execute_sample(manifest, out, oracle)
     else:
         if args.strategy not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {args.strategy!r}; "
@@ -255,7 +278,7 @@ def cmd_sample(args) -> int:
         }
         if manifest["oracle"].get("path") is None:
             raise ConfigError("oracle backing must be file-based for a manifest")
-        trace = _execute_sample(manifest, out, Path.cwd())
+        trace = _execute_sample(manifest, out, oracle)
     print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
           f"({trace.reason}) -> {out}/trace.csv")
     return 0

@@ -7,14 +7,26 @@ directed edge, and the denominator is deg(i)(deg(i)-1) with deg = |N(i)|.
 The global coefficient is computed on the undirected simple projection.
 Shortest paths are directed and averaged over reachable ordered pairs only,
 with the reachable fraction reported alongside.
+
+Path statistics come from a bit-parallel multi-source BFS (Then et al.,
+"The More the Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014).
+Each BFS source owns one bit of a ``uint64`` word, and every node holds one
+row of words per chunk of sources: its frontier bits and its seen bits. One
+level of all the chunk's searches is a gather of the frontier rows along the
+edges, an OR-reduction per target over an in-edge CSR, and a mask with the
+seen bits. That costs about levels x edges x n/64 word operations in numpy
+instead of n Python-level searches. The chunk width is chosen so that every
+per-chunk array, the gathered block included, stays within 8 MiB (a chunk
+is never narrower than one word, so only graphs of over a million edges or
+nodes exceed it).
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -86,27 +98,63 @@ class PathStats:
     reachable_pairs: int
 
 
+# Byte cap of each per-chunk BFS array; sets how many sources share a sweep.
+BFS_BLOCK_BYTES = 8 << 20
+
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in a C-contiguous ``uint64`` array."""
+    return int(_POPCOUNT8[words.view(np.uint8)].sum(dtype=np.int64))
+
+
 def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
-    """Directed BFS from every node; averages over reachable ordered pairs."""
+    """Directed BFS from every node; averages over reachable ordered pairs.
+
+    Runs the searches 64 at a time per ``uint64`` word as a multi-source
+    BFS over an in-edge CSR: about levels x edges x n/64 word operations,
+    with every per-chunk array (the gathered frontier block included) capped
+    at :data:`BFS_BLOCK_BYTES`. Distances are summed as Python ints, so the
+    result equals a per-source BFS exactly.
+    """
     if not g.nodes:
         raise DataError("empty graph")
-    out, _inc = _directed_adjacency(g)
-    nodes = list(g.nodes)
+    nodes = np.array(sorted(g.nodes), dtype=np.int64)
+    n = len(nodes)
+    m = len(g.edges)
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * m)
+    sources = np.searchsorted(nodes, ends[0::2])
+    targets = np.searchsorted(nodes, ends[1::2])
+    # in-edge CSR: edge sources grouped by target, one segment per target
+    order = np.argsort(targets, kind="stable")
+    sources = sources[order]
+    targets = targets[order]
+    starts = np.flatnonzero(np.diff(targets, prepend=-1))
+    heads = targets[starts]
+
+    words = max(1, min(-(-n // 64), BFS_BLOCK_BYTES // (8 * max(n, m))))
     total = 0
     pairs = 0
-    for src in nodes:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            d = dist[v] + 1
-            for nxt in out[v]:
-                if nxt not in dist:
-                    dist[nxt] = d
-                    queue.append(nxt)
-        total += sum(dist.values())
-        pairs += len(dist) - 1
-    n = len(nodes)
+    # an edgeless graph has no segments for reduceat and no reachable pairs
+    for base in range(0, n if m else 0, 64 * words):
+        width = min(64 * words, n - base)
+        own = np.arange(width)
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        frontier[base + own, own // 64] = np.left_shift(
+            np.uint64(1), (own % 64).astype(np.uint64))
+        seen = frontier.copy()
+        for level in count(1):
+            reached = np.bitwise_or.reduceat(frontier[sources], starts, axis=0)
+            reached &= ~seen[heads]
+            new = _popcount(reached)
+            if not new:
+                break
+            total += level * new
+            pairs += new
+            seen[heads] |= reached
+            frontier.fill(0)
+            frontier[heads] = reached
     possible = n * (n - 1)
     if pairs == 0:
         raise DataError("no reachable ordered pairs; average path undefined")

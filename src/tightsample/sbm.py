@@ -220,11 +220,15 @@ def read_edges_tsv(path) -> list[tuple[int, int]]:
         raise DataError(f"cannot read edge list: {exc}") from exc
     edges = []
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                u, v = line.split("\t")
-                edges.append((int(u), int(v)))
+                try:
+                    u, v = line.split("\t")
+                    edges.append((int(u), int(v)))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: expected two tab-separated "
+                                    f"integer fields") from None
     return edges
 
 

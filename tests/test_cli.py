@@ -1,15 +1,31 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tightsample
 from tightsample import cli, ingest, sbm
 from tightsample.interactions import Scheme, calibrate_records, read_weight_csv
 
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a child process; returns (exit code, stderr)."""
+    src = str(Path(tightsample.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tightsample.cli",
+                           *(str(a) for a in argv)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture
@@ -112,6 +128,37 @@ def test_sample_missing_file_exits_3(tmp_path):
     assert run_cli("sample", "--undirected", tmp_path / "missing.tsv",
                    "--seeds", "0", "--strategy", "MAS", "--budget", "5",
                    "--out", tmp_path / "z") == 3
+
+
+def test_sample_three_column_edge_file_exits_3(tmp_path):
+    bad = tmp_path / "edges.tsv"
+    bad.write_text("0\t1\n1\t2\t5\n")
+    code, err = run_cli_process("sample", "--undirected", bad, "--seeds", "0",
+                                "--budget", "5", "--out", tmp_path / "out")
+    assert code == 3
+    assert "Traceback" not in err
+    assert f"{bad}:2:" in err
+
+
+def test_sample_unreadable_seeds_file_exits_3(net_dir, tmp_path):
+    code, err = run_cli_process("sample", "--undirected", net_dir / "edges.tsv",
+                                "--seeds-file", tmp_path / "missing.txt",
+                                "--budget", "5", "--out", tmp_path / "out")
+    assert code == 3
+    assert "Traceback" not in err
+    assert "missing.txt" in err
+
+
+@pytest.mark.parametrize("content", [None, '{"strategy": "MAS",\n', "[]"])
+def test_sample_bad_manifest_exits_3(tmp_path, content):
+    manifest = tmp_path / "manifest.json"
+    if content is not None:
+        manifest.write_text(content)
+    code, err = run_cli_process("sample", "--from-manifest", manifest,
+                                "--out", tmp_path / "out")
+    assert code == 3
+    assert "Traceback" not in err
+    assert str(manifest) in err
 
 
 def test_metrics_two_runs_min_common_comparison(net_dir, tmp_path):

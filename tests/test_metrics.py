@@ -103,14 +103,60 @@ def test_avg_path_no_reachable_pairs_errors():
         metrics.avg_shortest_path(g)
 
 
+def assert_paths_exact(nodes, pairs):
+    stats = metrics.avg_shortest_path(digraph(pairs, nodes=nodes))
+    total, count = brute_all_pairs(nodes, pairs)
+    assert stats.reachable_pairs == count
+    assert stats.mean == int(total) / count
+    n = len(nodes)
+    assert stats.reachable_fraction == count / (n * (n - 1))
+
+
 def test_avg_path_matches_floyd_warshall(rng):
     for trial in range(5):
-        pairs = random_digraph(rng, 80, 0.04)
-        g = digraph(pairs, nodes=range(80))
-        stats = metrics.avg_shortest_path(g)
-        total, count = brute_all_pairs(range(80), pairs)
-        assert stats.reachable_pairs == count
-        assert stats.mean == pytest.approx(total / count)
+        assert_paths_exact(range(80), random_digraph(rng, 80, 0.04))
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+def test_avg_path_exact_across_word_boundaries(rng, n):
+    # dense enough to connect most pairs, plus a chain so n=2 has an edge
+    pairs = sorted(set(random_digraph(rng, n, 3.0 / n))
+                   | {(v, v + 1) for v in range(n - 1)})
+    assert_paths_exact(range(n), pairs)
+
+
+def test_avg_path_isolated_and_source_only_nodes(rng):
+    # 0..39 random, 40..49 isolated, 50..59 have out-edges but no in-edges
+    pairs = random_digraph(rng, 40, 0.08)
+    pairs += [(50 + i, int(t)) for i, t in enumerate(rng.integers(0, 40, 10))]
+    assert_paths_exact(range(60), pairs)
+
+
+def test_avg_path_disconnected_components(rng):
+    left = random_digraph(rng, 70, 0.05)
+    right = [(70 + s, 70 + t) for s, t in random_digraph(rng, 70, 0.05)]
+    assert_paths_exact(range(140), left + right)
+
+
+def test_avg_path_several_source_chunks(rng, monkeypatch):
+    pairs = random_digraph(rng, 200, 0.02)
+    # one 64-source word per chunk: four chunks over 200 sources
+    monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", 8)
+    assert_paths_exact(range(200), pairs)
+
+
+def test_avg_path_matches_scipy_csgraph(rng):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n = 300
+    pairs = random_digraph(rng, n, 0.006)
+    adj = np.zeros((n, n))
+    for s, t in pairs:
+        adj[s, t] = 1.0
+    dist = csgraph.shortest_path(adj, method="D", directed=True, unweighted=True)
+    finite = np.isfinite(dist) & ~np.eye(n, dtype=bool)
+    stats = metrics.avg_shortest_path(digraph(pairs, nodes=range(n)))
+    assert stats.reachable_pairs == int(finite.sum())
+    assert stats.mean == int(dist[finite].sum()) / stats.reachable_pairs
 
 
 def test_degree_stats_both_flavors():
