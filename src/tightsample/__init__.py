@@ -7,7 +7,7 @@ the engagement-weight calibration pipeline, a blockmodel test bed, random
 baselines, and an evaluation suite.
 """
 
-from .graph import DiscoveredGraph, IdMap, MultiEdge, induced_insider_subgraph, total_edge_weight
+from .graph import DiscoveredGraph, IdMap, induced_subgraph, total_edge_weight
 from .interactions import (
     Calibration,
     Scheme,
@@ -22,8 +22,8 @@ from .util import ConfigError, DataError
 
 __all__ = [
     "Calibration", "ConfigError", "DataError", "DiscoveredGraph",
-    "FrontierExhausted", "GraphOracle", "IdMap", "MultiEdge", "STRATEGIES",
+    "FrontierExhausted", "GraphOracle", "IdMap", "STRATEGIES",
     "SampleState", "SampleTrace", "Scheme", "UnitWeights", "UnknownNodeError",
-    "WeightTable", "calibrate_records", "induced_insider_subgraph", "init",
+    "WeightTable", "calibrate_records", "induced_subgraph", "init",
     "load_reference_tables", "run", "step", "total_edge_weight",
 ]

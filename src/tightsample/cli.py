@@ -196,14 +196,22 @@ def _read_seeds(args) -> list:
     raise ConfigError("no seeds given")
 
 
-def _read_manifest(path: Path) -> dict:
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; unreadable or malformed input is a DataError."""
     try:
-        manifest = json.loads(path.read_text())
+        value = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read manifest: {exc}") from exc
+        raise DataError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("oracle"), dict):
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: not a {what}")
+    return value
+
+
+def _read_manifest(path: Path) -> dict:
+    manifest = _read_json_object(path, "sample manifest")
+    if not isinstance(manifest.get("oracle"), dict):
         raise DataError(f"{path}: not a sample manifest")
     missing = [key for key in ("strategy", "rng_seed", "weights", "seeds", "budget")
                if key not in manifest]
@@ -292,29 +300,34 @@ def _load_run(run_dir: Path):
     trace_path = run_dir / "trace.csv"
     edges_path = run_dir / "discovered.tsv"
     manifest_path = run_dir / "manifest.json"
+    summary_path = run_dir / "run_summary.json"
     if not trace_path.exists() or not edges_path.exists():
         raise DataError(f"{run_dir} is not a run directory "
                         f"(need trace.csv and discovered.tsv)")
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    manifest = _read_json_object(manifest_path, "manifest") \
+        if manifest_path.exists() else {}
+    summary = _read_json_object(summary_path, "run summary") \
+        if summary_path.exists() else {}
     g, ids = graph.read_edge_tsv(edges_path)
     seeds = [ids.intern(str(s)) for s in manifest.get("seeds", [])]
     rows = []
     with open(trace_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(sampler.TraceRow(
-                int(row["timestep"]), ids.intern(row["node_ext_id"]),
-                float(row["priority"]), float(row["boundary"]),
-                int(row["new_nodes"]), int(row["new_edges"])))
-    summary_path = run_dir / "run_summary.json"
-    summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
+        try:
+            for row in reader:
+                rows.append(sampler.TraceRow(
+                    int(row["timestep"]), ids.intern(row["node_ext_id"]),
+                    float(row["priority"]), float(row["boundary"]),
+                    int(row["new_nodes"]), int(row["new_edges"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{trace_path}:{reader.line_num}: malformed trace row "
+                            f"({type(exc).__name__}: {exc})") from None
+    try:
+        init_boundary = float(summary.get("init_boundary", 0.0))
+    except (TypeError, ValueError):
+        raise DataError(f"{summary_path}: init_boundary is not a number") from None
     trace = sampler.SampleTrace(manifest.get("strategy", run_dir.name),
-                                tuple(seeds),
-                                float(summary.get("init_boundary", 0.0)), rows)
-    for v in trace.seeds:
-        g.mark_insider(v)
-    for row in rows:
-        g.mark_insider(row.node)
+                                tuple(seeds), init_boundary, rows)
     return trace, g, ids
 
 

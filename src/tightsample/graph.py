@@ -1,4 +1,4 @@
-"""Node-id interning, multiplex edge records, and the discovered subgraph.
+"""Node-id interning and the discovered subgraph.
 
 All internal node ids are dense integers assigned by :class:`IdMap`;
 external ids (strings or ints) appear only at I/O boundaries.
@@ -7,7 +7,6 @@ external ids (strings or ints) appear only at I/O boundaries.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 from .util import ConfigError, DataError
 
@@ -44,41 +43,22 @@ class IdMap:
         return len(self._int2ext)
 
 
-@dataclass
-class MultiEdge:
-    """One directed edge source->target aggregating all engagement events.
-
-    ``events`` holds (tweet_id, pattern) entries; ``weight`` is the sum of the
-    active weight table over those patterns. ``event_count`` overrides
-    ``len(events)`` for edges restored from a TSV export, where only the
-    count survives.
-    """
-
-    source: int
-    target: int
-    events: tuple = ()
-    weight: float = 0.0
-    event_count: int | None = None
-
-    @property
-    def n_events(self) -> int:
-        return self.event_count if self.event_count is not None else len(self.events)
-
-
 class DiscoveredGraph:
     """The portion of the unbounded network revealed so far.
 
-    Nodes are flagged insider/outsider; every edge's target is an insider
-    because edges are only discovered by querying insiders' in-neighborhoods.
-    Single-writer: callers serialize mutations; reads are safe once a
-    mutation completes.
+    ``edges`` maps (source, target) to the summed weight of its engagement
+    events and ``n_events`` to their count; the events themselves are not
+    kept. ``insiders`` is the one record of the sample: every edge's target
+    is an insider because edges are only discovered by querying insiders'
+    in-neighborhoods. Single-writer: callers serialize mutations; reads are
+    safe once a mutation completes.
     """
 
     def __init__(self):
         self.nodes: set[int] = set()
         self.insiders: set[int] = set()
-        self.edges: dict[tuple[int, int], MultiEdge] = {}
-        self._in: dict[int, set[int]] = {}
+        self.edges: dict[tuple[int, int], float] = {}
+        self.n_events: dict[tuple[int, int], int] = {}
 
     @classmethod
     def from_edge_pairs(cls, pairs, weight: float = 1.0) -> "DiscoveredGraph":
@@ -87,7 +67,7 @@ class DiscoveredGraph:
         for s, t in pairs:
             g.add_node(s, insider=True)
             g.add_node(t, insider=True)
-            g.add_events(s, t, events=((None, 0),), weight=weight)
+            g.add_events(s, t, weight, 1)
         return g
 
     def add_node(self, v: int, insider: bool = False) -> None:
@@ -95,50 +75,21 @@ class DiscoveredGraph:
         if insider:
             self.insiders.add(v)
 
-    def mark_insider(self, v: int) -> None:
-        self.nodes.add(v)
-        self.insiders.add(v)
-
-    def is_insider(self, v: int) -> bool:
-        return v in self.insiders
-
-    def add_events(self, source: int, target: int, events: tuple, weight: float,
-                   event_count: int | None = None) -> MultiEdge:
-        """Accumulate events onto the (source, target) edge, creating it if new."""
+    def add_events(self, source: int, target: int, weight: float, n_events: int) -> None:
+        """Add ``n_events`` events of total ``weight`` to the (source, target) edge."""
         if source == target:
             raise DataError(f"self-loop rejected: {source}")
         key = (source, target)
-        edge = self.edges.get(key)
-        if edge is None:
-            edge = MultiEdge(source, target, tuple(events), weight, event_count)
-            self.edges[key] = edge
-            self._in.setdefault(target, set()).add(source)
+        old = self.edges.get(key)
+        if old is None:
+            self.edges[key] = weight
+            self.n_events[key] = n_events
         else:
-            edge.events = edge.events + tuple(events)
-            edge.weight += weight
-            if event_count is not None:
-                edge.event_count = (edge.event_count or 0) + event_count
-        return edge
-
-    def in_sources(self, target: int) -> set[int]:
-        return self._in.get(target, set())
+            self.edges[key] = old + weight
+            self.n_events[key] += n_events
 
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def edge_class(self, edge: MultiEdge) -> str:
-        return "internal" if edge.source in self.insiders else "boundary"
-
-
-def induced_insider_subgraph(g: DiscoveredGraph) -> DiscoveredGraph:
-    """Subgraph on insider nodes with exactly the edges between insiders."""
-    sub = DiscoveredGraph()
-    for v in g.insiders:
-        sub.add_node(v, insider=True)
-    for (s, t), edge in g.edges.items():
-        if s in g.insiders and t in g.insiders:
-            sub.add_events(s, t, edge.events, edge.weight, edge.event_count)
-    return sub
 
 
 def induced_subgraph(g: DiscoveredGraph, keep: set[int]) -> DiscoveredGraph:
@@ -146,9 +97,9 @@ def induced_subgraph(g: DiscoveredGraph, keep: set[int]) -> DiscoveredGraph:
     sub = DiscoveredGraph()
     for v in keep:
         sub.add_node(v, insider=True)
-    for (s, t), edge in g.edges.items():
+    for (s, t), weight in g.edges.items():
         if s in keep and t in keep:
-            sub.add_events(s, t, edge.events, edge.weight, edge.event_count)
+            sub.add_events(s, t, weight, g.n_events[(s, t)])
     return sub
 
 
@@ -161,12 +112,12 @@ def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
     if selector not in EDGE_SELECTORS:
         raise ConfigError(f"unknown edge selector {selector!r}; use one of {EDGE_SELECTORS}")
     total = 0.0
-    for (s, _t), edge in g.edges.items():
+    for (s, _t), weight in g.edges.items():
         if selector == "boundary" and s in g.insiders:
             continue
         if selector == "internal" and s not in g.insiders:
             continue
-        total += edge.weight
+        total += weight
     return total
 
 
@@ -174,10 +125,9 @@ def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
     """TSV export ``source target weight n_events``, ordered by (target, source)."""
     rows = sorted(g.edges, key=lambda st: (st[1], st[0]))
     with open(path, "w", newline="") as fh:
-        for s, t in rows:
-            edge = g.edges[(s, t)]
-            fh.write(f"{ids.external(s)}\t{ids.external(t)}\t"
-                     f"{edge.weight!r}\t{edge.n_events}\n")
+        for key in rows:
+            fh.write(f"{ids.external(key[0])}\t{ids.external(key[1])}\t"
+                     f"{g.edges[key]!r}\t{g.n_events[key]}\n")
 
 
 def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMap]:
@@ -186,20 +136,25 @@ def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMa
         ids = IdMap()
     g = DiscoveredGraph()
     try:
-        fh = open(path, newline="")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read edge list: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            s = ids.intern(parts[0])
-            t = ids.intern(parts[1])
+        # decoded line by line so that a bad byte is reported on its own line
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                source, target, weight, n_events = raw.decode().rstrip("\n").split("\t")
+                weight, n_events = float(weight), int(n_events)
+            except UnicodeDecodeError:
+                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields: "
+                                f"source, target, weight, event count") from None
+            s = ids.intern(source)
+            t = ids.intern(target)
             g.add_node(s)
             g.add_node(t)
-            g.add_events(s, t, events=(), weight=float(parts[2]),
-                         event_count=int(parts[3]))
+            g.add_events(s, t, weight, n_events)
     return g, ids
 
 

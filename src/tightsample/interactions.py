@@ -193,38 +193,33 @@ def normalize_global(counts: PatternCounts) -> FrequencyTable:
     return FrequencyTable(counts.scheme, "global", values)
 
 
+def _mean_shares(scheme: Scheme, kind: str, per_node: dict,
+                 denominators: dict) -> FrequencyTable:
+    """Per-node pattern shares averaged over the nodes of ``per_node``."""
+    if not per_node:
+        raise DataError(f"empty corpus: no engaged {kind}s")
+    values: dict[int, float] = {}
+    for node, counter in per_node.items():
+        denom = denominators[node]
+        for x, n in counter.items():
+            values[x] = values.get(x, 0.0) + n / denom
+    n_nodes = len(per_node)
+    return FrequencyTable(scheme, kind,
+                          {x: 100.0 * v / n_nodes for x, v in values.items()})
+
+
 def normalize_source(counts: PatternCounts) -> FrequencyTable:
     """Average per-author engagement shares (sources of information).
 
     Authors with zero received engagement never appear in the counts, so the
     average runs over engaged sources only.
     """
-    sources = list(counts.by_source)
-    if not sources:
-        raise DataError("empty corpus: no engaged sources")
-    values: dict[int, float] = {}
-    for i in sources:
-        denom = counts.raw_by_source[i]
-        for x, n in counts.by_source[i].items():
-            values[x] = values.get(x, 0.0) + n / denom
-    n_sources = len(sources)
-    return FrequencyTable(counts.scheme, "source",
-                          {x: 100.0 * v / n_sources for x, v in values.items()})
+    return _mean_shares(counts.scheme, "source", counts.by_source, counts.raw_by_source)
 
 
 def normalize_target(counts: PatternCounts) -> FrequencyTable:
     """Average per-interactor engagement shares (consumers of information)."""
-    targets = list(counts.by_target)
-    if not targets:
-        raise DataError("empty corpus: no engaged targets")
-    values: dict[int, float] = {}
-    for j in targets:
-        denom = counts.raw_by_target[j]
-        for x, n in counts.by_target[j].items():
-            values[x] = values.get(x, 0.0) + n / denom
-    n_targets = len(targets)
-    return FrequencyTable(counts.scheme, "target",
-                          {x: 100.0 * v / n_targets for x, v in values.items()})
+    return _mean_shares(counts.scheme, "target", counts.by_target, counts.raw_by_target)
 
 
 def balance(global_t: FrequencyTable, source_t: FrequencyTable,

@@ -167,7 +167,7 @@ def degree_stats(g: DiscoveredGraph) -> dict:
     if n == 0:
         raise DataError("empty graph")
     m = len(g.edges)
-    weight = sum(e.weight for e in g.edges.values())
+    weight = sum(g.edges.values())
     return {"n": n, "m": m, "avg_degree": m / n, "avg_weighted_degree": weight / n}
 
 

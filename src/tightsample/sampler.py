@@ -84,7 +84,7 @@ class SampleState:
         self.oracle = oracle
         self.weights = weights
         self.discovered = DiscoveredGraph()
-        self.insiders: dict[int, int] = {}        # node -> inclusion timestep
+        self.insiders = self.discovered.insiders  # the sample, shared with the graph
         self.outsiders: dict[int, float] = {}     # node -> priority
         self.disc_time: dict[int, int] = {}       # outsider -> discovery timestep
         self.out_targets: dict[int, set[int]] = {}  # outsider -> insiders it points to
@@ -106,7 +106,7 @@ class SampleState:
                 continue
             w = self.weights.event_weight(events)
             self.discovered.add_node(u)
-            self.discovered.add_events(u, v, events, w)
+            self.discovered.add_events(u, v, w, len(events))
             new_edges += 1
             if u in self.insiders:
                 continue
@@ -137,8 +137,7 @@ class SampleState:
             frontier.discard(node)
             if not frontier:
                 self.eligible.discard(tgt)
-        self.insiders[node] = self.timestep
-        self.discovered.mark_insider(node)
+        self.discovered.add_node(node, insider=True)
         self.frontier_of[node] = set()
         return priority
 
@@ -234,8 +233,7 @@ def init(seeds, oracle, weights=None) -> SampleState:
     internal = oracle.declare_seeds(seeds)
     state.seeds = tuple(internal)
     for v in internal:
-        state.insiders[v] = 0
-        state.discovered.mark_insider(v)
+        state.discovered.add_node(v, insider=True)
         state.frontier_of[v] = set()
     for v in internal:
         state._absorb_neighbors(v)
@@ -301,9 +299,9 @@ def audit(state: SampleState) -> float:
     values; raises if the outsider sets themselves disagree.
     """
     recomputed: dict[int, float] = {}
-    for (s, t), edge in state.discovered.edges.items():
+    for (s, t), weight in state.discovered.edges.items():
         if t in state.insiders and s not in state.insiders:
-            recomputed[s] = recomputed.get(s, 0.0) + edge.weight
+            recomputed[s] = recomputed.get(s, 0.0) + weight
     if set(recomputed) != set(state.outsiders):
         raise AssertionError("outsider sets disagree between graph and state")
     worst = abs(sum(recomputed.values()) - state.boundary)

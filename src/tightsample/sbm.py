@@ -247,27 +247,33 @@ def write_config(path, cfg: BlockModelConfig, seed_cfg: SeedConfig | None = None
 def read_config(path) -> tuple[BlockModelConfig, SeedConfig | None]:
     """Parse a ``key = value`` config file mirroring the two config types."""
     fields: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read config: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
     try:
         cfg = BlockModelConfig(
             block_sizes=tuple(int(s) for s in fields["block_sizes"].split(",")),
             k_intra=float(fields["k_intra"]),
             r=float(fields["r"]),
             rng_seed=int(fields.get("rng_seed", "0")))
+        seed_cfg = None
+        if "seed_counts" in fields:
+            seed_cfg = SeedConfig(
+                per_block=tuple(int(c) for c in fields["seed_counts"].split(",")),
+                selection=fields.get("seed_selection", "uniform-random"),
+                rng_seed=int(fields.get("seed_rng", "0")))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc}") from exc
-    seed_cfg = None
-    if "seed_counts" in fields:
-        seed_cfg = SeedConfig(
-            per_block=tuple(int(c) for c in fields["seed_counts"].split(",")),
-            selection=fields.get("seed_selection", "uniform-random"),
-            rng_seed=int(fields.get("seed_rng", "0")))
+    except ValueError as exc:  # a non-numeric value, or a ConfigError of the config types
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg, seed_cfg

@@ -96,9 +96,9 @@ def brute_all_pairs(nodes, edge_pairs):
 def brute_priorities(state):
     """Outsider priorities and boundary by a full scan of the discovered graph."""
     prio = {}
-    for (s, t), edge in state.discovered.edges.items():
+    for (s, t), weight in state.discovered.edges.items():
         if t in state.insiders and s not in state.insiders:
-            prio[s] = prio.get(s, 0.0) + edge.weight
+            prio[s] = prio.get(s, 0.0) + weight
     return prio, sum(prio.values())
 
 

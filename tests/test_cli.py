@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,57 @@ def test_sample_bad_manifest_exits_3(tmp_path, content):
     assert code == 3
     assert "Traceback" not in err
     assert str(manifest) in err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A finished 10-step MAS run on a 60-node blockmodel."""
+    base = tmp_path_factory.mktemp("small")
+    assert run_cli("gen-sbm", "--sizes", "30x2", "--k-intra", "4", "--r", "4",
+                   "--seed", "3", "--out", base / "net") == 0
+    assert run_cli("sample", "--undirected", base / "net" / "edges.tsv",
+                   "--seeds", "0", "--budget", "10", "--out", base / "run") == 0
+    return base / "run"
+
+
+TRACE_HEADER = b"timestep,node_ext_id,priority,boundary,new_nodes,new_edges\n"
+
+# (file of the run replaced, its new bytes, expected exit code, stderr fragment);
+# a None file names a config for gen-sbm instead (None bytes: no config at all)
+BAD_INPUTS = {
+    "edges-weight": ("discovered.tsv", b"1\t0\tx\t1\n", 3, "discovered.tsv:1:"),
+    "edges-count": ("discovered.tsv", b"1\t0\t1.0\tx\n", 3, "discovered.tsv:1:"),
+    "edges-utf8": ("discovered.tsv", b"1\t0\t1.0\t1\n\xff\t0\t1.0\t1\n", 3,
+                   "discovered.tsv:2:"),
+    "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
+    "summary-json": ("run_summary.json", b"{init_boundary", 3, "run_summary.json:1:"),
+    "summary-number": ("run_summary.json", b'{"init_boundary": "x"}', 3,
+                       "run_summary.json"),
+    "trace-column": ("trace.csv", b"timestep,node_ext_id\n1,5\n", 3, "trace.csv:2:"),
+    "trace-number": ("trace.csv", TRACE_HEADER + b"1,5,x,2.0,0,0\n", 3, "trace.csv:2:"),
+    "config-missing": (None, None, 3, "sbm.cfg"),
+    "config-number": (None, b"block_sizes = 30,30\nk_intra = four\nr = 4\n", 2,
+                      "sbm.cfg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_cleanly(small_run, tmp_path, case):
+    name, content, expected, fragment = BAD_INPUTS[case]
+    if name is None:
+        config = tmp_path / "sbm.cfg"
+        if content is not None:
+            config.write_bytes(content)
+        argv = ["gen-sbm", "--config", config, "--out", tmp_path / "net"]
+    else:
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        (run / name).write_bytes(content)
+        argv = ["metrics", run, "--out", tmp_path / "eval"]
+    code, err = run_cli_process(*argv)
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert fragment in err
 
 
 def test_metrics_two_runs_min_common_comparison(net_dir, tmp_path):

@@ -339,12 +339,11 @@ def test_snapshot_equals_graph_at_that_time():
     half = sampler.run(state, "MAS", steps=30, rng_seed=9)
     edges_at_half = {(s, t) for (s, t) in state.discovered.edges
                      if s in state.insiders and t in state.insiders}
-    sampler.run(state, "MAS", steps=30, rng=np.random.default_rng(10))
+    rest = sampler.run(state, "MAS", steps=30, rng=np.random.default_rng(10))
     full_trace = sampler.SampleTrace(
         "MAS", state.seeds, 0.0,
         [sampler.TraceRow(i + 1, v, 0, 0, 0, 0)
-         for i, v in enumerate(sorted(state.insiders, key=state.insiders.get)
-                               [len(state.seeds):])])
+         for i, v in enumerate(half.selected() + rest.selected())])
     insiders_half = set(full_trace.insiders_at(len(seeds) + 30))
     from tightsample.graph import induced_subgraph
     sub = induced_subgraph(state.discovered, insiders_half)

@@ -183,7 +183,7 @@ def test_step_updates_boundary_incrementally(rng):
         prio_recomputed, boundary_recomputed = brute_priorities(state)
         assert row.boundary == pytest.approx(boundary_recomputed, abs=1e-6)
         assert row.priority <= before + 1e-9
-        assert state.insiders[node] == row.timestep
+        assert node in state.insiders and row.timestep == state.timestep
 
 
 def test_frontier_exhaustion():
@@ -233,6 +233,7 @@ def test_identical_seeds_give_identical_traces():
 def test_insiders_only_grow():
     oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 2, 4, 2.0, 7)
     state = sampler.init(seeds, oracle)
+    assert state.insiders is state.discovered.insiders
     seen = set(state.insiders)
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -287,9 +288,17 @@ def test_edge_weights_recomputable_from_events():
     seeds = sorted({e.author for e in corpus})
     state = sampler.init(seeds, oracle, weights)
     sampler.run(state, "MAS", steps=25, rng_seed=4)
-    for edge in state.discovered.edges.values():
-        rebuilt = weights.event_weight(edge.events)
-        assert abs(edge.weight - rebuilt) <= 1e-9 * max(1.0, abs(edge.weight))
+    # an edge interactor -> author carries every event of that pair
+    rebuilt: dict = {}
+    counts: dict = {}
+    for e in corpus:
+        key = (oracle.ids.resolve(e.interactor), oracle.ids.resolve(e.author))
+        rebuilt[key] = rebuilt.get(key, 0.0) + weights.of(e.pattern)
+        counts[key] = counts.get(key, 0) + 1
+    assert state.discovered.edges
+    for key, weight in state.discovered.edges.items():
+        assert abs(weight - rebuilt[key]) <= 1e-9 * max(1.0, abs(weight))
+        assert state.discovered.n_events[key] == counts[key]
 
 
 def test_mas_invariant_under_weight_scaling():
