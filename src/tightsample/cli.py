@@ -20,7 +20,7 @@ import numpy as np
 
 from . import graph, ingest, interactions, metrics, sampler, sbm
 from .oracle import GraphOracle
-from .util import ConfigError, DataError
+from .util import ConfigError, DataError, read_csv, read_lines
 
 WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
 
@@ -115,7 +115,7 @@ def cmd_gen_sbm(args) -> int:
         if not args.sizes:
             raise ConfigError("gen-sbm needs --sizes or --config")
         cfg = sbm.BlockModelConfig(
-            block_sizes=_parse_sizes(args.sizes), k_intra=args.k_intra,
+            block_sizes=args.sizes, k_intra=args.k_intra,
             r=args.r, rng_seed=args.seed if args.seed is not None else 0)
         seed_cfg = None
     matrix = sbm.derive_block_matrix(cfg)
@@ -179,11 +179,8 @@ def _build_oracle(args) -> GraphOracle:
 
 def _read_seed_file(path) -> list[str]:
     """One seed id per line; blank lines are skipped."""
-    try:
-        with open(path) as fh:
-            return [line.strip() for line in fh if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read seeds file: {exc}") from exc
+    return [line.strip() for _lineno, line in read_lines(path, "seeds file")
+            if line.strip()]
 
 
 def _read_seeds(args) -> list:
@@ -311,16 +308,17 @@ def _load_run(run_dir: Path):
     g, ids = graph.read_edge_tsv(edges_path)
     seeds = [ids.intern(str(s)) for s in manifest.get("seeds", [])]
     rows = []
-    with open(trace_path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    lines = read_csv(trace_path, "trace")
+    _lineno, header = next(lines, (0, []))
+    for lineno, fields in lines:
+        row = dict(zip(header, fields))
         try:
-            for row in reader:
-                rows.append(sampler.TraceRow(
-                    int(row["timestep"]), ids.intern(row["node_ext_id"]),
-                    float(row["priority"]), float(row["boundary"]),
-                    int(row["new_nodes"]), int(row["new_edges"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{trace_path}:{reader.line_num}: malformed trace row "
+            rows.append(sampler.TraceRow(
+                int(row["timestep"]), ids.intern(row["node_ext_id"]),
+                float(row["priority"]), float(row["boundary"]),
+                int(row["new_nodes"]), int(row["new_edges"])))
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{trace_path}:{lineno}: malformed trace row "
                             f"({type(exc).__name__}: {exc})") from None
     try:
         init_boundary = float(summary.get("init_boundary", 0.0))
@@ -417,24 +415,21 @@ def _worker_count(n_cells: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sizes = _parse_sizes(args.sizes)
-    r_list = _parse_float_list(args.r_list)
     strategies = [s.strip() for s in args.strategies.split(",")]
     for s in strategies:
         if s not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
     base_seed = args.seed if args.seed is not None else 0
-    seeds_per_block = (_parse_sizes(args.seeds_per_block)
-                       if args.seeds_per_block else (1,) * len(sizes))
+    seeds_per_block = args.seeds_per_block or (1,) * len(args.sizes)
     out = _out_dir(args.out)
 
     cells = []
-    for ri, r in enumerate(r_list):
+    for ri, r in enumerate(args.r_list):
         for rep in range(args.repeats):
             graph_seed = base_seed * 1_000_003 + ri * 1_009 + rep
             for si, strategy in enumerate(strategies):
                 cells.append({
-                    "sizes": list(sizes), "k_intra": args.k_intra, "r": r,
+                    "sizes": list(args.sizes), "k_intra": args.k_intra, "r": r,
                     "graph_seed": graph_seed, "seed_rng": graph_seed + 777,
                     "run_seed": graph_seed * 31 + si,
                     "seeds_per_block": list(seeds_per_block),
@@ -504,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("gen-sbm", help="generate a planted-community test network")
-    p.add_argument("--sizes", default=None, help="block sizes: '200x8' or '400,800'")
+    p.add_argument("--sizes", type=_parse_sizes, default=None,
+                   help="block sizes: '200x8' or '400,800'")
     p.add_argument("--k-intra", type=float, default=10.0)
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--config", default=None, help="key=value config file")
@@ -543,13 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("sweep", help="cartesian sweep over r values and strategies")
-    p.add_argument("--sizes", required=True)
+    p.add_argument("--sizes", type=_parse_sizes, required=True)
     p.add_argument("--k-intra", type=float, default=10.0)
-    p.add_argument("--r-list", required=True, help="comma-separated r values")
+    p.add_argument("--r-list", type=_parse_float_list, required=True,
+                   help="comma-separated r values")
     p.add_argument("--strategies", default="MAS,RO")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seeds-per-block", default=None,
+    p.add_argument("--seeds-per-block", type=_parse_sizes, default=None,
                    help="per-block seed counts, e.g. '1x8'")
     p.add_argument("--purity-window", type=int, default=180)
     p.add_argument("--keep-runs", action=argparse.BooleanOptionalAction,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 
-from .util import ConfigError, DataError
+from .util import ConfigError, DataError, read_csv, read_lines
 
 EDGE_SELECTORS = ("all", "boundary", "internal")
 
@@ -95,8 +95,8 @@ class DiscoveredGraph:
 def induced_subgraph(g: DiscoveredGraph, keep: set[int]) -> DiscoveredGraph:
     """Subgraph on ``keep`` (all marked insider), edges with both endpoints kept."""
     sub = DiscoveredGraph()
-    for v in keep:
-        sub.add_node(v, insider=True)
+    sub.nodes.update(keep)
+    sub.insiders.update(keep)
     for (s, t), weight in g.edges.items():
         if s in keep and t in keep:
             sub.add_events(s, t, weight, g.n_events[(s, t)])
@@ -135,26 +135,18 @@ def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMa
     if ids is None:
         ids = IdMap()
     g = DiscoveredGraph()
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read edge list: {exc}") from exc
-    with fh:
-        # decoded line by line so that a bad byte is reported on its own line
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                source, target, weight, n_events = raw.decode().rstrip("\n").split("\t")
-                weight, n_events = float(weight), int(n_events)
-            except UnicodeDecodeError:
-                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields: "
-                                f"source, target, weight, event count") from None
-            s = ids.intern(source)
-            t = ids.intern(target)
-            g.add_node(s)
-            g.add_node(t)
-            g.add_events(s, t, weight, n_events)
+    for lineno, line in read_lines(path, "edge list"):
+        try:
+            source, target, weight, n_events = line.rstrip("\n").split("\t")
+            weight, n_events = float(weight), int(n_events)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields: "
+                            f"source, target, weight, event count") from None
+        s = ids.intern(source)
+        t = ids.intern(target)
+        g.add_node(s)
+        g.add_node(t)
+        g.add_events(s, t, weight, n_events)
     return g, ids
 
 
@@ -169,18 +161,15 @@ def write_labels_csv(path, labels: dict) -> None:
 
 def read_labels_csv(path) -> dict[str, int]:
     """Read a ``node,community`` (or ``node,block``) CSV into a dict."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read labels: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise DataError(f"{path}: missing header row")
-        labels = {}
-        for row in reader:
-            if len(row) < 2:
-                raise DataError(f"{path}: short row {row!r}")
+    rows = read_csv(path, "labels")
+    _lineno, header = next(rows, (0, None))
+    if header is None or len(header) < 2:
+        raise DataError(f"{path}: missing header row")
+    labels = {}
+    for lineno, row in rows:
+        try:
             labels[row[0]] = int(row[1])
+        except (IndexError, ValueError):
+            raise DataError(f"{path}:{lineno}: expected node and integer "
+                            f"community fields") from None
     return labels

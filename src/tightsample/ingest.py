@@ -8,13 +8,12 @@ Filtering applies the seed-activity rule and rank-based outlier trimming.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 from .interactions import TYPES, pattern_of
-from .util import DataError
+from .util import DataError, read_csv, read_lines
 
 _TYPE_SET = set(TYPES)
 
@@ -79,23 +78,23 @@ def _row_to_parts(row: dict) -> tuple:
 
 
 def _iter_jsonl(path):
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                yield None
+    for _lineno, line in read_lines(path, "event log"):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield json.loads(line)
+        except (ValueError, RecursionError):  # bad JSON, an over-long int, deep nesting
+            yield None
 
 
 def _iter_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "tweet_id" not in reader.fieldnames:
-            raise DataError(f"{path}: missing CSV header with tweet_id column")
-        yield from reader
+    rows = read_csv(path, "event log")
+    _lineno, header = next(rows, (0, None))
+    if header is None or "tweet_id" not in header:
+        raise DataError(f"{path}: missing CSV header with tweet_id column")
+    for _lineno, row in rows:
+        yield dict(zip(header, row))
 
 
 def parse_events(path, fmt: str | None = None,
@@ -116,35 +115,32 @@ def parse_events_with_report(path, fmt: str | None = None,
         fmt = "csv" if str(path).endswith(".csv") else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown event-log format {fmt!r}")
-    try:
-        rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
-        report = ParseReport()
-        merged: dict[tuple, EngagementEvent] = {}
-        for row in rows:
-            report.rows += 1
-            if row is None:
-                report.malformed += 1
-                continue
-            try:
-                tweet, author, interactor, types, ts = _row_to_parts(row)
-            except (ValueError, AttributeError, TypeError) as exc:
-                report.malformed += 1
-                if len(report.samples) < 5:
-                    report.samples.append(str(exc))
-                continue
-            if author == interactor:
-                report.self_engagements += 1
-                continue
-            key = (tweet, interactor)
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = EngagementEvent(tweet, author, interactor, types, ts)
-            else:
-                report.merged_rows += 1
-                merged[key] = EngagementEvent(tweet, prev.author, interactor,
-                                              prev.types | types, prev.ts)
-    except OSError as exc:
-        raise DataError(f"cannot read event log: {exc}") from exc
+    rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
+    report = ParseReport()
+    merged: dict[tuple, EngagementEvent] = {}
+    for row in rows:
+        report.rows += 1
+        if row is None:
+            report.malformed += 1
+            continue
+        try:
+            tweet, author, interactor, types, ts = _row_to_parts(row)
+        except (ValueError, AttributeError, TypeError) as exc:
+            report.malformed += 1
+            if len(report.samples) < 5:
+                report.samples.append(str(exc))
+            continue
+        if author == interactor:
+            report.self_engagements += 1
+            continue
+        key = (tweet, interactor)
+        prev = merged.get(key)
+        if prev is None:
+            merged[key] = EngagementEvent(tweet, author, interactor, types, ts)
+        else:
+            report.merged_rows += 1
+            merged[key] = EngagementEvent(tweet, prev.author, interactor,
+                                          prev.types | types, prev.ts)
 
     if report.rows and report.malformed / report.rows > malformed_cap:
         raise DataError(

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .util import ConfigError, DataError, round_half_up
+from .util import ConfigError, DataError, read_csv, round_half_up
 
 TYPES = ("like", "retweet", "reply", "quote")
 
@@ -377,26 +377,21 @@ def read_weight_csv(path) -> dict[str, Calibration]:
     Loaded omega_star values are authoritative: no re-rounding is applied, so
     hand-curated tables survive a round trip unchanged.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read weight table: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WEIGHT_CSV_HEADER:
-            raise DataError(f"{path}: unexpected weight-table header {header!r}")
-        sections: dict[str, dict[str, dict[int, float]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(WEIGHT_CSV_HEADER):
-                raise DataError(f"{path}: short row {row!r}")
-            tag = row[0]
+    rows = read_csv(path, "weight table")
+    _lineno, header = next(rows, (0, None))
+    if header != WEIGHT_CSV_HEADER:
+        raise DataError(f"{path}: unexpected weight-table header {header!r}")
+    sections: dict[str, dict[str, dict[int, float]]] = {}
+    for lineno, row in rows:
+        if len(row) != len(WEIGHT_CSV_HEADER):
+            raise DataError(f"{path}:{lineno}: expected {len(WEIGHT_CSV_HEADER)} fields")
+        cols = sections.setdefault(row[0], {name: {} for name in WEIGHT_CSV_HEADER[2:]})
+        try:
             x = parse_pattern(row[1])
-            cols = sections.setdefault(tag, {name: {} for name in WEIGHT_CSV_HEADER[2:]})
             for name, cell in zip(WEIGHT_CSV_HEADER[2:], row[2:]):
                 cols[name][x] = float(cell)
+        except ValueError as exc:  # DataError is a ValueError too
+            raise DataError(f"{path}:{lineno}: {exc}") from None
 
     out: dict[str, Calibration] = {}
     for tag, cols in sections.items():

@@ -54,7 +54,7 @@ def clustering_local(g: DiscoveredGraph):
         raise DataError("empty graph")
     out, inc = _directed_adjacency(g)
     per_node: dict[int, float] = {}
-    for v in g.nodes:
+    for v in sorted(g.nodes):  # ascending, so the mean does not depend on set order
         nbrs = (out[v] | inc[v]) - {v}
         deg = len(nbrs)
         if deg < 2:

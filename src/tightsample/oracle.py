@@ -13,11 +13,18 @@ import threading
 
 from .graph import IdMap
 from .interactions import PLAIN_EDGE
-from .util import DataError
+from .util import DataError, read_lines
 
 
 class UnknownNodeError(DataError):
     """Raised when a query names a node the oracle never revealed."""
+
+
+def _plain_in_adjacency(sources: dict[int, list[int]]) -> dict:
+    """Plain-edge in-adjacency from in-neighbour ids: sorted, no repeats or self-loops."""
+    plain = ((None, PLAIN_EDGE),)
+    return {v: tuple((u, plain) for u in sorted(set(srcs)) if u != v)
+            for v, srcs in sources.items()}
 
 
 class GraphOracle:
@@ -51,43 +58,30 @@ class GraphOracle:
         if n_nodes is not None:
             for v in range(n_nodes):
                 ids.intern(v)
-        in_adj: dict[int, list] = {}
-        plain = ((None, PLAIN_EDGE),)
+        sources: dict[int, list[int]] = {}
         for u, v in edges:
             ui, vi = ids.intern(u), ids.intern(v)
-            if ui == vi:
-                continue
-            in_adj.setdefault(vi, []).append((ui, plain))
-            in_adj.setdefault(ui, []).append((vi, plain))
-        frozen = {v: tuple(sorted(nbrs)) for v, nbrs in in_adj.items()}
-        return cls(frozen, ids, "undirected",
+            sources.setdefault(vi, []).append(ui)
+            sources.setdefault(ui, []).append(vi)
+        return cls(_plain_in_adjacency(sources), ids, "undirected",
                    descriptor or {"kind": "undirected", "n_nodes": len(ids)})
 
     @classmethod
     def from_edgelist(cls, path) -> "GraphOracle":
         """Directed edge-list TSV backing: one ``source<TAB>target`` per line."""
         ids = IdMap()
-        in_adj: dict[int, list] = {}
-        plain = ((None, PLAIN_EDGE),)
-        try:
-            fh = open(path, newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read edge list: {exc}") from exc
-        with fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    raise DataError(f"{path}:{lineno}: expected source<TAB>target")
-                src = ids.intern(parts[0])
-                tgt = ids.intern(parts[1])
-                if src == tgt:
-                    continue
-                in_adj.setdefault(tgt, []).append((src, plain))
-        frozen = {v: tuple(sorted(set(nbrs))) for v, nbrs in in_adj.items()}
-        return cls(frozen, ids, "edgelist", {"kind": "edgelist", "path": str(path)})
+        sources: dict[int, list[int]] = {}
+        for lineno, line in read_lines(path, "edge list"):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) < 2:
+                raise DataError(f"{path}:{lineno}: expected source<TAB>target")
+            src = ids.intern(parts[0])
+            sources.setdefault(ids.intern(parts[1]), []).append(src)
+        return cls(_plain_in_adjacency(sources), ids, "edgelist",
+                   {"kind": "edgelist", "path": str(path)})
 
     @classmethod
     def from_events(cls, events, descriptor: dict | None = None) -> "GraphOracle":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import ConfigError, DataError
+from .util import ConfigError, DataError, read_lines
 
 SEED_SELECTIONS = ("uniform-random", "low-degree", "high-degree")
 
@@ -214,21 +214,16 @@ def write_edges_tsv(path, edges) -> None:
 
 
 def read_edges_tsv(path) -> list[tuple[int, int]]:
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read edge list: {exc}") from exc
     edges = []
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    u, v = line.split("\t")
-                    edges.append((int(u), int(v)))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: expected two tab-separated "
-                                    f"integer fields") from None
+    for lineno, line in read_lines(path, "edge list"):
+        line = line.strip()
+        if line:
+            try:
+                u, v = line.split("\t")
+                edges.append((int(u), int(v)))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected two tab-separated "
+                                f"integer fields") from None
     return edges
 
 
@@ -247,17 +242,12 @@ def write_config(path, cfg: BlockModelConfig, seed_cfg: SeedConfig | None = None
 def read_config(path) -> tuple[BlockModelConfig, SeedConfig | None]:
     """Parse a ``key = value`` config file mirroring the two config types."""
     fields: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config: {exc}") from exc
-    for line in lines:
+    for lineno, line in read_lines(path, "config"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
     try:

@@ -1,7 +1,8 @@
-"""Small shared helpers: error types, rounding, and an O(1)-pick set."""
+"""Small shared helpers: error types, input readers, rounding, an O(1)-pick set."""
 
 from __future__ import annotations
 
+import csv
 from decimal import ROUND_HALF_UP, Decimal
 
 
@@ -11,6 +12,40 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Unreadable or inconsistent input data. Maps to CLI exit code 3."""
+
+
+def read_lines(path, what: str):
+    """Yield ``(line number, line)`` for each line of ``path``, ending kept.
+
+    Each line is decoded as UTF-8 on its own, so a bad byte is reported with
+    its line. An unreadable file (named ``what`` in the message) or a line that
+    is not UTF-8 raises :class:`DataError`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    yield lineno, raw.decode()
+                except UnicodeDecodeError:
+                    raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+
+
+def read_csv(path, what: str):
+    """Yield ``(line number, row)`` for each non-blank CSV record of ``path``.
+
+    The line number is that of the record's last line. Errors are those of
+    :func:`read_lines`, plus a :class:`DataError` with ``path:line`` for a
+    record the csv module rejects.
+    """
+    reader = csv.reader(line for _lineno, line in read_lines(path, what))
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def round_half_up(x: float, ndigits: int = 2) -> float:

@@ -4,10 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tightsample
 from tightsample import cli, ingest, sbm
@@ -125,6 +128,32 @@ def test_sample_config_errors_exit_2(net_dir, tmp_path):
                    "--out", tmp_path / "y") == 2
 
 
+def test_undirected_edges_listed_both_ways_count_once(net_dir, tmp_path):
+    plain = net_dir / "edges.tsv"
+    both = tmp_path / "both.tsv"
+    lines = plain.read_text().splitlines()
+    both.write_text("".join(f"{line}\n" for line in lines) +
+                    "".join("{1}\t{0}\n".format(*line.split("\t")) for line in lines))
+    for name, path in (("plain", plain), ("both", both)):
+        assert run_cli("sample", "--undirected", path, "--seeds", seed_args(net_dir),
+                       "--budget", "60", "--out", tmp_path / name) == 0
+    for output in ("trace.csv", "discovered.tsv"):
+        assert (tmp_path / "plain" / output).read_bytes() == \
+            (tmp_path / "both" / output).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-sbm", "--sizes", "abc"],
+    ["sweep", "--sizes", "50x2", "--r-list", "1,x", "--budget", "5"],
+    ["sweep", "--sizes", "50x2", "--r-list", "1", "--seeds-per-block", "1,q",
+     "--budget", "5"],
+])
+def test_bad_list_argument_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+
+
 def test_sample_missing_file_exits_3(tmp_path):
     assert run_cli("sample", "--undirected", tmp_path / "missing.tsv",
                    "--seeds", "0", "--strategy", "MAS", "--budget", "5",
@@ -173,10 +202,45 @@ def small_run(tmp_path_factory):
     return base / "run"
 
 
-TRACE_HEADER = b"timestep,node_ext_id,priority,boundary,new_nodes,new_edges\n"
+RUN_FILES = ("trace.csv", "discovered.tsv", "manifest.json", "run_summary.json")
 
-# (file of the run replaced, its new bytes, expected exit code, stderr fragment);
-# a None file names a config for gen-sbm instead (None bytes: no config at all)
+
+def feed_input(name, content, small_run, tmp):
+    """Write ``content`` as the CLI input file ``name`` under ``tmp`` (None: no
+    file) and return the argv that reads it.
+
+    A file of :data:`RUN_FILES` replaces that file in a copy of ``small_run``.
+    """
+    out = tmp / "out"
+    if name in RUN_FILES:
+        run = tmp / "run"
+        shutil.copytree(small_run, run)
+        (run / name).write_bytes(content)
+        return ["metrics", run, "--out", out]
+    path = tmp / name
+    if content is not None:
+        path.write_bytes(content)
+    net = small_run.parent / "net" / "edges.tsv"
+    sample = ["sample", "--budget", "5", "--out", out]
+    return {
+        "sbm.cfg": ["gen-sbm", "--config", path, "--out", out],
+        "undirected.tsv": [*sample, "--undirected", path, "--seeds", "0"],
+        "edgelist.tsv": [*sample, "--edges", path, "--seeds", "0"],
+        "events.jsonl": [*sample, "--events", path, "--seeds", "a"],
+        "events.csv": [*sample, "--events", path, "--seeds", "a"],
+        "weights.csv": [*sample, "--undirected", net, "--seeds", "0", "--weights", path],
+        "seeds.txt": [*sample, "--undirected", net, "--seeds-file", path],
+        "labels.csv": ["metrics", small_run, "--labels", path, "--out", out],
+    }[name]
+
+
+INPUT_NAMES = (*RUN_FILES, "sbm.cfg", "undirected.tsv", "edgelist.tsv", "events.jsonl",
+               "events.csv", "weights.csv", "seeds.txt", "labels.csv")
+TRACE_HEADER = b"timestep,node_ext_id,priority,boundary,new_nodes,new_edges\n"
+EVENTS_HEADER = b"tweet_id,author,interactor,types\n"
+WEIGHTS_HEADER = b"scheme,pattern,eta_global,eta_source,eta_target,eta_star,omega,omega_star\n"
+
+# (input file, its bytes, expected exit code, stderr fragment)
 BAD_INPUTS = {
     "edges-weight": ("discovered.tsv", b"1\t0\tx\t1\n", 3, "discovered.tsv:1:"),
     "edges-count": ("discovered.tsv", b"1\t0\t1.0\tx\n", 3, "discovered.tsv:1:"),
@@ -188,29 +252,41 @@ BAD_INPUTS = {
                        "run_summary.json"),
     "trace-column": ("trace.csv", b"timestep,node_ext_id\n1,5\n", 3, "trace.csv:2:"),
     "trace-number": ("trace.csv", TRACE_HEADER + b"1,5,x,2.0,0,0\n", 3, "trace.csv:2:"),
-    "config-missing": (None, None, 3, "sbm.cfg"),
-    "config-number": (None, b"block_sizes = 30,30\nk_intra = four\nr = 4\n", 2,
+    "config-missing": ("sbm.cfg", None, 3, "sbm.cfg"),
+    "config-number": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = four\nr = 4\n", 2,
                       "sbm.cfg"),
+    "undirected-utf8": ("undirected.tsv", b"0\t1\n\xff\t2\n", 3, "undirected.tsv:2:"),
+    "edgelist-utf8": ("edgelist.tsv", b"0\t1\n1\t\xfe\n", 3, "edgelist.tsv:2:"),
+    "events-jsonl-utf8": ("events.jsonl", b'{"tweet_id": "t"}\n\xff\n', 3,
+                          "events.jsonl:2:"),
+    "events-jsonl-int": ("events.jsonl", b"1" * 5000 + b"\n", 3, "events.jsonl:"),
+    "events-jsonl-depth": ("events.jsonl", b"[" * 100_000 + b"\n", 3, "events.jsonl:"),
+    "events-csv-utf8": ("events.csv", EVENTS_HEADER + b"t,a,\xff,like\n", 3,
+                        "events.csv:2:"),
+    "events-csv-field": ("events.csv", EVENTS_HEADER + b"t" * 140_000 + b",a,u,like\n", 3,
+                         "events.csv:2:"),
+    "weights-number": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,x,1,1,1,1,1\n", 3,
+                       "weights.csv:2:"),
+    "labels-number": ("labels.csv", b"node,block\n0,x\n", 3, "labels.csv:2:"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_cleanly(small_run, tmp_path, case):
     name, content, expected, fragment = BAD_INPUTS[case]
-    if name is None:
-        config = tmp_path / "sbm.cfg"
-        if content is not None:
-            config.write_bytes(content)
-        argv = ["gen-sbm", "--config", config, "--out", tmp_path / "net"]
-    else:
-        run = tmp_path / "run"
-        shutil.copytree(small_run, run)
-        (run / name).write_bytes(content)
-        argv = ["metrics", run, "--out", tmp_path / "eval"]
-    code, err = run_cli_process(*argv)
+    code, err = run_cli_process(*feed_input(name, content, small_run, tmp_path))
     assert code == expected, err
     assert "Traceback" not in err
     assert fragment in err
+
+
+@pytest.mark.parametrize("name", INPUT_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(content=st.binary())
+def test_arbitrary_input_bytes_never_raise(small_run, name, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = feed_input(name, content, small_run, Path(tmp))
+        assert run_cli(*argv) in (0, 2, 3)
 
 
 def test_metrics_two_runs_min_common_comparison(net_dir, tmp_path):

@@ -54,6 +54,24 @@ def test_local_clustering_matches_brute_force(rng):
         assert 0.0 <= metrics.clustering_global(g) <= 1.0
 
 
+def test_local_clustering_mean_independent_of_node_insertion_order():
+    # sparse ids collide in the set's hash table, so insertion order changes
+    # the set's iteration order; at 20 seeds, 3 of them change the sum's last bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        ids = [int(v) for v in rng.choice(10**6, 40, replace=False)]
+        pairs = set()
+        while len(pairs) < 120:
+            a, b = rng.choice(40, 2, replace=False)
+            pairs.add((ids[a], ids[b]))
+        forward = digraph([], nodes=ids)
+        backward = digraph([], nodes=ids[::-1])
+        for s, t in sorted(pairs):
+            forward.add_events(s, t, 1.0, 1)
+            backward.add_events(s, t, 1.0, 1)
+        assert metrics.clustering_local(forward)[1] == metrics.clustering_local(backward)[1]
+
+
 def test_global_clustering_triangle_path_k5():
     tri = digraph([(0, 1), (1, 2), (2, 0)])
     assert metrics.clustering_global(tri) == 1.0
