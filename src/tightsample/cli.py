@@ -41,14 +41,22 @@ def _out_dir(path) -> Path:
 def _parse_sizes(text: str) -> tuple[int, ...]:
     """Block sizes as '400,800,1200' or the shorthand '200x8'."""
     text = text.strip()
-    if "x" in text and "," not in text:
-        size, _, count = text.partition("x")
-        return (int(size),) * int(count)
-    return tuple(int(s) for s in text.split(","))
+    try:
+        if "x" in text and "," not in text:
+            size, _, count = text.partition("x")
+            return (int(size),) * int(count)
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers as '400,800' or '200x8', got {text!r}") from None
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _load_weights(selector: str):
@@ -146,21 +154,16 @@ def _oracle_from_descriptor(desc: dict, base: Path) -> GraphOracle:
             path = base / path
     if kind == "undirected":
         edges = sbm.read_edges_tsv(path)
-        return GraphOracle.from_undirected_edges(
-            edges, n_nodes=desc.get("n_nodes"),
-            descriptor={"kind": "undirected", "path": str(desc["path"]),
-                        "n_nodes": desc.get("n_nodes")})
+        return GraphOracle.from_undirected_edges(edges, n_nodes=desc.get("n_nodes"))
     if kind == "edgelist":
         return GraphOracle.from_edgelist(path)
     if kind == "events":
-        events = ingest.parse_events(path, fmt=desc.get("format"))
-        return GraphOracle.from_events(
-            events, descriptor={"kind": "events", "path": str(desc["path"]),
-                                "format": desc.get("format")})
+        return GraphOracle.from_events(ingest.parse_events(path, fmt=desc.get("format")))
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
-def _build_oracle(args) -> GraphOracle:
+def _build_oracle(args) -> tuple[GraphOracle, dict]:
+    """The oracle of the one backing option given, and its manifest descriptor."""
     picked = [name for name in ("undirected", "edges", "events")
               if getattr(args, name, None)]
     if len(picked) != 1:
@@ -174,7 +177,7 @@ def _build_oracle(args) -> GraphOracle:
     else:
         desc = {"kind": "events", "path": str(Path(args.events).resolve()),
                 "format": args.events_format}
-    return _oracle_from_descriptor(desc, Path.cwd())
+    return _oracle_from_descriptor(desc, Path.cwd()), desc
 
 
 def _read_seed_file(path) -> list[str]:
@@ -201,6 +204,8 @@ def _read_json_object(path: Path, what: str) -> dict:
         raise DataError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise DataError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise DataError(f"{path}: not a {what}")
     return value
@@ -266,7 +271,7 @@ def cmd_sample(args) -> int:
                               f"expected one of {sampler.STRATEGIES}")
         if args.budget is None and args.target_size is None:
             raise ConfigError("need --budget or --target-size")
-        oracle = _build_oracle(args)
+        oracle, descriptor = _build_oracle(args)
         weights_ref = args.weights
         if weights_ref not in ("unit", "distinct", "nested", "af"):
             weights_ref = str(Path(weights_ref).resolve())
@@ -274,15 +279,13 @@ def cmd_sample(args) -> int:
             "strategy": args.strategy,
             "rng_seed": args.seed if args.seed is not None else 0,
             "weights": weights_ref,
-            "oracle": dict(oracle.descriptor),
+            "oracle": descriptor,
             "seeds": _read_seeds(args),
             "budget": args.budget,
             "target_size": args.target_size,
             "tie_break": args.tie_break,
             "version": _version(),
         }
-        if manifest["oracle"].get("path") is None:
-            raise ConfigError("oracle backing must be file-based for a manifest")
         trace = _execute_sample(manifest, out, oracle)
     print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
           f"({trace.reason}) -> {out}/trace.csv")

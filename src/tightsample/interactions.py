@@ -248,13 +248,12 @@ class WeightTable:
     """
 
     def __init__(self, scheme: Scheme, omega: dict[int, float],
-                 omega_star: dict[int, float] | None = None, label: str = ""):
+                 omega_star: dict[int, float] | None = None):
         self.scheme = scheme
         self.omega = dict(omega)
         if omega_star is None:
             omega_star = {x: round_half_up(w, 2) for x, w in self.omega.items()}
         self.omega_star = dict(omega_star)
-        self.label = label or scheme.value
         self._max_weight = max(self.omega_star.values()) if self.omega_star else 1.0
         self._warned: set[int] = set()
 
@@ -287,8 +286,7 @@ class WeightTable:
         """A copy with every weight multiplied by ``c`` (scale-invariance runs)."""
         return WeightTable(self.scheme,
                            {x: w * c for x, w in self.omega.items()},
-                           {x: w * c for x, w in self.omega_star.items()},
-                           label=f"{self.label}*{c}")
+                           {x: w * c for x, w in self.omega_star.items()})
 
 
 class UnitWeights:
@@ -296,8 +294,6 @@ class UnitWeights:
 
     def __init__(self, value: float = 1.0):
         self.value = value
-        self.label = "unit" if value == 1.0 else f"unit*{value}"
-        self.scheme = None
 
     def of(self, pattern: int) -> float:
         return self.value
@@ -309,7 +305,7 @@ class UnitWeights:
         return UnitWeights(self.value * c)
 
 
-def weights_from(balanced: FrequencyTable, label: str = "") -> WeightTable:
+def weights_from(balanced: FrequencyTable) -> WeightTable:
     """Invert balanced frequencies into a weight table."""
     omega: dict[int, float] = {}
     for x, eta in balanced.values.items():
@@ -318,7 +314,7 @@ def weights_from(balanced: FrequencyTable, label: str = "") -> WeightTable:
                 f"unobserved pattern {pattern_str(x, balanced.scheme.width)}; "
                 f"exclude it or supply a prior frequency")
         omega[x] = 1.0 / eta
-    return WeightTable(balanced.scheme, omega, label=label)
+    return WeightTable(balanced.scheme, omega)
 
 
 @dataclass
@@ -397,7 +393,7 @@ def read_weight_csv(path) -> dict[str, Calibration]:
     for tag, cols in sections.items():
         scheme = Scheme.parse(tag)
         star = FrequencyTable(scheme, "balanced", cols["eta_star"])
-        wt = WeightTable(scheme, cols["omega"], cols["omega_star"], label=tag)
+        wt = WeightTable(scheme, cols["omega"], cols["omega_star"])
         out[tag] = Calibration(
             scheme,
             FrequencyTable(scheme, "global", cols["eta_global"]),

@@ -36,11 +36,9 @@ class GraphOracle:
     callers; the access log append is lock-protected.
     """
 
-    def __init__(self, in_adj: dict, ids: IdMap, kind: str, descriptor: dict):
+    def __init__(self, in_adj: dict, ids: IdMap):
         self._in = in_adj
         self.ids = ids
-        self.kind = kind
-        self.descriptor = descriptor
         self._discoverable: set[int] = set()
         self._log: list[int] = []
         self._lock = threading.Lock()
@@ -48,8 +46,7 @@ class GraphOracle:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_undirected_edges(cls, edges, n_nodes: int | None = None,
-                              descriptor: dict | None = None) -> "GraphOracle":
+    def from_undirected_edges(cls, edges, n_nodes: int | None = None) -> "GraphOracle":
         """Serve an undirected simple graph as two directed plain edges each.
 
         Nodes are the integers 0..n-1; external and internal ids coincide.
@@ -63,8 +60,7 @@ class GraphOracle:
             ui, vi = ids.intern(u), ids.intern(v)
             sources.setdefault(vi, []).append(ui)
             sources.setdefault(ui, []).append(vi)
-        return cls(_plain_in_adjacency(sources), ids, "undirected",
-                   descriptor or {"kind": "undirected", "n_nodes": len(ids)})
+        return cls(_plain_in_adjacency(sources), ids)
 
     @classmethod
     def from_edgelist(cls, path) -> "GraphOracle":
@@ -80,11 +76,10 @@ class GraphOracle:
                 raise DataError(f"{path}:{lineno}: expected source<TAB>target")
             src = ids.intern(parts[0])
             sources.setdefault(ids.intern(parts[1]), []).append(src)
-        return cls(_plain_in_adjacency(sources), ids, "edgelist",
-                   {"kind": "edgelist", "path": str(path)})
+        return cls(_plain_in_adjacency(sources), ids)
 
     @classmethod
-    def from_events(cls, events, descriptor: dict | None = None) -> "GraphOracle":
+    def from_events(cls, events) -> "GraphOracle":
         """Engagement-event backing, pre-indexed by author at load time.
 
         ``in_neighbors(author)`` lists every user who engaged with the
@@ -104,10 +99,7 @@ class GraphOracle:
             in_adj[a] = tuple(
                 (j, tuple(sorted(evs, key=lambda tp: str(tp[0]))))
                 for j, evs in sorted(by_src.items()))
-        return cls(in_adj, ids, "events",
-                   descriptor or {"kind": "events", "n_events": sum(
-                       len(evs) for by_src in per_author.values()
-                       for evs in by_src.values())})
+        return cls(in_adj, ids)
 
     # -- seed declaration and queries -----------------------------------
 
@@ -125,7 +117,8 @@ class GraphOracle:
     def in_neighbors(self, v: int):
         """All known in-neighbors of ``v`` with their event multisets.
 
-        Deterministic order (by internal id). ``v`` must be discoverable.
+        Strictly ascending internal id, which the sampler's frontiers rely
+        on. ``v`` must be discoverable.
         """
         if v not in self._discoverable:
             ext = self.ids.external(v) if 0 <= v < len(self.ids) else v

@@ -49,7 +49,6 @@ class SampleTrace:
     init_boundary: float
     rows: list[TraceRow] = field(default_factory=list)
     reason: str | None = None
-    rng_seed: int | None = None
 
     def selected(self) -> list[int]:
         return [row.node for row in self.rows]
@@ -88,7 +87,8 @@ class SampleState:
         self.outsiders: dict[int, float] = {}     # node -> priority
         self.disc_time: dict[int, int] = {}       # outsider -> discovery timestep
         self.out_targets: dict[int, set[int]] = {}  # outsider -> insiders it points to
-        self.frontier_of: dict[int, set[int]] = {}  # insider -> outsider in-neighbors
+        # insider -> its outsider in-neighbors, ascending id; empty frontiers are dropped
+        self.frontier_of: dict[int, dict[int, None]] = {}
         self.eligible = IndexedSet()               # insiders with outsider in-neighbors
         self.outsider_set = IndexedSet()
         self._heap: list[tuple[float, int, int]] = []
@@ -101,6 +101,7 @@ class SampleState:
     def _absorb_neighbors(self, v: int) -> tuple[int, int]:
         """Query the oracle for ``v`` and fold the answer into the state."""
         new_nodes = new_edges = 0
+        frontier: dict[int, None] = {}
         for u, events in self.oracle.in_neighbors(v):
             if u == v:
                 continue
@@ -119,11 +120,11 @@ class SampleState:
             self.outsiders[u] += w
             self.boundary += w
             self.out_targets[u].add(v)
-            frontier = self.frontier_of[v]
-            frontier.add(u)
-            if len(frontier) == 1:
-                self.eligible.add(v)
+            frontier[u] = None
             heapq.heappush(self._heap, (-self.outsiders[u], self.disc_time[u], u))
+        if frontier:
+            self.frontier_of[v] = frontier
+            self.eligible.add(v)
         return new_nodes, new_edges
 
     def _promote(self, node: int) -> float:
@@ -134,11 +135,11 @@ class SampleState:
         del self.disc_time[node]
         for tgt in self.out_targets.pop(node):
             frontier = self.frontier_of[tgt]
-            frontier.discard(node)
+            del frontier[node]
             if not frontier:
+                del self.frontier_of[tgt]
                 self.eligible.discard(tgt)
         self.discovered.add_node(node, insider=True)
-        self.frontier_of[node] = set()
         return priority
 
     # -- selection -------------------------------------------------------
@@ -154,23 +155,15 @@ class SampleState:
 
     def _pop_max_random_tie(self, rng) -> int:
         """Uniform pick among all outsiders tied at the maximum priority."""
-        best = self._pop_max()
-        top = self.outsiders[best]
-        tied = []
-        spilled = []
-        while self._heap:
+        top = self.outsiders[self._pop_max()]
+        tied = []  # live entries in (disc_time, node) order; repeats pop adjacent
+        while self._heap and -self._heap[0][0] == top:
             entry = heapq.heappop(self._heap)
-            neg_p, _disc, node = entry
-            if -neg_p != top:
-                heapq.heappush(self._heap, entry)
-                break
-            if self.outsiders.get(node) == top and node not in tied:
-                tied.append(node)
-            spilled.append(entry)
-        choice = tied[int(rng.integers(len(tied)))]
-        for entry in spilled:
+            if self.outsiders.get(entry[2]) == top and (not tied or entry != tied[-1]):
+                tied.append(entry)
+        for entry in tied:
             heapq.heappush(self._heap, entry)
-        return choice
+        return tied[int(rng.integers(len(tied)))][2]
 
     @staticmethod
     def _argmax_of(candidates, priorities, disc_time) -> int:
@@ -208,7 +201,7 @@ class SampleState:
             return self._weighted_pick(self.outsider_set.items(), self.outsiders, rng)
         # staged strategies: uniform insider with >= 1 outsider in-neighbor
         insider = self.eligible.pick(rng)
-        candidates = sorted(self.frontier_of[insider])
+        candidates = list(self.frontier_of[insider])  # ascending id, as the oracle answered
         if strategy == "RI_MAS":
             if tie_break == "random":
                 return self._argmax_random_tie(candidates, self.outsiders, rng)
@@ -234,7 +227,6 @@ def init(seeds, oracle, weights=None) -> SampleState:
     state.seeds = tuple(internal)
     for v in internal:
         state.discovered.add_node(v, insider=True)
-        state.frontier_of[v] = set()
     for v in internal:
         state._absorb_neighbors(v)
     return state
@@ -273,7 +265,7 @@ def run(state: SampleState, strategy: str, *, steps: int | None = None,
         raise ConfigError("budget must be >= 1")
     if rng is None:
         rng = np.random.default_rng(rng_seed)
-    trace = SampleTrace(strategy, state.seeds, state.boundary, rng_seed=rng_seed)
+    trace = SampleTrace(strategy, state.seeds, state.boundary)
     while True:
         if steps is not None and len(trace.rows) >= steps:
             trace.reason = "budget"

@@ -142,16 +142,19 @@ def test_undirected_edges_listed_both_ways_count_once(net_dir, tmp_path):
             (tmp_path / "both" / output).read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv", [  # the bad value comes last
     ["gen-sbm", "--sizes", "abc"],
-    ["sweep", "--sizes", "50x2", "--r-list", "1,x", "--budget", "5"],
-    ["sweep", "--sizes", "50x2", "--r-list", "1", "--seeds-per-block", "1,q",
-     "--budget", "5"],
+    ["sweep", "--sizes", "50x2", "--budget", "5", "--r-list", "1,x"],
+    ["sweep", "--sizes", "50x2", "--r-list", "1", "--budget", "5",
+     "--seeds-per-block", "1,q"],
 ])
-def test_bad_list_argument_exits_2(tmp_path, argv):
+def test_bad_list_argument_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out", tmp_path / "out")
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected" in err and f"got {argv[-1]!r}" in err
+    assert "_parse" not in err
 
 
 def test_sample_missing_file_exits_3(tmp_path):
@@ -247,6 +250,9 @@ BAD_INPUTS = {
     "edges-utf8": ("discovered.tsv", b"1\t0\t1.0\t1\n\xff\t0\t1.0\t1\n", 3,
                    "discovered.tsv:2:"),
     "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
+    "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,
+                     "manifest.json"),
+    "manifest-depth": ("manifest.json", b"[" * 100_000, 3, "manifest.json"),
     "summary-json": ("run_summary.json", b"{init_boundary", 3, "run_summary.json:1:"),
     "summary-number": ("run_summary.json", b'{"init_boundary": "x"}', 3,
                        "run_summary.json"),

@@ -1,5 +1,6 @@
 import threading
 
+import numpy as np
 import pytest
 
 from tightsample.ingest import EngagementEvent
@@ -97,6 +98,28 @@ def test_access_log_records_queries_in_order(tmp_path):
     oracle.write_access_log(out)
     assert out.read_text().splitlines() == [
         "step,node_ext_id", "1,0", "2,2", "3,1"]
+
+
+def test_every_backing_answers_in_ascending_id(tmp_path):
+    # the sampler keeps frontiers in answer order and relies on it being sorted
+    rng = np.random.default_rng(3)
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 30, size=(300, 2)) if a != b]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"n{a}\tn{b}\n" for a, b in pairs))
+    events = [EngagementEvent(f"t{i % 40}", f"n{b}", f"n{a}", frozenset({"like"}))
+              for i, (a, b) in enumerate(pairs)]
+    backings = {"undirected": GraphOracle.from_undirected_edges(pairs),
+                "edgelist": GraphOracle.from_edgelist(path),
+                "events": GraphOracle.from_events(events)}
+    for kind, oracle in backings.items():
+        everyone = [oracle.ids.external(v) for v in range(len(oracle.ids))]
+        longest = 0
+        for v in oracle.declare_seeds(everyone):
+            answer = [u for u, _ev in oracle.in_neighbors(v)]
+            assert all(a < b for a, b in zip(answer, answer[1:])), kind
+            longest = max(longest, len(answer))
+        assert longest >= 5, kind
 
 
 def test_concurrent_queries_keep_exact_counts():

@@ -1,0 +1,173 @@
+"""Pinned sha256 digests of the three run outputs, per strategy and tie-break.
+
+A change to the sampler's bookkeeping must not move a single pick, so every
+strategy, both tie-breaks, is pinned on a small blockmodel, plus weighted
+runs on a synthetic engagement corpus. The generated graph and corpus come
+from numpy's random generators, so these digests only change when the
+inputs do (e.g. another numpy version), not when the sampler is refactored.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from conftest import make_sbm_oracle
+from tightsample import graph, sampler
+from tightsample import interactions as ia
+from tightsample.ingest import synthetic_corpus
+from tightsample.oracle import GraphOracle
+
+RUN_FILES = ("trace.csv", "discovered.tsv", "access_log.csv")
+
+# (strategy, tie_break) -> digests of RUN_FILES, in that order
+SBM_PINNED = {
+    ("MAS", "ordered"): (
+        "0c7cec72155fded99b395c3270ee1ad97ed427a347c98f8ce7da376c830ab136",
+        "aebe27b2381d9650bfc2401a294e207fbb66d7a03214202c55452f13cb413302",
+        "e1f4d7757b0f1851989ce3c722460de2e3271ca217cd0393982ed3392462cb65",
+    ),
+    ("MAS", "random"): (
+        "35aed7b2f93b94a749689d62f95eeb507f5ade0f69ca1097ffccea1892a8699b",
+        "a492c9e21b76601f68089668b62ec2abb0017c896792ff3ee6614722c1f67b31",
+        "0e386f20cd802e7a5af76a033dc2eb26cfebd9e9da9994634c274f4ed7c2f7c6",
+    ),
+    ("RI_MAS", "ordered"): (
+        "56d3df02f778e44bbd91c426d38c204363e9851a7831ea0c6283f7a2ec3e4811",
+        "ecf9a447f3ed16d95634dab65eaf8abedf68ff09bdf54b9ece9fc9f9838b363a",
+        "11e76c47047614bb67a31210f3397f8e7a39adc60dc2492c1da1ce0ae44eb16a",
+    ),
+    ("RI_MAS", "random"): (
+        "49c4968895e4908fa476e3976b7d06d3d25cec06ab1a05bd08a7992ad4398d5d",
+        "816a3f6213a0d3bee83cafe50fd20ff476572d17219269dfea4ebfffa3a3d070",
+        "574ee925c5da90332d6c8f0e5f42b71d1cf0a08e1d8052a0efb938b3eb795a4d",
+    ),
+    ("RO", "ordered"): (
+        "c70ea88581ccaf0ea18e7edf8cfd4cb22ba1c22043629be47b1aaf6f05d1a1eb",
+        "76085e64204df71aea6999729f295f4f9ae1c1bdf1eae2f50c7d381efc1abe69",
+        "62022d7bd58514de6cdae009182fd2211598bc542b20cca6a6ca4fbef2b58f64",
+    ),
+    ("RO", "random"): (
+        "c70ea88581ccaf0ea18e7edf8cfd4cb22ba1c22043629be47b1aaf6f05d1a1eb",
+        "76085e64204df71aea6999729f295f4f9ae1c1bdf1eae2f50c7d381efc1abe69",
+        "62022d7bd58514de6cdae009182fd2211598bc542b20cca6a6ca4fbef2b58f64",
+    ),
+    ("RI_RO", "ordered"): (
+        "d0f60e3f9705e6dc6676f8fdbb2a0ff47327302c1ed239a5154baf4bdfb35eed",
+        "4f81fbc8978e25c1b6d6f3020422b2426a648e073b3a6cf29c5727bcd776152e",
+        "5d46dc9ef7d7d13fba7904c211bdadf31875cc40ce7b4f20243df697e2866912",
+    ),
+    ("RI_RO", "random"): (
+        "d0f60e3f9705e6dc6676f8fdbb2a0ff47327302c1ed239a5154baf4bdfb35eed",
+        "4f81fbc8978e25c1b6d6f3020422b2426a648e073b3a6cf29c5727bcd776152e",
+        "5d46dc9ef7d7d13fba7904c211bdadf31875cc40ce7b4f20243df697e2866912",
+    ),
+    ("RS_DU", "ordered"): (
+        "c70ea88581ccaf0ea18e7edf8cfd4cb22ba1c22043629be47b1aaf6f05d1a1eb",
+        "76085e64204df71aea6999729f295f4f9ae1c1bdf1eae2f50c7d381efc1abe69",
+        "62022d7bd58514de6cdae009182fd2211598bc542b20cca6a6ca4fbef2b58f64",
+    ),
+    ("RS_DU", "random"): (
+        "c70ea88581ccaf0ea18e7edf8cfd4cb22ba1c22043629be47b1aaf6f05d1a1eb",
+        "76085e64204df71aea6999729f295f4f9ae1c1bdf1eae2f50c7d381efc1abe69",
+        "62022d7bd58514de6cdae009182fd2211598bc542b20cca6a6ca4fbef2b58f64",
+    ),
+    ("RS_DW", "ordered"): (
+        "dc868f933fbe9e70900ccf77f2eb286765cd20d742f807c3236bb2a3fa03e62d",
+        "cf9da9607672fab59059d28ccecf0a2a24894268a837fca02452ea952632eedb",
+        "69e5809c4c6a00f13af791f7fb5e4a6dd728627833503cf418bee4478bc31f68",
+    ),
+    ("RS_DW", "random"): (
+        "dc868f933fbe9e70900ccf77f2eb286765cd20d742f807c3236bb2a3fa03e62d",
+        "cf9da9607672fab59059d28ccecf0a2a24894268a837fca02452ea952632eedb",
+        "69e5809c4c6a00f13af791f7fb5e4a6dd728627833503cf418bee4478bc31f68",
+    ),
+    ("RS_SU", "ordered"): (
+        "d0f60e3f9705e6dc6676f8fdbb2a0ff47327302c1ed239a5154baf4bdfb35eed",
+        "4f81fbc8978e25c1b6d6f3020422b2426a648e073b3a6cf29c5727bcd776152e",
+        "5d46dc9ef7d7d13fba7904c211bdadf31875cc40ce7b4f20243df697e2866912",
+    ),
+    ("RS_SU", "random"): (
+        "d0f60e3f9705e6dc6676f8fdbb2a0ff47327302c1ed239a5154baf4bdfb35eed",
+        "4f81fbc8978e25c1b6d6f3020422b2426a648e073b3a6cf29c5727bcd776152e",
+        "5d46dc9ef7d7d13fba7904c211bdadf31875cc40ce7b4f20243df697e2866912",
+    ),
+    ("RS_SW", "ordered"): (
+        "ed58350b1cf332763977e80dcbf05362169142cf6ecbb870c94a2dab82facd52",
+        "e14c260d45b79ff0967aac29c5b7c8eeaa84d82fa541031c8c75279b073d487b",
+        "67a7d51fe07186d72c2510564ef091d691d4267876f06d67c92f608b3c92e5d5",
+    ),
+    ("RS_SW", "random"): (
+        "ed58350b1cf332763977e80dcbf05362169142cf6ecbb870c94a2dab82facd52",
+        "e14c260d45b79ff0967aac29c5b7c8eeaa84d82fa541031c8c75279b073d487b",
+        "67a7d51fe07186d72c2510564ef091d691d4267876f06d67c92f608b3c92e5d5",
+    ),
+}
+
+# (strategy, tie_break) -> digests of RUN_FILES on the weighted corpus
+CORPUS_PINNED = {
+    ("MAS", "ordered"): (
+        "42080f65fc305bb03fcb6317449dd83cfb5d243c6e8b774ab6560fdf83a0b9c4",
+        "d9091b299e7904ea23950fdfef30c7531af60c09175308e143ceccc70eb581fc",
+        "f5b58320330803c256919c7c90609389f9c66a81ae05da1c0965d72dcab53bc0",
+    ),
+    ("MAS", "random"): (
+        "42080f65fc305bb03fcb6317449dd83cfb5d243c6e8b774ab6560fdf83a0b9c4",
+        "d9091b299e7904ea23950fdfef30c7531af60c09175308e143ceccc70eb581fc",
+        "f5b58320330803c256919c7c90609389f9c66a81ae05da1c0965d72dcab53bc0",
+    ),
+    ("RI_MAS", "random"): (
+        "cc83ea9d28102145e7f7c7e775035b8afd77f4f344c9a44ebfc54e518398ec3d",
+        "f6ce2d87345bf334419d1b6a2fbe8407981e7d01e8e2865ce12ba63920e716ca",
+        "d23902e586b69534a5f76ca36fd34e77007c2f176824609050c406e389daeb3c",
+    ),
+    ("RO", "ordered"): (
+        "ac04ef85388159bf27a6b8e0168a9f6cd25f49679f355fccfb68bdfe269dd760",
+        "9348dae314a45e3b97016caee6810b00bed2fa807a3e31ac43eb5deed6412b2f",
+        "69afad45eca19c9e3c2bd44ebf5dab2d0afa0f18c658d597e6c4d6d6725eae57",
+    ),
+    ("RS_SW", "ordered"): (
+        "0c728795099f4c5e05da12626ff39b74266ce7055627924ae7cff699a2c1350e",
+        "f2c2810409d857c2a00e4bf33f912d67eea997c4f5919aeef4da213b5fad87bb",
+        "e7e36fa3d9182984c18347d7c58b68e9fa5c15f844e66a509862aa549061dcad",
+    ),
+}
+
+
+def run_digests(oracle, seeds, weights, strategy, tie_break, steps, tmp_path):
+    state = sampler.init(seeds, oracle, weights)
+    trace = sampler.run(state, strategy, steps=steps, rng_seed=11, tie_break=tie_break)
+    trace.write_csv(tmp_path / "trace.csv", oracle.ids)
+    graph.write_edge_tsv(state.discovered, tmp_path / "discovered.tsv", oracle.ids)
+    oracle.write_access_log(tmp_path / "access_log.csv")
+    return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in RUN_FILES)
+
+
+def sbm_digests(strategy, tie_break, tmp_path):
+    oracle, seeds, _labels, _edges = make_sbm_oracle((60,) * 4, 6, 4.0, graph_seed=17,
+                                                     seed_rng=5)
+    return run_digests(oracle, seeds, None, strategy, tie_break, 200, tmp_path)
+
+
+def corpus_digests(strategy, tie_break, tmp_path):
+    # interactors renamed into the authors' id space, so engagement forms a graph
+    corpus = [dataclasses.replace(e, interactor="a" + e.interactor[1:])
+              for e in synthetic_corpus(np.random.default_rng(9), n_authors=60,
+                                        n_interactors=60, n_tweets=300, n_events=1500)]
+    oracle = GraphOracle.from_events(corpus)
+    seeds = sorted({e.author for e in corpus})[:3]
+    weights = ia.load_reference_tables()["distinct"].weights
+    return run_digests(oracle, seeds, weights, strategy, tie_break, 50, tmp_path)
+
+
+@pytest.mark.parametrize("strategy,tie_break", sorted(SBM_PINNED))
+def test_sbm_traces_pinned(strategy, tie_break, tmp_path):
+    assert sbm_digests(strategy, tie_break, tmp_path) == SBM_PINNED[strategy, tie_break]
+
+
+@pytest.mark.parametrize("strategy,tie_break", sorted(CORPUS_PINNED))
+def test_weighted_corpus_traces_pinned(strategy, tie_break, tmp_path):
+    assert corpus_digests(strategy, tie_break, tmp_path) == \
+        CORPUS_PINNED[strategy, tie_break]

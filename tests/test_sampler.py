@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,43 @@ def test_ri_mas_max_within_insider(rng):
     state = sampler.init(["A"], oracle)
     b = oracle.ids.resolve("B")
     assert all(state.select("RI_MAS", rng) == b for _ in range(20))
+
+
+@pytest.mark.parametrize("strategy", ["RI_MAS", "RI_RO", "RS_SU", "RS_SW"])
+def test_staged_frontiers_follow_discovered_edges(strategy):
+    # staged picks list a frontier as kept, so it must stay in ascending id
+    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 23)
+    state = sampler.init(seeds, oracle)
+    rng = np.random.default_rng(5)
+    for _ in range(70):
+        expected: dict = {}
+        for s, t in sorted(state.discovered.edges):
+            if t in state.insiders and s not in state.insiders:
+                expected.setdefault(t, []).append(s)
+        assert set(state.frontier_of) == set(state.eligible.items())
+        assert {t: list(f) for t, f in state.frontier_of.items()} == expected
+        try:
+            sampler.step(state, strategy, rng)
+        except sampler.FrontierExhausted:
+            break
+
+
+@pytest.mark.parametrize("unit", [1.0, 0.0])
+def test_random_tie_mas_draws_over_ties_in_discovery_order(unit):
+    # weight 0 leaves priorities unchanged, so the heap holds repeat entries
+    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 23)
+    state = sampler.init(seeds, oracle, ia.UnitWeights(unit))
+    rng = np.random.default_rng(8)
+    widest = 0
+    while state.outsiders:
+        top = max(state.outsiders.values())
+        tied = sorted((o for o, p in state.outsiders.items() if p == top),
+                      key=lambda o: (state.disc_time[o], o))
+        expected = tied[int(copy.deepcopy(rng).integers(len(tied)))]
+        node, _row = sampler.step(state, "MAS", rng, tie_break="random")
+        assert node == expected
+        widest = max(widest, len(tied))
+    assert widest >= 5
 
 
 def test_unknown_strategy_rejected(rng):
