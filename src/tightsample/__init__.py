@@ -7,6 +7,8 @@ the engagement-weight calibration pipeline, a blockmodel test bed, random
 baselines, and an evaluation suite.
 """
 
+__version__ = "0.1.0"   # kept equal to pyproject.toml by tests/test_cli.py
+
 from .graph import DiscoveredGraph, IdMap, induced_subgraph, total_edge_weight
 from .interactions import (
     Calibration,

@@ -13,23 +13,16 @@ import csv
 import json
 import os
 import sys
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import graph, ingest, interactions, metrics, sampler, sbm
+from . import __version__, graph, ingest, interactions, metrics, sampler, sbm
 from .oracle import GraphOracle
 from .util import ConfigError, DataError, read_csv, read_lines
 
 WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
-
-
-def _version() -> str:
-    try:
-        return metadata.version("tightsample")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 def _out_dir(path) -> Path:
@@ -248,7 +241,7 @@ def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle) -> sampler.S
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     summary = {
         "insiders": len(state.insiders),
-        "discovered_nodes": len(state.discovered.nodes),
+        "discovered_nodes": len(state.insiders) + len(state.outsiders),
         "discovered_edges": state.discovered.n_edges(),
         "init_boundary": trace.init_boundary,
         "final_boundary": state.boundary,
@@ -284,7 +277,7 @@ def cmd_sample(args) -> int:
             "budget": args.budget,
             "target_size": args.target_size,
             "tie_break": args.tie_break,
-            "version": _version(),
+            "version": __version__,
         }
         trace = _execute_sample(manifest, out, oracle)
     print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
@@ -486,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tightsample",
         description="Tight snowball sampling of unbounded directed networks")
-    parser.add_argument("--version", action="version", version=_version())
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="derive pattern weights from an event log")

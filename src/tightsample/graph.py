@@ -7,10 +7,14 @@ external ids (strings or ints) appear only at I/O boundaries.
 from __future__ import annotations
 
 import csv
+from array import array
+
+import numpy as np
 
 from .util import ConfigError, DataError, read_csv, read_lines
 
 EDGE_SELECTORS = ("all", "boundary", "internal")
+WRITE_CHUNK = 8192   # lines per write in write_edge_tsv
 
 
 class IdMap:
@@ -46,60 +50,69 @@ class IdMap:
 class DiscoveredGraph:
     """The portion of the unbounded network revealed so far.
 
-    ``edges`` maps (source, target) to the summed weight of its engagement
-    events and ``n_events`` to their count; the events themselves are not
-    kept. ``insiders`` is the one record of the sample: every edge's target
-    is an insider because edges are only discovered by querying insiders'
-    in-neighborhoods. Single-writer: callers serialize mutations; reads are
-    safe once a mutation completes.
+    Edges are append-only columns, one row per ``(source, target)`` pair:
+    ``sources`` and ``targets`` hold internal ids, ``weights`` the summed
+    weight of the edge's engagement events and ``event_counts`` their count;
+    the events themselves are not kept. Rows are never merged or removed, so
+    callers add each pair once: the sampler queries every insider once and an
+    oracle answer names each in-neighbour once, and :func:`read_edge_tsv`
+    rejects a repeated pair. ``insiders`` is the one record of the sample:
+    every edge's target is an insider because edges are only discovered by
+    querying insiders' in-neighborhoods. Single-writer: callers serialize
+    mutations; reads are safe once a mutation completes. A numpy view of a
+    column (``np.frombuffer``) blocks appends while it is alive.
     """
 
     def __init__(self):
-        self.nodes: set[int] = set()
         self.insiders: set[int] = set()
-        self.edges: dict[tuple[int, int], float] = {}
-        self.n_events: dict[tuple[int, int], int] = {}
+        self._extra: set[int] = set()   # nodes added on their own, outside the sample
+        self.sources = array("q")
+        self.targets = array("q")
+        self.weights = array("d")
+        self.event_counts = array("q")
 
     @classmethod
     def from_edge_pairs(cls, pairs, weight: float = 1.0) -> "DiscoveredGraph":
-        """Build an all-insider graph from (source, target) pairs (test/metrics aid)."""
+        """Build an all-insider graph from distinct (source, target) pairs (test/metrics aid)."""
         g = cls()
         for s, t in pairs:
-            g.add_node(s, insider=True)
-            g.add_node(t, insider=True)
+            g.insiders.update((s, t))
             g.add_events(s, t, weight, 1)
         return g
 
+    @property
+    def nodes(self) -> set[int]:
+        """Every node: the insiders, the edge endpoints and nodes added on their own."""
+        return self.insiders | self._extra | set(self.sources) | set(self.targets)
+
     def add_node(self, v: int, insider: bool = False) -> None:
-        self.nodes.add(v)
-        if insider:
-            self.insiders.add(v)
+        """Add a node with no edge needed; ``insider`` puts it in the sample."""
+        (self.insiders if insider else self._extra).add(v)
 
     def add_events(self, source: int, target: int, weight: float, n_events: int) -> None:
-        """Add ``n_events`` events of total ``weight`` to the (source, target) edge."""
+        """Append the (source, target) edge: ``n_events`` events of total ``weight``."""
         if source == target:
             raise DataError(f"self-loop rejected: {source}")
-        key = (source, target)
-        old = self.edges.get(key)
-        if old is None:
-            self.edges[key] = weight
-            self.n_events[key] = n_events
-        else:
-            self.edges[key] = old + weight
-            self.n_events[key] += n_events
+        self.sources.append(source)
+        self.targets.append(target)
+        self.weights.append(weight)
+        self.event_counts.append(n_events)
+
+    def pairs(self):
+        """``(source, target)`` of every edge, in append order."""
+        return zip(self.sources, self.targets)
 
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.sources)
 
 
 def induced_subgraph(g: DiscoveredGraph, keep: set[int]) -> DiscoveredGraph:
     """Subgraph on ``keep`` (all marked insider), edges with both endpoints kept."""
     sub = DiscoveredGraph()
-    sub.nodes.update(keep)
     sub.insiders.update(keep)
-    for (s, t), weight in g.edges.items():
+    for s, t, weight, n_events in zip(g.sources, g.targets, g.weights, g.event_counts):
         if s in keep and t in keep:
-            sub.add_events(s, t, weight, g.n_events[(s, t)])
+            sub.add_events(s, t, weight, n_events)
     return sub
 
 
@@ -112,7 +125,7 @@ def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
     if selector not in EDGE_SELECTORS:
         raise ConfigError(f"unknown edge selector {selector!r}; use one of {EDGE_SELECTORS}")
     total = 0.0
-    for (s, _t), weight in g.edges.items():
+    for s, weight in zip(g.sources, g.weights):
         if selector == "boundary" and s in g.insiders:
             continue
         if selector == "internal" and s not in g.insiders:
@@ -121,17 +134,35 @@ def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
     return total
 
 
+def _by_target(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row order by (target, source); rows of one pair keep their append order."""
+    return np.lexsort((sources, targets))
+
+
 def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
-    """TSV export ``source target weight n_events``, ordered by (target, source)."""
-    rows = sorted(g.edges, key=lambda st: (st[1], st[0]))
+    """TSV export ``source target weight n_events``, ordered by (target, source).
+
+    Lines are formatted and written :data:`WRITE_CHUNK` at a time.
+    """
+    sources = np.frombuffer(g.sources, dtype=np.int64)
+    targets = np.frombuffer(g.targets, dtype=np.int64)
+    order = _by_target(sources, targets)
+    columns = (sources[order], targets[order],
+               np.frombuffer(g.weights, dtype=np.float64)[order],
+               np.frombuffer(g.event_counts, dtype=np.int64)[order])
+    ext = ids.external
     with open(path, "w", newline="") as fh:
-        for key in rows:
-            fh.write(f"{ids.external(key[0])}\t{ids.external(key[1])}\t"
-                     f"{g.edges[key]!r}\t{g.n_events[key]}\n")
+        for start in range(0, len(order), WRITE_CHUNK):
+            chunk = (col[start:start + WRITE_CHUNK].tolist() for col in columns)
+            fh.write("".join(f"{ext(s)}\t{ext(t)}\t{weight!r}\t{n_events}\n"
+                             for s, t, weight, n_events in zip(*chunk)))
 
 
 def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMap]:
-    """Rebuild a graph from :func:`write_edge_tsv` output (roles left unset)."""
+    """Rebuild a graph from :func:`write_edge_tsv` output (roles left unset).
+
+    A repeated (source, target) pair is a :class:`DataError` naming its line.
+    """
     if ids is None:
         ids = IdMap()
     g = DiscoveredGraph()
@@ -142,11 +173,16 @@ def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMa
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields: "
                             f"source, target, weight, event count") from None
-        s = ids.intern(source)
-        t = ids.intern(target)
-        g.add_node(s)
-        g.add_node(t)
-        g.add_events(s, t, weight, n_events)
+        g.add_events(ids.intern(source), ids.intern(target), weight, n_events)
+    sources = np.frombuffer(g.sources, dtype=np.int64)
+    targets = np.frombuffer(g.targets, dtype=np.int64)
+    order = _by_target(sources, targets)
+    sources, targets = sources[order], targets[order]
+    repeats = order[1:][(sources[1:] == sources[:-1]) & (targets[1:] == targets[:-1])]
+    if repeats.size:
+        row = int(repeats.min())   # every line is one row
+        raise DataError(f"{path}:{row + 1}: repeats the edge "
+                        f"{ids.external(g.sources[row])} -> {ids.external(g.targets[row])}")
     return g, ids
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -35,11 +35,11 @@ from .sampler import SampleTrace
 from .util import ConfigError, DataError
 
 
-def _directed_adjacency(g: DiscoveredGraph):
+def _directed_adjacency(g: DiscoveredGraph, nodes):
     """Simple directed view: per-node out- and in-neighbor sets."""
-    out: dict[int, set[int]] = {v: set() for v in g.nodes}
-    inc: dict[int, set[int]] = {v: set() for v in g.nodes}
-    for s, t in g.edges:
+    out: dict[int, set[int]] = {v: set() for v in nodes}
+    inc: dict[int, set[int]] = {v: set() for v in nodes}
+    for s, t in g.pairs():
         out[s].add(t)
         inc[t].add(s)
     return out, inc
@@ -50,11 +50,12 @@ def clustering_local(g: DiscoveredGraph):
 
     Nodes with fewer than two distinct neighbors contribute 0.
     """
-    if not g.nodes:
+    nodes = g.nodes
+    if not nodes:
         raise DataError("empty graph")
-    out, inc = _directed_adjacency(g)
+    out, inc = _directed_adjacency(g, nodes)
     per_node: dict[int, float] = {}
-    for v in sorted(g.nodes):  # ascending, so the mean does not depend on set order
+    for v in sorted(nodes):  # ascending, so the mean does not depend on set order
         nbrs = (out[v] | inc[v]) - {v}
         deg = len(nbrs)
         if deg < 2:
@@ -70,10 +71,11 @@ def clustering_local(g: DiscoveredGraph):
 
 def clustering_global(g: DiscoveredGraph) -> float:
     """Transitivity on the undirected projection: 3*triangles / triplets."""
-    if not g.nodes:
+    nodes = g.nodes
+    if not nodes:
         raise DataError("empty graph")
-    und: dict[int, set[int]] = {v: set() for v in g.nodes}
-    for s, t in g.edges:
+    und: dict[int, set[int]] = {v: set() for v in nodes}
+    for s, t in g.pairs():
         if s != t:
             und[s].add(t)
             und[t].add(s)
@@ -118,14 +120,13 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
     at :data:`BFS_BLOCK_BYTES`. Distances are summed as Python ints, so the
     result equals a per-source BFS exactly.
     """
-    if not g.nodes:
-        raise DataError("empty graph")
     nodes = np.array(sorted(g.nodes), dtype=np.int64)
+    if not nodes.size:
+        raise DataError("empty graph")
     n = len(nodes)
-    m = len(g.edges)
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * m)
-    sources = np.searchsorted(nodes, ends[0::2])
-    targets = np.searchsorted(nodes, ends[1::2])
+    m = g.n_edges()
+    sources = np.searchsorted(nodes, np.frombuffer(g.sources, dtype=np.int64))
+    targets = np.searchsorted(nodes, np.frombuffer(g.targets, dtype=np.int64))
     # in-edge CSR: edge sources grouped by target, one segment per target
     order = np.argsort(targets, kind="stable")
     sources = sources[order]
@@ -166,8 +167,8 @@ def degree_stats(g: DiscoveredGraph) -> dict:
     n = len(g.nodes)
     if n == 0:
         raise DataError("empty graph")
-    m = len(g.edges)
-    weight = sum(g.edges.values())
+    m = g.n_edges()
+    weight = sum(g.weights)
     return {"n": n, "m": m, "avg_degree": m / n, "avg_weighted_degree": weight / n}
 
 

@@ -76,8 +76,52 @@ class SampleTrace:
                                  repr(r.boundary), r.new_nodes, r.new_edges])
 
 
+class _Staged:
+    """Selector state of the staged strategies (RI_MAS, RI_RO, RS_SU, RS_SW).
+
+    Built from the edge columns in append order: every set and frontier gets
+    its elements in the order that upkeep since ``init`` would have added
+    them, and so does ``eligible`` until a node is promoted (a promotion
+    swap-removes from it).
+    """
+
+    __slots__ = ("out_targets", "frontier_of", "eligible")
+
+    def __init__(self, state: "SampleState"):
+        self.out_targets: dict[int, set[int]] = {}   # outsider -> insiders it points to
+        # insider -> its outsider in-neighbors, ascending id; empty frontiers are dropped
+        self.frontier_of: dict[int, dict[int, None]] = {}
+        self.eligible = IndexedSet()                  # insiders with outsider in-neighbors
+        for s, t in state.discovered.pairs():
+            if s in state.outsiders:
+                self.out_targets.setdefault(s, set()).add(t)
+                self.frontier_of.setdefault(t, {})[s] = None
+                self.eligible.add(t)
+
+    def promote(self, node: int) -> None:
+        for tgt in self.out_targets.pop(node):
+            frontier = self.frontier_of[tgt]
+            del frontier[node]
+            if not frontier:
+                del self.frontier_of[tgt]
+                self.eligible.discard(tgt)
+
+
 class SampleState:
-    """Mutable sampling state; confine one instance to one thread."""
+    """Mutable sampling state; confine one instance to one thread.
+
+    The core, read by every strategy: the insiders (shared with
+    ``discovered``), the outsiders' priorities in discovery order, their
+    discovery timesteps, the boundary and the discovered edges. Each
+    strategy family's selector state is built from the core on the first
+    ``select`` that needs it (or the first read of its attribute), then kept
+    up to date step by step:
+
+    - ``MAS``: a heap of ``(-priority, disc_time, node)`` with lazy deletion;
+    - ``RO``, ``RS_DU``, ``RS_DW``: ``outsider_set``, the outsiders as an
+      O(1)-pick pool;
+    - staged strategies: ``out_targets``, ``frontier_of`` and ``eligible``.
+    """
 
     def __init__(self, oracle, weights):
         self.oracle = oracle
@@ -86,83 +130,121 @@ class SampleState:
         self.insiders = self.discovered.insiders  # the sample, shared with the graph
         self.outsiders: dict[int, float] = {}     # node -> priority
         self.disc_time: dict[int, int] = {}       # outsider -> discovery timestep
-        self.out_targets: dict[int, set[int]] = {}  # outsider -> insiders it points to
-        # insider -> its outsider in-neighbors, ascending id; empty frontiers are dropped
-        self.frontier_of: dict[int, dict[int, None]] = {}
-        self.eligible = IndexedSet()               # insiders with outsider in-neighbors
-        self.outsider_set = IndexedSet()
-        self._heap: list[tuple[float, int, int]] = []
         self.boundary = 0.0
         self.timestep = 0
         self.seeds: tuple[int, ...] = ()
+        self._heap: list[tuple[float, int, int]] | None = None
+        self._pool: IndexedSet | None = None
+        self._staged: _Staged | None = None
+
+    # -- selector state, built on first use --------------------------------
+
+    def _max_heap(self) -> list[tuple[float, int, int]]:
+        if self._heap is None:
+            self._heap = [(-p, self.disc_time[u], u) for u, p in self.outsiders.items()]
+            heapq.heapify(self._heap)
+        return self._heap
+
+    @property
+    def outsider_set(self) -> IndexedSet:
+        if self._pool is None:
+            self._pool = IndexedSet(self.outsiders)
+        return self._pool
+
+    def _staged_state(self) -> _Staged:
+        if self._staged is None:
+            self._staged = _Staged(self)
+        return self._staged
+
+    @property
+    def out_targets(self) -> dict[int, set[int]]:
+        return self._staged_state().out_targets
+
+    @property
+    def frontier_of(self) -> dict[int, dict[int, None]]:
+        return self._staged_state().frontier_of
+
+    @property
+    def eligible(self) -> IndexedSet:
+        return self._staged_state().eligible
 
     # -- bookkeeping -----------------------------------------------------
 
     def _absorb_neighbors(self, v: int) -> tuple[int, int]:
         """Query the oracle for ``v`` and fold the answer into the state."""
         new_nodes = new_edges = 0
+        add_events = self.discovered.add_events
+        event_weight = self.weights.event_weight
+        insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
+        heap, pool, staged = self._heap, self._pool, self._staged
+        boundary = self.boundary
         frontier: dict[int, None] = {}
         for u, events in self.oracle.in_neighbors(v):
             if u == v:
                 continue
-            w = self.weights.event_weight(events)
-            self.discovered.add_node(u)
-            self.discovered.add_events(u, v, w, len(events))
+            w = event_weight(events)
+            add_events(u, v, w, len(events))
             new_edges += 1
-            if u in self.insiders:
+            if u in insiders:
                 continue
-            if u not in self.outsiders:
-                self.outsiders[u] = 0.0
-                self.disc_time[u] = self.timestep
-                self.out_targets[u] = set()
-                self.outsider_set.add(u)
+            priority = outsiders.get(u)
+            if priority is None:
+                priority = 0.0
+                disc_time[u] = self.timestep
                 new_nodes += 1
-            self.outsiders[u] += w
-            self.boundary += w
-            self.out_targets[u].add(v)
-            frontier[u] = None
-            heapq.heappush(self._heap, (-self.outsiders[u], self.disc_time[u], u))
+                if pool is not None:
+                    pool.add(u)
+                if staged is not None:
+                    staged.out_targets[u] = set()
+            priority += w
+            outsiders[u] = priority
+            boundary += w
+            if heap is not None:
+                heapq.heappush(heap, (-priority, disc_time[u], u))
+            if staged is not None:
+                staged.out_targets[u].add(v)
+                frontier[u] = None
+        self.boundary = boundary
         if frontier:
-            self.frontier_of[v] = frontier
-            self.eligible.add(v)
+            staged.frontier_of[v] = frontier
+            staged.eligible.add(v)
         return new_nodes, new_edges
 
     def _promote(self, node: int) -> float:
         """Move an outsider into the insider set; returns its final priority."""
         priority = self.outsiders.pop(node)
         self.boundary -= priority
-        self.outsider_set.discard(node)
         del self.disc_time[node]
-        for tgt in self.out_targets.pop(node):
-            frontier = self.frontier_of[tgt]
-            del frontier[node]
-            if not frontier:
-                del self.frontier_of[tgt]
-                self.eligible.discard(tgt)
-        self.discovered.add_node(node, insider=True)
+        if self._pool is not None:
+            self._pool.discard(node)
+        if self._staged is not None:
+            self._staged.promote(node)
+        self.insiders.add(node)
         return priority
 
     # -- selection -------------------------------------------------------
 
     def _pop_max(self) -> int:
-        while self._heap:
-            neg_p, _disc, node = self._heap[0]
+        heap = self._max_heap()
+        while heap:
+            neg_p, _disc, node = heap[0]
             current = self.outsiders.get(node)
             if current is not None and -neg_p == current:
                 return node
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
         raise FrontierExhausted("priority heap drained")
 
     def _pop_max_random_tie(self, rng) -> int:
         """Uniform pick among all outsiders tied at the maximum priority."""
         top = self.outsiders[self._pop_max()]
+        heap = self._heap
         tied = []  # live entries in (disc_time, node) order; repeats pop adjacent
-        while self._heap and -self._heap[0][0] == top:
-            entry = heapq.heappop(self._heap)
+        while heap and -heap[0][0] == top:
+            entry = heapq.heappop(heap)
             if self.outsiders.get(entry[2]) == top and (not tied or entry != tied[-1]):
                 tied.append(entry)
         for entry in tied:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(heap, entry)
         return tied[int(rng.integers(len(tied)))][2]
 
     @staticmethod
@@ -200,8 +282,9 @@ class SampleState:
         if strategy == "RS_DW":
             return self._weighted_pick(self.outsider_set.items(), self.outsiders, rng)
         # staged strategies: uniform insider with >= 1 outsider in-neighbor
-        insider = self.eligible.pick(rng)
-        candidates = list(self.frontier_of[insider])  # ascending id, as the oracle answered
+        staged = self._staged_state()
+        insider = staged.eligible.pick(rng)
+        candidates = list(staged.frontier_of[insider])  # ascending id, as the oracle answered
         if strategy == "RI_MAS":
             if tie_break == "random":
                 return self._argmax_random_tie(candidates, self.outsiders, rng)
@@ -225,8 +308,7 @@ def init(seeds, oracle, weights=None) -> SampleState:
     state = SampleState(oracle, weights if weights is not None else UnitWeights())
     internal = oracle.declare_seeds(seeds)
     state.seeds = tuple(internal)
-    for v in internal:
-        state.discovered.add_node(v, insider=True)
+    state.insiders.update(internal)
     for v in internal:
         state._absorb_neighbors(v)
     return state
@@ -291,7 +373,8 @@ def audit(state: SampleState) -> float:
     values; raises if the outsider sets themselves disagree.
     """
     recomputed: dict[int, float] = {}
-    for (s, t), weight in state.discovered.edges.items():
+    g = state.discovered
+    for s, t, weight in zip(g.sources, g.targets, g.weights):
         if t in state.insiders and s not in state.insiders:
             recomputed[s] = recomputed.get(s, 0.0) + weight
     if set(recomputed) != set(state.outsiders):

@@ -96,7 +96,8 @@ def brute_all_pairs(nodes, edge_pairs):
 def brute_priorities(state):
     """Outsider priorities and boundary by a full scan of the discovered graph."""
     prio = {}
-    for (s, t), weight in state.discovered.edges.items():
+    g = state.discovered
+    for s, t, weight in zip(g.sources, g.targets, g.weights):
         if t in state.insiders and s not in state.insiders:
             prio[s] = prio.get(s, 0.0) + weight
     return prio, sum(prio.values())

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -93,6 +94,7 @@ def test_sample_run_and_trace_budget(net_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["strategy"] == "MAS"
     assert manifest["rng_seed"] == 3
+    assert manifest["version"] == tightsample.__version__
     log = list(csv.DictReader(open(out / "access_log.csv")))
     assert len(log) == 4 + 50  # seeds + selections
 
@@ -249,6 +251,8 @@ BAD_INPUTS = {
     "edges-count": ("discovered.tsv", b"1\t0\t1.0\tx\n", 3, "discovered.tsv:1:"),
     "edges-utf8": ("discovered.tsv", b"1\t0\t1.0\t1\n\xff\t0\t1.0\t1\n", 3,
                    "discovered.tsv:2:"),
+    "edges-repeat": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t0\t1.0\t1\n1\t0\t1.0\t1\n", 3,
+                     "discovered.tsv:3:"),
     "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
     "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,
                      "manifest.json"),
@@ -498,3 +502,11 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == tightsample.__version__
+
+
+def test_package_version_matches_pyproject():
+    # a regex, not tomllib: Python 3.10 (allowed by requires-python) lacks it
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+    assert tightsample.__version__ == declared

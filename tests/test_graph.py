@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tightsample import graph
 from tightsample.graph import (
     DiscoveredGraph,
     IdMap,
@@ -39,13 +40,13 @@ def test_induced_subgraph_definition():
     g = _graph([0, 1], [(1, 0), (2, 0)])
     sub = induced_subgraph(g, g.insiders)
     assert sub.nodes == {0, 1}
-    assert set(sub.edges) == {(1, 0)}
+    assert set(sub.pairs()) == {(1, 0)}
 
 
 def test_induced_subgraph_empty():
     g = _graph([], [])
     sub = induced_subgraph(g, g.insiders)
-    assert not sub.nodes and not sub.edges
+    assert not sub.nodes and not sub.n_edges()
 
 
 def test_induced_subgraph_matches_brute_filter(rng):
@@ -59,8 +60,8 @@ def test_induced_subgraph_matches_brute_filter(rng):
             edges.append((int(s), int(t)))
     g = _graph(insiders, edges)
     sub = induced_subgraph(g, g.insiders)
-    expected = {(s, t) for (s, t) in g.edges if s in insiders and t in insiders}
-    assert set(sub.edges) == expected
+    expected = {(s, t) for (s, t) in g.pairs() if s in insiders and t in insiders}
+    assert set(sub.pairs()) == expected
 
 
 def test_total_edge_weight_unit_counts():
@@ -93,7 +94,7 @@ def test_edge_classes_partition_total(rng):
     parts = total_edge_weight(g, "boundary") + total_edge_weight(g, "internal")
     assert full == pytest.approx(parts, rel=1e-12)
     # matches an independent full scan
-    assert full == pytest.approx(sum(g.edges.values()))
+    assert full == pytest.approx(sum(g.weights))
 
 
 def test_unknown_selector_rejected():
@@ -108,12 +109,15 @@ def test_self_loops_rejected():
         g.add_events(0, 0, 1.0, 1)
 
 
-def test_parallel_events_merge_into_one_edge():
+def test_add_events_appends_one_row_per_call():
+    # the store appends and never merges: callers add each pair once
     g = _graph([0], [(1, 0)])
-    g.add_events(1, 0, 0.5, 1)
-    assert len(g.edges) == 1
-    assert g.n_events[(1, 0)] == 2
-    assert g.edges[(1, 0)] == pytest.approx(1.5)
+    g.add_events(2, 0, 0.5, 3)
+    assert g.n_edges() == 2
+    assert list(g.pairs()) == [(1, 0), (2, 0)]
+    assert list(g.weights) == [1.0, 0.5]
+    assert list(g.event_counts) == [1, 3]
+    assert g.nodes == {0, 1, 2}
 
 
 def test_edge_tsv_round_trip(tmp_path):
@@ -126,7 +130,64 @@ def test_edge_tsv_round_trip(tmp_path):
     # deterministic (target, source) order
     assert lines[0].startswith("b\ta") and lines[1].startswith("c\ta")
     g2, ids2 = read_edge_tsv(path)
-    assert len(g2.edges) == 2
+    assert g2.n_edges() == 2
     key = (ids2.resolve("b"), ids2.resolve("a"))
-    assert g2.edges[key] == 1.0
-    assert g2.n_events[key] == 1
+    row = list(g2.pairs()).index(key)
+    assert g2.weights[row] == 1.0
+    assert g2.event_counts[row] == 1
+
+
+def test_nodes_are_insiders_endpoints_and_added_nodes():
+    g = DiscoveredGraph()
+    g.add_node(0, insider=True)
+    g.add_node(7)
+    g.add_events(3, 0, 1.0, 1)
+    assert g.nodes == {0, 3, 7}
+    assert g.insiders == {0}
+
+
+def _reference_edge_tsv(edges, n_events, ids):
+    """The dict-backed writer the column store replaced: tuple sort, repr weights."""
+    lines = []
+    for key in sorted(edges, key=lambda st: (st[1], st[0])):
+        lines.append(f"{ids.external(key[0])}\t{ids.external(key[1])}\t"
+                     f"{edges[key]!r}\t{n_events[key]}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_tsv_matches_reference_writer(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    ids = IdMap()
+    n = int(rng.integers(2, 60))
+    for v in rng.permutation(n):  # external ids interned out of order
+        ids.intern(f"user{int(v) * 7919 % 1000:03d}-{int(v)}")
+    mask = rng.random((n, n)) < 0.3
+    np.fill_diagonal(mask, False)
+    pairs = [(int(s), int(t)) for s, t in zip(*np.nonzero(mask))]
+    edges, n_events = {}, {}
+    g = DiscoveredGraph()
+    for i in rng.permutation(len(pairs)):  # scrambled append order
+        key = pairs[i]
+        edges[key] = float(rng.random() * 10.0 ** rng.integers(-3, 4))
+        n_events[key] = int(rng.integers(1, 6))
+        g.add_events(*key, edges[key], n_events[key])
+    monkeypatch.setattr(graph, "WRITE_CHUNK", 5)  # several chunks and a partial one
+    path = tmp_path / "edges.tsv"
+    write_edge_tsv(g, path, ids)
+    assert path.read_text() == _reference_edge_tsv(edges, n_events, ids)
+    g2, ids2 = read_edge_tsv(path)
+    assert g2.n_edges() == len(pairs)
+
+
+def test_edge_tsv_empty_graph(tmp_path):
+    path = tmp_path / "edges.tsv"
+    write_edge_tsv(DiscoveredGraph(), path, IdMap())
+    assert path.read_text() == ""
+
+
+def test_read_edge_tsv_rejects_a_repeated_pair(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("a\tb\t1.0\t1\nc\tb\t1.0\t1\nd\ta\t2.0\t2\nc\tb\t0.5\t1\n")
+    with pytest.raises(DataError, match=r"edges.tsv:4: repeats the edge c -> b"):
+        read_edge_tsv(path)

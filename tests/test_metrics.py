@@ -184,8 +184,8 @@ def test_degree_stats_both_flavors():
     assert d["avg_degree"] == pytest.approx(2 / 3)
     assert d["avg_weighted_degree"] == pytest.approx(1.0 / 3)
     # |E|/n equals both the mean in-degree and the mean out-degree
-    in_sum = sum(1 for _ in g.edges)
-    out_sum = len(g.edges)
+    in_sum = sum(1 for _ in g.targets)
+    out_sum = len(g.sources)
     assert d["avg_degree"] == in_sum / d["n"] == out_sum / d["n"]
 
 
@@ -334,7 +334,7 @@ def test_min_common_snapshot_truncates_to_shortest():
     target = min(t.final_size() for t, _g in runs)
     for sub in subs:
         assert len(sub.nodes) == target
-        assert all(s in sub.insiders and t in sub.insiders for s, t in sub.edges)
+        assert all(s in sub.insiders and t in sub.insiders for s, t in sub.pairs())
 
 
 def test_min_common_snapshot_single_run_unchanged():
@@ -355,7 +355,7 @@ def test_snapshot_equals_graph_at_that_time():
     oracle, seeds, _labels, _edges = make_sbm_oracle((40,) * 3, 5, 4.0, 33)
     state = sampler.init(seeds, oracle)
     half = sampler.run(state, "MAS", steps=30, rng_seed=9)
-    edges_at_half = {(s, t) for (s, t) in state.discovered.edges
+    edges_at_half = {(s, t) for (s, t) in state.discovered.pairs()
                      if s in state.insiders and t in state.insiders}
     rest = sampler.run(state, "MAS", steps=30, rng=np.random.default_rng(10))
     full_trace = sampler.SampleTrace(
@@ -365,7 +365,7 @@ def test_snapshot_equals_graph_at_that_time():
     insiders_half = set(full_trace.insiders_at(len(seeds) + 30))
     from tightsample.graph import induced_subgraph
     sub = induced_subgraph(state.discovered, insiders_half)
-    assert set(sub.edges) == edges_at_half
+    assert set(sub.pairs()) == edges_at_half
 
 
 def test_evolution_csv_export(tmp_path):

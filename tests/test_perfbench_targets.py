@@ -16,3 +16,28 @@ def test_traced_functions_exist(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_rest in tracing.TARGETS
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
+    # the traced mode times discovery through this leaf, so the sampler must call it
+    import numpy as np
+
+    from tightsample import graph, sampler, sbm
+    from tightsample.oracle import GraphOracle
+
+    calls = []
+    add_events = graph.DiscoveredGraph.add_events
+
+    def counted(self, *args):
+        calls.append(args[:2])
+        return add_events(self, *args)
+
+    monkeypatch.setattr(graph.DiscoveredGraph, "add_events", counted)
+    cfg = sbm.BlockModelConfig((40,) * 4, 6, 4.0, 5)
+    edges, labels = sbm.generate(sbm.derive_block_matrix(cfg), cfg.block_sizes, 5)
+    oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
+    seeds = sbm.select_seeds(labels, sbm.SeedConfig((1,) * 4, rng_seed=2))
+    state = sampler.init(seeds, oracle)
+    sampler.run(state, "MAS", steps=100, rng=np.random.default_rng(0))
+    assert state.discovered.n_edges() > 0
+    assert calls == list(state.discovered.pairs())

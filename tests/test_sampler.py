@@ -33,7 +33,7 @@ def test_init_seed_to_seed_edges_stay_inside():
     state = sampler.init([0, 1], oracle)
     assert state.outsiders == {}
     assert state.boundary == 0.0
-    assert len(state.discovered.edges) == 2  # both directions discovered
+    assert state.discovered.n_edges() == 2  # both directions discovered
 
 
 def test_init_weighted_seed_priority():
@@ -173,7 +173,7 @@ def test_staged_frontiers_follow_discovered_edges(strategy):
     rng = np.random.default_rng(5)
     for _ in range(70):
         expected: dict = {}
-        for s, t in sorted(state.discovered.edges):
+        for s, t in sorted(state.discovered.pairs()):
             if t in state.insiders and s not in state.insiders:
                 expected.setdefault(t, []).append(s)
         assert set(state.frontier_of) == set(state.eligible.items())
@@ -290,7 +290,7 @@ def test_unit_mas_priority_equals_discovered_out_degree():
         sampler.step(state, "MAS", rng)
     for o, prio in state.outsiders.items():
         edges_to_insiders = sum(
-            1 for (s, t) in state.discovered.edges
+            1 for (s, t) in state.discovered.pairs()
             if s == o and t in state.insiders)
         assert prio == pytest.approx(float(edges_to_insiders))
 
@@ -334,10 +334,11 @@ def test_edge_weights_recomputable_from_events():
         key = (oracle.ids.resolve(e.interactor), oracle.ids.resolve(e.author))
         rebuilt[key] = rebuilt.get(key, 0.0) + weights.of(e.pattern)
         counts[key] = counts.get(key, 0) + 1
-    assert state.discovered.edges
-    for key, weight in state.discovered.edges.items():
+    g = state.discovered
+    assert g.n_edges()
+    for key, weight, n_events in zip(g.pairs(), g.weights, g.event_counts):
         assert abs(weight - rebuilt[key]) <= 1e-9 * max(1.0, abs(weight))
-        assert state.discovered.n_events[key] == counts[key]
+        assert n_events == counts[key]
 
 
 def test_mas_invariant_under_weight_scaling():
@@ -370,3 +371,70 @@ def test_trace_insider_count_invariant():
     for i, row in enumerate(trace.rows, start=1):
         assert row.timestep == i
     assert trace.final_size() == len(seeds) + 12
+
+
+# ---------------------------------------------------------------------------
+# edge store and selector state
+
+
+@pytest.mark.parametrize("backing", ["blockmodel", "events"])
+@pytest.mark.parametrize("strategy", sampler.STRATEGIES)
+def test_each_discovered_edge_is_appended_once(backing, strategy):
+    if backing == "blockmodel":
+        oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 29)
+        weights = None
+    else:
+        corpus = synthetic_corpus(np.random.default_rng(14), n_authors=6,
+                                  n_interactors=50, n_tweets=60, n_events=400)
+        oracle = GraphOracle.from_events(corpus)
+        seeds = sorted({e.author for e in corpus})[:3]
+        weights = ia.load_reference_tables()["distinct"].weights
+    state = sampler.init(seeds, oracle, weights)
+    sampler.run(state, strategy, steps=40, rng_seed=3)
+    pairs = list(state.discovered.pairs())
+    assert len(pairs) == len(set(pairs))
+    queried = oracle.access_log
+    answered = sum(1 for v in queried for u, _events in oracle.in_neighbors(v) if u != v)
+    assert state.discovered.n_edges() == answered
+
+
+def _outsider_in_neighbours(state):
+    """Ascending outsider in-neighbours per insider, from the edge columns."""
+    frontiers: dict = {}
+    for s, t in sorted(state.discovered.pairs(), key=lambda st: (st[1], st[0])):
+        if s in state.outsiders:
+            frontiers.setdefault(t, []).append(s)
+    return frontiers
+
+
+@pytest.mark.parametrize("first", ["MAS", "RO", "RI_RO"])
+@pytest.mark.parametrize("then", ["MAS", "RO", "RS_DW", "RI_MAS", "RS_SW"])
+def test_selector_state_built_late_reads_the_core(first, then):
+    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
+    state = sampler.init(seeds, oracle)
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        sampler.step(state, first, rng)
+    for _ in range(10):
+        node = state.select(then, rng)
+        assert node in state.outsiders
+        if then == "MAS":
+            assert node == min(state.outsiders, key=lambda o: (
+                -state.outsiders[o], state.disc_time[o], o))
+        sampler.step(state, then, rng)
+        assert set(state.outsider_set) == set(state.outsiders)
+        frontiers = _outsider_in_neighbours(state)
+        assert {t: list(f) for t, f in state.frontier_of.items()} == frontiers
+        assert set(state.eligible) == set(frontiers)
+        assert {o: sorted(ts) for o, ts in state.out_targets.items()} == {
+            o: sorted(t for s, t in state.discovered.pairs() if s == o)
+            for o in state.outsiders}
+        assert sampler.audit(state) == 0.0
+
+
+def test_ordered_mas_builds_only_its_heap():
+    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
+    state = sampler.init(seeds, oracle)
+    sampler.run(state, "MAS", steps=40, rng_seed=1)
+    assert state._heap is not None
+    assert state._pool is None and state._staged is None
