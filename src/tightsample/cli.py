@@ -1,8 +1,9 @@
 """Command-line orchestration: calibrate, gen-sbm, sample, metrics, sweep.
 
 Every run records its rng seed and inputs in a manifest so it can be
-reproduced byte-for-byte. Figures are not rendered; all outputs are CSV or
-JSON for downstream plotting.
+reproduced byte-for-byte; the manifest also holds the size and sha256 of each
+input file, and a replay refuses inputs that no longer match. Figures are not
+rendered; all outputs are CSV or JSON for downstream plotting.
 """
 
 from __future__ import annotations
@@ -138,13 +139,48 @@ def cmd_gen_sbm(args) -> int:
 # sample
 
 
+def _resolve(path, base: Path) -> Path:
+    """A manifest's path: absolute as written, else relative to ``base``."""
+    path = Path(path)
+    return path if path.is_absolute() else base / path
+
+
+def _fingerprint(path) -> dict:
+    """Byte size and sha256 of an input file, as a manifest records it."""
+    import hashlib  # loads OpenSSL, about 4 MB resident: only sample runs pay it
+    digest, size = hashlib.sha256(), 0
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+                size += len(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc}") from exc
+    return {"bytes": size, "sha256": digest.hexdigest()}
+
+
+def _check_inputs(manifest: dict, manifest_path: Path) -> None:
+    """Refuse a replay whose recorded input files changed; warn on another numpy."""
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise DataError(f"{manifest_path}: inputs is not an object")
+    for name, recorded in inputs.items():
+        path = _resolve(name, manifest_path.parent)
+        if _fingerprint(path) != recorded:
+            raise DataError(f"{path}: size or sha256 differs from {manifest_path}; "
+                            f"the input changed since the run")
+    written_with = manifest.get("numpy")
+    if written_with is not None and written_with != np.__version__:
+        print(f"warning: {manifest_path} was written with numpy {written_with}, "
+              f"this is numpy {np.__version__}: generated graphs and random draws "
+              f"may differ", file=sys.stderr)
+
+
 def _oracle_from_descriptor(desc: dict, base: Path) -> GraphOracle:
     kind = desc.get("kind")
     path = desc.get("path")
     if path is not None:
-        path = Path(path)
-        if not path.is_absolute():
-            path = base / path
+        path = _resolve(path, base)
     if kind == "undirected":
         edges = sbm.read_edges_tsv(path)
         return GraphOracle.from_undirected_edges(edges, n_nodes=desc.get("n_nodes"))
@@ -227,8 +263,8 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
     return coerced
 
 
-def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle) -> sampler.SampleTrace:
-    weights = _load_weights(manifest["weights"])
+def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle,
+                    weights) -> sampler.SampleTrace:
     seeds = _coerce_seed_ids(manifest["seeds"], oracle)
     state = sampler.init(seeds, oracle, weights)
     trace = sampler.run(state, manifest["strategy"], steps=manifest["budget"],
@@ -256,8 +292,9 @@ def cmd_sample(args) -> int:
     if args.from_manifest:
         manifest_path = Path(args.from_manifest)
         manifest = _read_manifest(manifest_path)
+        _check_inputs(manifest, manifest_path)
         oracle = _oracle_from_descriptor(manifest["oracle"], manifest_path.parent)
-        trace = _execute_sample(manifest, out, oracle)
+        trace = _execute_sample(manifest, out, oracle, _load_weights(manifest["weights"]))
     else:
         if args.strategy not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {args.strategy!r}; "
@@ -266,8 +303,11 @@ def cmd_sample(args) -> int:
             raise ConfigError("need --budget or --target-size")
         oracle, descriptor = _build_oracle(args)
         weights_ref = args.weights
+        weights = _load_weights(weights_ref)
+        input_paths = [descriptor["path"]]
         if weights_ref not in ("unit", "distinct", "nested", "af"):
             weights_ref = str(Path(weights_ref).resolve())
+            input_paths.append(weights_ref)
         manifest = {
             "strategy": args.strategy,
             "rng_seed": args.seed if args.seed is not None else 0,
@@ -278,8 +318,10 @@ def cmd_sample(args) -> int:
             "target_size": args.target_size,
             "tie_break": args.tie_break,
             "version": __version__,
+            "numpy": np.__version__,
+            "inputs": {path: _fingerprint(path) for path in input_paths},
         }
-        trace = _execute_sample(manifest, out, oracle)
+        trace = _execute_sample(manifest, out, oracle, weights)
     print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
           f"({trace.reason}) -> {out}/trace.csv")
     return 0

@@ -161,7 +161,8 @@ def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
 def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMap]:
     """Rebuild a graph from :func:`write_edge_tsv` output (roles left unset).
 
-    A repeated (source, target) pair is a :class:`DataError` naming its line.
+    A self-loop or a repeated (source, target) pair is a :class:`DataError`
+    naming its line.
     """
     if ids is None:
         ids = IdMap()
@@ -173,6 +174,8 @@ def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMa
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields: "
                             f"source, target, weight, event count") from None
+        if source == target:
+            raise DataError(f"{path}:{lineno}: self-loop on {source} rejected")
         g.add_events(ids.intern(source), ids.intern(target), weight, n_events)
     sources = np.frombuffer(g.sources, dtype=np.int64)
     targets = np.frombuffer(g.targets, dtype=np.int64)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +108,118 @@ class _Staged:
                 self.eligible.discard(tgt)
 
 
+class _Fenwick:
+    """Prefix sums of the priorities in ``outsider_set`` slot order (RS_DW).
+
+    ``leaves[i]`` is the priority of the pool's slot ``i``; ``tree`` is a
+    Fenwick tree (1-based) over ``cap`` slots, a power of two, and slots past
+    the pool's end hold 0, so ``tree[cap]`` is the total. Each update walks
+    O(log n) nodes. Outgrowing ``cap`` doubles it and rebuilds the tree from
+    the leaves, which also clears the rounding that float updates leave.
+    """
+
+    __slots__ = ("leaves", "tree", "cap")
+
+    def __init__(self, leaves):
+        self.leaves = list(leaves)
+        self._rebuild(1)
+
+    def _rebuild(self, cap: int) -> None:
+        while cap < len(self.leaves):
+            cap *= 2
+        tree = [0.0, *self.leaves] + [0.0] * (cap - len(self.leaves))
+        for i in range(1, cap):
+            parent = i + (i & -i)
+            if parent <= cap:
+                tree[parent] += tree[i]
+        self.tree, self.cap = tree, cap
+
+    @property
+    def total(self) -> float:
+        return self.tree[self.cap]
+
+    def _update(self, slot: int, w: float) -> None:
+        tree, cap = self.tree, self.cap
+        i = slot + 1
+        while i <= cap:
+            tree[i] += w
+            i += i & -i
+
+    def add(self, slot: int, w: float) -> None:
+        """Add ``w`` at ``slot``; the pool's next slot opens a new leaf."""
+        leaves = self.leaves
+        if slot == len(leaves):
+            leaves.append(0.0)
+            if slot == self.cap:
+                self._rebuild(2 * self.cap)
+        leaves[slot] += w
+        self._update(slot, w)
+
+    def swap_remove(self, slot: int) -> None:
+        """Mirror ``IndexedSet.discard``: the last slot's value moves into ``slot``."""
+        leaves = self.leaves
+        self._update(slot, -leaves[slot])
+        last = leaves.pop()
+        if slot < len(leaves):
+            self._update(len(leaves), -last)
+            leaves[slot] = last
+            self._update(slot, last)
+
+    def find(self, x: float) -> int:
+        """The first slot whose prefix sum exceeds ``x``, at most the last slot."""
+        tree = self.tree
+        pos, step = 0, self.cap >> 1
+        while step:
+            nxt = pos + step
+            if tree[nxt] <= x:
+                pos = nxt
+                x -= tree[nxt]
+            step >>= 1
+        return min(pos, len(self.leaves) - 1)
+
+
+class _TieBuckets:
+    """Outsiders grouped by exact priority, for random-tie MAS.
+
+    ``buckets[p]`` holds the ``(disc_time, node)`` keys of the outsiders at
+    priority ``p``, sorted; ``heap`` holds each priority of ``buckets`` once,
+    negated. A bucket that empties stays until it reaches the top of the heap,
+    where both are dropped, so a priority is in the heap exactly when it is a
+    key of ``buckets``.
+    """
+
+    __slots__ = ("buckets", "heap")
+
+    def __init__(self, outsiders: dict[int, float], disc_time: dict[int, int]):
+        self.buckets: dict[float, list[tuple[int, int]]] = {}
+        for u, p in outsiders.items():
+            self.buckets.setdefault(p, []).append((disc_time[u], u))
+        for bucket in self.buckets.values():
+            bucket.sort()
+        self.heap = [-p for p in self.buckets]
+        heapq.heapify(self.heap)
+
+    def move(self, key: tuple[int, int], old: float | None, new: float | None) -> None:
+        """Move ``key`` from priority ``old`` to ``new``; None is no bucket."""
+        if old is not None:
+            bucket = self.buckets[old]
+            del bucket[bisect_left(bucket, key)]
+        if new is not None:
+            bucket = self.buckets.get(new)
+            if bucket is None:
+                self.buckets[new] = [key]
+                heapq.heappush(self.heap, -new)
+            else:
+                insort(bucket, key)
+
+    def top(self) -> list[tuple[int, int]]:
+        """The bucket of the largest priority; some outsider must remain."""
+        heap, buckets = self.heap, self.buckets
+        while not buckets[-heap[0]]:
+            del buckets[-heapq.heappop(heap)]
+        return buckets[-heap[0]]
+
+
 class SampleState:
     """Mutable sampling state; confine one instance to one thread.
 
@@ -117,10 +230,23 @@ class SampleState:
     ``select`` that needs it (or the first read of its attribute), then kept
     up to date step by step:
 
-    - ``MAS``: a heap of ``(-priority, disc_time, node)`` with lazy deletion;
+    - ordered ``MAS``: a heap of ``(-priority, disc_time, node)`` with lazy
+      deletion;
+    - random-tie ``MAS``: :class:`_TieBuckets`, the outsiders' keys per exact
+      priority; the pick draws over the top bucket, the tie set in
+      ``(disc_time, node)`` order;
     - ``RO``, ``RS_DU``, ``RS_DW``: ``outsider_set``, the outsiders as an
       O(1)-pick pool;
+    - ``RS_DW`` also: :class:`_Fenwick`, prefix sums of the priorities in pool
+      slot order, so the weighted pick is an O(log n) descent;
     - staged strategies: ``out_targets``, ``frontier_of`` and ``eligible``.
+
+    The ``RS_DW`` pick draws ``x = rng.random() * total`` and takes the first
+    pool slot whose prefix sum exceeds ``x``, as a ``cumsum`` over the pool
+    would. The tree adds in another order than ``cumsum``. On unit weights
+    every priority and prefix sum is an integer held exactly in a float, so
+    both give the same sums and the same pick. On non-integer weights a pick
+    can differ only where ``x`` lies within rounding error of a slot boundary.
     """
 
     def __init__(self, oracle, weights):
@@ -134,7 +260,9 @@ class SampleState:
         self.timestep = 0
         self.seeds: tuple[int, ...] = ()
         self._heap: list[tuple[float, int, int]] | None = None
+        self._buckets: _TieBuckets | None = None
         self._pool: IndexedSet | None = None
+        self._tree: _Fenwick | None = None
         self._staged: _Staged | None = None
 
     # -- selector state, built on first use --------------------------------
@@ -145,11 +273,21 @@ class SampleState:
             heapq.heapify(self._heap)
         return self._heap
 
+    def _tie_buckets(self) -> _TieBuckets:
+        if self._buckets is None:
+            self._buckets = _TieBuckets(self.outsiders, self.disc_time)
+        return self._buckets
+
     @property
     def outsider_set(self) -> IndexedSet:
         if self._pool is None:
             self._pool = IndexedSet(self.outsiders)
         return self._pool
+
+    def _weight_tree(self) -> _Fenwick:
+        if self._tree is None:
+            self._tree = _Fenwick(self.outsiders[u] for u in self.outsider_set)
+        return self._tree
 
     def _staged_state(self) -> _Staged:
         if self._staged is None:
@@ -176,7 +314,8 @@ class SampleState:
         add_events = self.discovered.add_events
         event_weight = self.weights.event_weight
         insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
-        heap, pool, staged = self._heap, self._pool, self._staged
+        heap, buckets, pool, tree = self._heap, self._buckets, self._pool, self._tree
+        staged = self._staged
         boundary = self.boundary
         frontier: dict[int, None] = {}
         for u, events in self.oracle.in_neighbors(v):
@@ -187,20 +326,23 @@ class SampleState:
             new_edges += 1
             if u in insiders:
                 continue
-            priority = outsiders.get(u)
-            if priority is None:
-                priority = 0.0
+            old = outsiders.get(u)
+            if old is None:
                 disc_time[u] = self.timestep
                 new_nodes += 1
                 if pool is not None:
                     pool.add(u)
                 if staged is not None:
                     staged.out_targets[u] = set()
-            priority += w
+            priority = (0.0 if old is None else old) + w
             outsiders[u] = priority
             boundary += w
             if heap is not None:
                 heapq.heappush(heap, (-priority, disc_time[u], u))
+            if buckets is not None:
+                buckets.move((disc_time[u], u), old, priority)
+            if tree is not None:
+                tree.add(pool.index(u), w)
             if staged is not None:
                 staged.out_targets[u].add(v)
                 frontier[u] = None
@@ -214,7 +356,11 @@ class SampleState:
         """Move an outsider into the insider set; returns its final priority."""
         priority = self.outsiders.pop(node)
         self.boundary -= priority
+        if self._buckets is not None:
+            self._buckets.move((self.disc_time[node], node), priority, None)
         del self.disc_time[node]
+        if self._tree is not None:
+            self._tree.swap_remove(self._pool.index(node))
         if self._pool is not None:
             self._pool.discard(node)
         if self._staged is not None:
@@ -234,18 +380,10 @@ class SampleState:
             heapq.heappop(heap)
         raise FrontierExhausted("priority heap drained")
 
-    def _pop_max_random_tie(self, rng) -> int:
+    def _pick_max_random_tie(self, rng) -> int:
         """Uniform pick among all outsiders tied at the maximum priority."""
-        top = self.outsiders[self._pop_max()]
-        heap = self._heap
-        tied = []  # live entries in (disc_time, node) order; repeats pop adjacent
-        while heap and -heap[0][0] == top:
-            entry = heapq.heappop(heap)
-            if self.outsiders.get(entry[2]) == top and (not tied or entry != tied[-1]):
-                tied.append(entry)
-        for entry in tied:
-            heapq.heappush(heap, entry)
-        return tied[int(rng.integers(len(tied)))][2]
+        tied = self._tie_buckets().top()
+        return tied[int(rng.integers(len(tied)))][1]
 
     @staticmethod
     def _argmax_of(candidates, priorities, disc_time) -> int:
@@ -276,11 +414,12 @@ class SampleState:
             raise FrontierExhausted("no outsiders to select")
         if strategy == "MAS":
             return self._pop_max() if tie_break == "ordered" \
-                else self._pop_max_random_tie(rng)
+                else self._pick_max_random_tie(rng)
         if strategy in ("RO", "RS_DU"):
             return self.outsider_set.pick(rng)
         if strategy == "RS_DW":
-            return self._weighted_pick(self.outsider_set.items(), self.outsiders, rng)
+            tree = self._weight_tree()
+            return self.outsider_set.items()[tree.find(rng.random() * tree.total)]
         # staged strategies: uniform insider with >= 1 outsider in-neighbor
         staged = self._staged_state()
         insider = staged.eligible.pick(rng)
@@ -370,7 +509,9 @@ def audit(state: SampleState) -> float:
     """Recompute priorities and boundary from the discovered graph.
 
     Returns the largest absolute deviation from the incrementally maintained
-    values; raises if the outsider sets themselves disagree.
+    values, counting the RS_DW tree's total against the boundary when the tree
+    exists; raises if the outsider sets themselves disagree, or if the tree's
+    leaves or the random-tie buckets do not hold the outsiders' priorities.
     """
     recomputed: dict[int, float] = {}
     g = state.discovered
@@ -382,4 +523,15 @@ def audit(state: SampleState) -> float:
     worst = abs(sum(recomputed.values()) - state.boundary)
     for node, value in recomputed.items():
         worst = max(worst, abs(value - state.outsiders[node]))
+    if state._tree is not None:
+        if state._tree.leaves != [state.outsiders[u] for u in state.outsider_set]:
+            raise AssertionError("weight tree leaves disagree with the pool")
+        worst = max(worst, abs(state._tree.total - state.boundary))
+    if state._buckets is not None:
+        buckets = state._buckets.buckets
+        held = sorted((key, p) for p, bucket in buckets.items() for key in bucket)
+        expected = sorted(((state.disc_time[u], u), p) for u, p in state.outsiders.items())
+        if held != expected or any(b != sorted(b) for b in buckets.values()) \
+                or sorted(state._buckets.heap) != sorted(-p for p in buckets):
+            raise AssertionError("tie buckets disagree with the outsiders")
     return worst

@@ -90,6 +90,10 @@ class IndexedSet:
             raise IndexError("pick from an empty IndexedSet")
         return self._items[int(rng.integers(len(self._items)))]
 
+    def index(self, item) -> int:
+        """The slot of ``item`` in :meth:`items`; KeyError if absent."""
+        return self._pos[item]
+
     def items(self) -> list:
         """The backing list (do not mutate)."""
         return self._items

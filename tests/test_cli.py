@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -109,6 +110,54 @@ def test_sample_reproducible_from_manifest(net_dir, tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     assert (out1 / "discovered.tsv").read_bytes() == \
         (out2 / "discovered.tsv").read_bytes()
+
+
+def test_manifest_records_input_fingerprints(net_dir, tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("sample", "--undirected", net_dir / "edges.tsv",
+                   "--seeds", seed_args(net_dir), "--weights", "distinct",
+                   "--budget", "5", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    edges = (net_dir / "edges.tsv").read_bytes()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["inputs"] == {str((net_dir / "edges.tsv").resolve()): {
+        "bytes": len(edges), "sha256": hashlib.sha256(edges).hexdigest()}}
+
+
+def test_replay_refuses_an_edited_input(net_dir, tmp_path):
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run_cli("sample", "--undirected", net_dir / "edges.tsv",
+                   "--seeds", seed_args(net_dir), "--strategy", "RS_DW",
+                   "--budget", "60", "--seed", "4", "--out", out1) == 0
+    assert run_cli("sample", "--from-manifest", out1 / "manifest.json",
+                   "--out", out2) == 0
+    for name in ("trace.csv", "discovered.tsv", "access_log.csv", "manifest.json",
+                 "run_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    edges = net_dir / "edges.tsv"
+    data = bytearray(edges.read_bytes())
+    data[data.index(b"\t") - 1] ^= 1   # one digit of the first node id, same size
+    edges.write_bytes(bytes(data))
+    code, err = run_cli_process("sample", "--from-manifest", out1 / "manifest.json",
+                                "--out", tmp_path / "r3")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"{edges.resolve()}: size or sha256 differs" in err
+    assert not (tmp_path / "r3" / "trace.csv").exists()
+
+
+def test_replay_refuses_an_edited_weight_table(net_dir, tmp_path):
+    table = tmp_path / "weights.csv"
+    shipped = cli.interactions.load_reference_tables()["nested"]
+    cli.interactions.write_weight_csv(table, shipped)
+    out1 = tmp_path / "r1"
+    assert run_cli("sample", "--undirected", net_dir / "edges.tsv",
+                   "--seeds", seed_args(net_dir), "--weights", table,
+                   "--budget", "5", "--out", out1) == 0
+    table.write_text(table.read_text() + "\n")
+    code, err = run_cli_process("sample", "--from-manifest", out1 / "manifest.json",
+                                "--out", tmp_path / "r2")
+    assert code == 3 and str(table.resolve()) in err, err
 
 
 def test_sample_demo_budget_cap(net_dir, tmp_path):
@@ -253,6 +302,8 @@ BAD_INPUTS = {
                    "discovered.tsv:2:"),
     "edges-repeat": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t0\t1.0\t1\n1\t0\t1.0\t1\n", 3,
                      "discovered.tsv:3:"),
+    "edges-self-loop": ("discovered.tsv", b"1\t0\t1.0\t1\nu7\tu7\t1.0\t1\n", 3,
+                        "discovered.tsv:2: self-loop on u7"),
     "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
     "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,
                      "manifest.json"),

@@ -1,4 +1,7 @@
 import copy
+import dataclasses
+import heapq
+import math
 
 import numpy as np
 import pytest
@@ -408,20 +411,33 @@ def _outsider_in_neighbours(state):
 
 
 @pytest.mark.parametrize("first", ["MAS", "RO", "RI_RO"])
-@pytest.mark.parametrize("then", ["MAS", "RO", "RS_DW", "RI_MAS", "RS_SW"])
+@pytest.mark.parametrize("then", ["MAS", "MAS-random", "RO", "RS_DW", "RI_MAS", "RS_SW"])
 def test_selector_state_built_late_reads_the_core(first, then):
     oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
     state = sampler.init(seeds, oracle)
     rng = np.random.default_rng(12)
+    then, _, tie_break = then.partition("-")
+    tie_break = tie_break or "ordered"
     for _ in range(25):
         sampler.step(state, first, rng)
     for _ in range(10):
-        node = state.select(then, rng)
+        expected = None
+        if then == "RS_DW":
+            expected = reference_weighted_pick(state.outsider_set.items(),
+                                               state.outsiders, copy.deepcopy(rng))
+        elif tie_break == "random":
+            top = max(state.outsiders.values())
+            tied = sorted((state.disc_time[o], o) for o, p in state.outsiders.items()
+                          if p == top)
+            expected = tied[int(copy.deepcopy(rng).integers(len(tied)))][1]
+        node = state.select(then, rng, tie_break)
         assert node in state.outsiders
-        if then == "MAS":
+        if then == "MAS" and tie_break == "ordered":
             assert node == min(state.outsiders, key=lambda o: (
                 -state.outsiders[o], state.disc_time[o], o))
-        sampler.step(state, then, rng)
+        elif expected is not None:
+            assert node == expected
+        sampler.step(state, then, rng, tie_break)
         assert set(state.outsider_set) == set(state.outsiders)
         frontiers = _outsider_in_neighbours(state)
         assert {t: list(f) for t, f in state.frontier_of.items()} == frontiers
@@ -438,3 +454,142 @@ def test_ordered_mas_builds_only_its_heap():
     sampler.run(state, "MAS", steps=40, rng_seed=1)
     assert state._heap is not None
     assert state._pool is None and state._staged is None
+    assert state._tree is None and state._buckets is None
+
+
+@pytest.mark.parametrize("strategy,tie_break,built", [
+    ("MAS", "random", {"_buckets"}), ("RO", "ordered", {"_pool"}),
+    ("RS_DU", "ordered", {"_pool"}), ("RS_DW", "ordered", {"_pool", "_tree"})],
+    ids=["MAS-random", "RO", "RS_DU", "RS_DW"])
+def test_each_family_builds_only_its_own_structures(strategy, tie_break, built):
+    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
+    state = sampler.init(seeds, oracle)
+    sampler.run(state, strategy, steps=40, rng_seed=1, tie_break=tie_break)
+    assert {name for name in ("_heap", "_buckets", "_pool", "_tree", "_staged")
+            if getattr(state, name) is not None} == built
+    assert sampler.audit(state) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# sublinear selection against the O(n) picks it replaced
+
+
+def reference_weighted_pick(candidates, priorities, rng):
+    """The RS_DW pick before the weight tree: a cumsum over the whole pool."""
+    weights = np.fromiter((priorities[o] for o in candidates), dtype=float,
+                          count=len(candidates))
+    cumulative = np.cumsum(weights)
+    total = cumulative[-1]
+    idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+    return candidates[min(idx, len(candidates) - 1)]
+
+
+def reference_random_tie_pick(state, rng):
+    """The random-tie MAS pick before the tie buckets: the whole tie set is
+    popped off the ordered heap, drawn from and pushed back."""
+    heap = state._max_heap()
+    while -heap[0][0] != state.outsiders.get(heap[0][2]):
+        heapq.heappop(heap)
+    top = -heap[0][0]
+    tied = []  # live entries in (disc_time, node) order; repeats pop adjacent
+    while heap and -heap[0][0] == top:
+        entry = heapq.heappop(heap)
+        if state.outsiders.get(entry[2]) == top and (not tied or entry != tied[-1]):
+            tied.append(entry)
+    for entry in tied:
+        heapq.heappush(heap, entry)
+    return tied[int(rng.integers(len(tied)))][2]
+
+
+STEP_MIX = (("RS_DW", "ordered"), ("MAS", "random"), ("RS_DW", "ordered"),
+            ("MAS", "random"), ("RO", "ordered"), ("MAS", "ordered"), ("RI_RO", "ordered"))
+
+
+@pytest.mark.parametrize("unit", [1.0, 0.0])
+@pytest.mark.parametrize("graph_seed", range(6))
+def test_tree_and_bucket_picks_match_the_reference(graph_seed, unit):
+    # strategies interleave, so each structure is built late and kept up to date
+    oracle, seeds, _labels, _edges = make_sbm_oracle((40,) * 4, 5, 4.0, graph_seed)
+    state = sampler.init(seeds, oracle, ia.UnitWeights(unit))
+    rng = np.random.default_rng(graph_seed)
+    mix = np.random.default_rng(100 + graph_seed)
+    checked = {"RS_DW": 0, "MAS": 0}
+    while state.outsiders:
+        strategy, tie_break = STEP_MIX[int(mix.integers(len(STEP_MIX)))]
+        expected = None
+        if strategy == "RS_DW":
+            expected = reference_weighted_pick(state.outsider_set.items(),
+                                               state.outsiders, copy.deepcopy(rng))
+        elif tie_break == "random":
+            expected = reference_random_tie_pick(state, copy.deepcopy(rng))
+        node, _row = sampler.step(state, strategy, rng, tie_break)
+        if expected is not None:
+            assert node == expected
+            checked[strategy] += 1
+        assert sampler.audit(state) == 0.0
+    assert min(checked.values()) >= 30
+
+
+def calibrated_corpus_state(n, n_events, corpus_seed):
+    """A distinct-weight state over a synthetic corpus whose interactors are
+    renamed into the authors' id space, so engagement forms one graph."""
+    corpus = [dataclasses.replace(e, interactor="a" + e.interactor[1:])
+              for e in synthetic_corpus(np.random.default_rng(corpus_seed), n_authors=n,
+                                        n_interactors=n, n_tweets=2 * n,
+                                        n_events=n_events)]
+    oracle = GraphOracle.from_events(corpus)
+    seeds = sorted({e.author for e in corpus})[:3]
+    return sampler.init(seeds, oracle, ia.load_reference_tables()["distinct"].weights)
+
+
+def test_random_tie_buckets_match_the_reference_on_calibrated_weights():
+    # float priorities are bucketed by exact value, as the heap compared them
+    state = calibrated_corpus_state(300, 2000, 9)
+    rng = np.random.default_rng(4)
+    widest = 0
+    while state.outsiders:
+        top = max(state.outsiders.values())
+        widest = max(widest, sum(p == top for p in state.outsiders.values()))
+        expected = reference_random_tie_pick(state, copy.deepcopy(rng))
+        node, _row = sampler.step(state, "MAS", rng, tie_break="random")
+        assert node == expected
+    assert state.timestep > 250 and widest >= 5
+    assert sampler.audit(state) <= 1e-9 * max(1.0, state.boundary)
+
+
+def test_weight_tree_does_not_drift_on_calibrated_weights():
+    state = calibrated_corpus_state(2400, 16000, 4)
+    rng = np.random.default_rng(5)
+    for t in range(2000):
+        node = state.select("RS_DW", rng)
+        assert node in state.outsiders
+        sampler.step(state, "RS_DW", rng)
+        if t % 250 == 0 or t == 1999:
+            live = math.fsum(state.outsiders.values())
+            assert abs(state._tree.total - live) <= 1e-9 * state.boundary
+    assert state._tree.cap >= 1024   # grew, and was rebuilt, several times
+    assert sampler.audit(state) <= 1e-9 * state.boundary
+
+
+def test_weight_tree_find_is_searchsorted_on_integer_leaves():
+    rng = np.random.default_rng(6)
+    leaves = [float(w) for w in rng.integers(0, 4, size=37)]
+    tree = sampler._Fenwick(leaves)
+    for _ in range(300):
+        slot = int(rng.integers(len(leaves) + 1))
+        if slot == len(leaves) or rng.random() < 0.5:
+            w = float(rng.integers(1, 3))
+            tree.add(slot, w)
+            if slot == len(leaves):
+                leaves.append(0.0)
+            leaves[slot] += w
+        elif len(leaves) > 1:
+            tree.swap_remove(slot)
+            last = leaves.pop()
+            if slot < len(leaves):
+                leaves[slot] = last
+        cumulative = np.cumsum(leaves)
+        assert tree.leaves == leaves and tree.total == cumulative[-1]
+        for x in (0.0, 0.5, cumulative[-1] / 2, cumulative[-1] - 1, cumulative[-1]):
+            idx = int(np.searchsorted(cumulative, x, side="right"))
+            assert tree.find(x) == min(idx, len(leaves) - 1)
