@@ -240,6 +240,16 @@ def _read_json_object(path: Path, what: str) -> dict:
     return value
 
 
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "array", dict: "object"}
+# the JSON types a replayed manifest field may hold; "oracle." names its descriptor
+_MANIFEST_TYPES = {
+    "rng_seed": ("integer",), "weights": ("string",), "seeds": ("array",),
+    "budget": ("integer", "null"), "target_size": ("integer", "null"),
+    "oracle.path": ("string",), "oracle.n_nodes": ("integer", "null"),
+}
+
+
 def _read_manifest(path: Path) -> dict:
     manifest = _read_json_object(path, "sample manifest")
     if not isinstance(manifest.get("oracle"), dict):
@@ -248,6 +258,14 @@ def _read_manifest(path: Path) -> dict:
                if key not in manifest]
     if missing:
         raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
+    for key, allowed in _MANIFEST_TYPES.items():
+        section, _, name = key.rpartition(".")
+        found = _JSON_TYPES[type((manifest[section] if section else manifest).get(name))]
+        if found not in allowed:
+            raise DataError(f"{path}: manifest {key} is {found}, "
+                            f"expected {' or '.join(allowed)}")
+    if any(_JSON_TYPES[type(s)] not in ("string", "integer") for s in manifest["seeds"]):
+        raise DataError(f"{path}: manifest seeds must be strings or integers")
     return manifest
 
 

@@ -6,9 +6,9 @@ the total weight of discovered outsider->insider edges. Maximum-adjacency
 search picks the outsider with the largest priority; the other strategies
 are random baselines sharing the same incremental bookkeeping.
 
-Priorities only ever grow while a node stays an outsider, so the selection
-heap uses lazy deletion: every priority change pushes a fresh entry and
-stale entries are discarded on pop.
+Both MAS tie-breaks read one structure, the outsiders grouped by exact
+priority with each tie set sorted by ``(disc_time, node)``: the ordered pick
+takes the first key of the top tie set, the random pick draws one.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class _Fenwick:
 
 
 class _TieBuckets:
-    """Outsiders grouped by exact priority, for random-tie MAS.
+    """Outsiders grouped by exact priority, for MAS.
 
     ``buckets[p]`` holds the ``(disc_time, node)`` keys of the outsiders at
     priority ``p``, sorted; ``heap`` holds each priority of ``buckets`` once,
@@ -227,14 +227,11 @@ class SampleState:
     ``discovered``), the outsiders' priorities in discovery order, their
     discovery timesteps, the boundary and the discovered edges. Each
     strategy family's selector state is built from the core on the first
-    ``select`` that needs it (or the first read of its attribute), then kept
-    up to date step by step:
+    ``select`` that needs it, then kept up to date step by step:
 
-    - ordered ``MAS``: a heap of ``(-priority, disc_time, node)`` with lazy
-      deletion;
-    - random-tie ``MAS``: :class:`_TieBuckets`, the outsiders' keys per exact
-      priority; the pick draws over the top bucket, the tie set in
-      ``(disc_time, node)`` order;
+    - ``MAS``: :class:`_TieBuckets`, the outsiders' keys per exact priority;
+      the top bucket is the tie set in ``(disc_time, node)`` order, whose
+      first key is the ordered pick and over which the random pick draws;
     - ``RO``, ``RS_DU``, ``RS_DW``: ``outsider_set``, the outsiders as an
       O(1)-pick pool;
     - ``RS_DW`` also: :class:`_Fenwick`, prefix sums of the priorities in pool
@@ -259,19 +256,12 @@ class SampleState:
         self.boundary = 0.0
         self.timestep = 0
         self.seeds: tuple[int, ...] = ()
-        self._heap: list[tuple[float, int, int]] | None = None
         self._buckets: _TieBuckets | None = None
         self._pool: IndexedSet | None = None
         self._tree: _Fenwick | None = None
         self._staged: _Staged | None = None
 
     # -- selector state, built on first use --------------------------------
-
-    def _max_heap(self) -> list[tuple[float, int, int]]:
-        if self._heap is None:
-            self._heap = [(-p, self.disc_time[u], u) for u, p in self.outsiders.items()]
-            heapq.heapify(self._heap)
-        return self._heap
 
     def _tie_buckets(self) -> _TieBuckets:
         if self._buckets is None:
@@ -294,18 +284,6 @@ class SampleState:
             self._staged = _Staged(self)
         return self._staged
 
-    @property
-    def out_targets(self) -> dict[int, set[int]]:
-        return self._staged_state().out_targets
-
-    @property
-    def frontier_of(self) -> dict[int, dict[int, None]]:
-        return self._staged_state().frontier_of
-
-    @property
-    def eligible(self) -> IndexedSet:
-        return self._staged_state().eligible
-
     # -- bookkeeping -----------------------------------------------------
 
     def _absorb_neighbors(self, v: int) -> tuple[int, int]:
@@ -314,7 +292,7 @@ class SampleState:
         add_events = self.discovered.add_events
         event_weight = self.weights.event_weight
         insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
-        heap, buckets, pool, tree = self._heap, self._buckets, self._pool, self._tree
+        buckets, pool, tree = self._buckets, self._pool, self._tree
         staged = self._staged
         boundary = self.boundary
         frontier: dict[int, None] = {}
@@ -337,8 +315,6 @@ class SampleState:
             priority = (0.0 if old is None else old) + w
             outsiders[u] = priority
             boundary += w
-            if heap is not None:
-                heapq.heappush(heap, (-priority, disc_time[u], u))
             if buckets is not None:
                 buckets.move((disc_time[u], u), old, priority)
             if tree is not None:
@@ -370,21 +346,6 @@ class SampleState:
 
     # -- selection -------------------------------------------------------
 
-    def _pop_max(self) -> int:
-        heap = self._max_heap()
-        while heap:
-            neg_p, _disc, node = heap[0]
-            current = self.outsiders.get(node)
-            if current is not None and -neg_p == current:
-                return node
-            heapq.heappop(heap)
-        raise FrontierExhausted("priority heap drained")
-
-    def _pick_max_random_tie(self, rng) -> int:
-        """Uniform pick among all outsiders tied at the maximum priority."""
-        tied = self._tie_buckets().top()
-        return tied[int(rng.integers(len(tied)))][1]
-
     @staticmethod
     def _argmax_of(candidates, priorities, disc_time) -> int:
         return min(candidates, key=lambda o: (-priorities[o], disc_time[o], o))
@@ -413,8 +374,8 @@ class SampleState:
         if not self.outsiders:
             raise FrontierExhausted("no outsiders to select")
         if strategy == "MAS":
-            return self._pop_max() if tie_break == "ordered" \
-                else self._pick_max_random_tie(rng)
+            tied = self._tie_buckets().top()
+            return tied[0 if tie_break == "ordered" else int(rng.integers(len(tied)))][1]
         if strategy in ("RO", "RS_DU"):
             return self.outsider_set.pick(rng)
         if strategy == "RS_DW":
@@ -511,7 +472,7 @@ def audit(state: SampleState) -> float:
     Returns the largest absolute deviation from the incrementally maintained
     values, counting the RS_DW tree's total against the boundary when the tree
     exists; raises if the outsider sets themselves disagree, or if the tree's
-    leaves or the random-tie buckets do not hold the outsiders' priorities.
+    leaves or the MAS tie buckets do not hold the outsiders' priorities.
     """
     recomputed: dict[int, float] = {}
     g = state.discovered

@@ -341,6 +341,40 @@ def test_bad_input_exits_cleanly(small_run, tmp_path, case):
     assert fragment in err
 
 
+# (manifest field, a value of the wrong JSON type); "oracle.x" is field x of the descriptor
+MISTYPED_MANIFEST_FIELDS = [
+    ("weights", 5), ("budget", "x"), ("target_size", "x"), ("seeds", 5),
+    ("seeds", ["0", [0]]), ("rng_seed", "x"), ("oracle.path", 5), ("oracle.n_nodes", "x"),
+]
+
+
+@pytest.mark.parametrize("key,value", MISTYPED_MANIFEST_FIELDS,
+                         ids=[f"{k}={json.dumps(v)}" for k, v in MISTYPED_MANIFEST_FIELDS])
+def test_replay_refuses_a_mistyped_manifest_field(small_run, tmp_path, key, value):
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    section, _, name = key.rpartition(".")
+    (manifest[section] if section else manifest)[name] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, err = run_cli_process("sample", "--from-manifest", path,
+                                "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert str(path) in err and key in err
+
+
+def test_replay_of_a_target_size_run(small_run, tmp_path):
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run_cli("sample", "--undirected", small_run.parent / "net" / "edges.tsv",
+                   "--seeds", "0", "--target-size", "12", "--out", out1) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["budget"] is None and manifest["target_size"] == 12
+    assert run_cli("sample", "--from-manifest", out1 / "manifest.json",
+                   "--out", out2) == 0
+    for name in ("trace.csv", "discovered.tsv", "access_log.csv", "manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("name", INPUT_NAMES)
 @settings(max_examples=15, deadline=None)
 @given(content=st.binary())

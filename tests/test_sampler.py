@@ -179,8 +179,9 @@ def test_staged_frontiers_follow_discovered_edges(strategy):
         for s, t in sorted(state.discovered.pairs()):
             if t in state.insiders and s not in state.insiders:
                 expected.setdefault(t, []).append(s)
-        assert set(state.frontier_of) == set(state.eligible.items())
-        assert {t: list(f) for t, f in state.frontier_of.items()} == expected
+        staged = state._staged_state()
+        assert set(staged.frontier_of) == set(staged.eligible.items())
+        assert {t: list(f) for t, f in staged.frontier_of.items()} == expected
         try:
             sampler.step(state, strategy, rng)
         except sampler.FrontierExhausted:
@@ -189,7 +190,7 @@ def test_staged_frontiers_follow_discovered_edges(strategy):
 
 @pytest.mark.parametrize("unit", [1.0, 0.0])
 def test_random_tie_mas_draws_over_ties_in_discovery_order(unit):
-    # weight 0 leaves priorities unchanged, so the heap holds repeat entries
+    # weight 0 leaves priorities unchanged, so a key moves within its own bucket
     oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 23)
     state = sampler.init(seeds, oracle, ia.UnitWeights(unit))
     rng = np.random.default_rng(8)
@@ -433,45 +434,37 @@ def test_selector_state_built_late_reads_the_core(first, then):
         node = state.select(then, rng, tie_break)
         assert node in state.outsiders
         if then == "MAS" and tie_break == "ordered":
-            assert node == min(state.outsiders, key=lambda o: (
-                -state.outsiders[o], state.disc_time[o], o))
+            assert node == reference_ordered_pick(state)
         elif expected is not None:
             assert node == expected
         sampler.step(state, then, rng, tie_break)
         assert set(state.outsider_set) == set(state.outsiders)
         frontiers = _outsider_in_neighbours(state)
-        assert {t: list(f) for t, f in state.frontier_of.items()} == frontiers
-        assert set(state.eligible) == set(frontiers)
-        assert {o: sorted(ts) for o, ts in state.out_targets.items()} == {
+        staged = state._staged_state()
+        assert {t: list(f) for t, f in staged.frontier_of.items()} == frontiers
+        assert set(staged.eligible) == set(frontiers)
+        assert {o: sorted(ts) for o, ts in staged.out_targets.items()} == {
             o: sorted(t for s, t in state.discovered.pairs() if s == o)
             for o in state.outsiders}
         assert sampler.audit(state) == 0.0
 
 
-def test_ordered_mas_builds_only_its_heap():
-    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
-    state = sampler.init(seeds, oracle)
-    sampler.run(state, "MAS", steps=40, rng_seed=1)
-    assert state._heap is not None
-    assert state._pool is None and state._staged is None
-    assert state._tree is None and state._buckets is None
-
-
 @pytest.mark.parametrize("strategy,tie_break,built", [
-    ("MAS", "random", {"_buckets"}), ("RO", "ordered", {"_pool"}),
-    ("RS_DU", "ordered", {"_pool"}), ("RS_DW", "ordered", {"_pool", "_tree"})],
-    ids=["MAS-random", "RO", "RS_DU", "RS_DW"])
+    ("MAS", "ordered", {"_buckets"}), ("MAS", "random", {"_buckets"}),
+    ("RO", "ordered", {"_pool"}), ("RS_DU", "ordered", {"_pool"}),
+    ("RS_DW", "ordered", {"_pool", "_tree"})],
+    ids=["MAS-ordered", "MAS-random", "RO", "RS_DU", "RS_DW"])
 def test_each_family_builds_only_its_own_structures(strategy, tie_break, built):
     oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
     state = sampler.init(seeds, oracle)
     sampler.run(state, strategy, steps=40, rng_seed=1, tie_break=tie_break)
-    assert {name for name in ("_heap", "_buckets", "_pool", "_tree", "_staged")
+    assert {name for name in ("_buckets", "_pool", "_tree", "_staged")
             if getattr(state, name) is not None} == built
     assert sampler.audit(state) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# sublinear selection against the O(n) picks it replaced
+# sublinear selection against the O(n) picks it replaced, and the ordered argmax
 
 
 def reference_weighted_pick(candidates, priorities, rng):
@@ -486,19 +479,20 @@ def reference_weighted_pick(candidates, priorities, rng):
 
 def reference_random_tie_pick(state, rng):
     """The random-tie MAS pick before the tie buckets: the whole tie set is
-    popped off the ordered heap, drawn from and pushed back."""
-    heap = state._max_heap()
-    while -heap[0][0] != state.outsiders.get(heap[0][2]):
-        heapq.heappop(heap)
-    top = -heap[0][0]
-    tied = []  # live entries in (disc_time, node) order; repeats pop adjacent
-    while heap and -heap[0][0] == top:
-        entry = heapq.heappop(heap)
-        if state.outsiders.get(entry[2]) == top and (not tied or entry != tied[-1]):
-            tied.append(entry)
-    for entry in tied:
-        heapq.heappush(heap, entry)
+    popped off a heap of ``(-priority, disc_time, node)`` and drawn from."""
+    heap = [(-p, state.disc_time[u], u) for u, p in state.outsiders.items()]
+    heapq.heapify(heap)
+    top = heap[0][0]
+    tied = []  # in (disc_time, node) order
+    while heap and heap[0][0] == top:
+        tied.append(heapq.heappop(heap))
     return tied[int(rng.integers(len(tied)))][2]
+
+
+def reference_ordered_pick(state):
+    """The ordered MAS pick: largest priority, then earliest discovery, then id."""
+    return min(state.outsiders, key=lambda u: (
+        -state.outsiders[u], state.disc_time[u], u))
 
 
 STEP_MIX = (("RS_DW", "ordered"), ("MAS", "random"), ("RS_DW", "ordered"),
@@ -513,7 +507,7 @@ def test_tree_and_bucket_picks_match_the_reference(graph_seed, unit):
     state = sampler.init(seeds, oracle, ia.UnitWeights(unit))
     rng = np.random.default_rng(graph_seed)
     mix = np.random.default_rng(100 + graph_seed)
-    checked = {"RS_DW": 0, "MAS": 0}
+    checked = {"RS_DW": 0, "MAS-random": 0, "MAS-ordered": 0}
     while state.outsiders:
         strategy, tie_break = STEP_MIX[int(mix.integers(len(STEP_MIX)))]
         expected = None
@@ -522,12 +516,15 @@ def test_tree_and_bucket_picks_match_the_reference(graph_seed, unit):
                                                state.outsiders, copy.deepcopy(rng))
         elif tie_break == "random":
             expected = reference_random_tie_pick(state, copy.deepcopy(rng))
+        elif strategy == "MAS":
+            expected = reference_ordered_pick(state)
         node, _row = sampler.step(state, strategy, rng, tie_break)
         if expected is not None:
             assert node == expected
-            checked[strategy] += 1
+            checked[strategy if strategy == "RS_DW" else f"MAS-{tie_break}"] += 1
         assert sampler.audit(state) == 0.0
-    assert min(checked.values()) >= 30
+    assert min(checked["RS_DW"], checked["MAS-random"]) >= 30
+    assert checked["MAS-ordered"] >= 15
 
 
 def calibrated_corpus_state(n, n_events, corpus_seed):
@@ -543,7 +540,7 @@ def calibrated_corpus_state(n, n_events, corpus_seed):
 
 
 def test_random_tie_buckets_match_the_reference_on_calibrated_weights():
-    # float priorities are bucketed by exact value, as the heap compared them
+    # float priorities are bucketed by exact value, as the reference heap compares them
     state = calibrated_corpus_state(300, 2000, 9)
     rng = np.random.default_rng(4)
     widest = 0
@@ -554,6 +551,14 @@ def test_random_tie_buckets_match_the_reference_on_calibrated_weights():
         node, _row = sampler.step(state, "MAS", rng, tie_break="random")
         assert node == expected
     assert state.timestep > 250 and widest >= 5
+    assert sampler.audit(state) <= 1e-9 * max(1.0, state.boundary)
+    # the ordered pass reads the first key of the same top bucket
+    state = calibrated_corpus_state(300, 2000, 9)
+    while state.outsiders:
+        expected = reference_ordered_pick(state)
+        node, _row = sampler.step(state, "MAS", rng)
+        assert node == expected
+    assert state.timestep > 250
     assert sampler.audit(state) <= 1e-9 * max(1.0, state.boundary)
 
 
