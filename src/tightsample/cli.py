@@ -45,6 +45,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
             f"expected integers as '400,800' or '200x8', got {text!r}") from None
 
 
+def _parse_seed(text: str) -> int:
+    """An rng seed: numpy's generators take only non-negative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_float_list(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",")]
@@ -82,7 +89,7 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("empty corpus")
     scheme = interactions.Scheme.parse(args.scheme)
     cal = interactions.calibrate_records(
-        (e.record() for e in filtered.events), scheme)
+        ((e.author, e.interactor, e.pattern) for e in filtered.events), scheme)
     out = _out_dir(args.out)
     table_path = out / f"weights_{scheme.value}.csv"
     interactions.write_weight_csv(table_path, cal)
@@ -266,6 +273,8 @@ def _read_manifest(path: Path) -> dict:
                             f"expected {' or '.join(allowed)}")
     if any(_JSON_TYPES[type(s)] not in ("string", "integer") for s in manifest["seeds"]):
         raise DataError(f"{path}: manifest seeds must be strings or integers")
+    if manifest["rng_seed"] < 0:
+        raise DataError(f"{path}: manifest rng_seed is {manifest['rng_seed']}, expected >= 0")
     return manifest
 
 
@@ -328,7 +337,7 @@ def cmd_sample(args) -> int:
             input_paths.append(weights_ref)
         manifest = {
             "strategy": args.strategy,
-            "rng_seed": args.seed if args.seed is not None else 0,
+            "rng_seed": args.seed,
             "weights": weights_ref,
             "oracle": descriptor,
             "seeds": _read_seeds(args),
@@ -475,14 +484,13 @@ def cmd_sweep(args) -> int:
     for s in strategies:
         if s not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
-    base_seed = args.seed if args.seed is not None else 0
     seeds_per_block = args.seeds_per_block or (1,) * len(args.sizes)
     out = _out_dir(args.out)
 
     cells = []
     for ri, r in enumerate(args.r_list):
         for rep in range(args.repeats):
-            graph_seed = base_seed * 1_000_003 + ri * 1_009 + rep
+            graph_seed = args.seed * 1_000_003 + ri * 1_009 + rep
             for si, strategy in enumerate(strategies):
                 cells.append({
                     "sizes": list(args.sizes), "k_intra": args.k_intra, "r": r,
@@ -560,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-intra", type=float, default=10.0)
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None,
+                   help="rng seed (default: the config's, else 0)")
     p.add_argument("--out", default="sbm_out")
     p.set_defaults(func=cmd_gen_sbm)
 
@@ -577,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'unit', a shipped scheme tag, or a weight-CSV path")
     p.add_argument("--budget", type=int, default=None, help="max timesteps")
     p.add_argument("--target-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="rng seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="rng seed")
     p.add_argument("--tie-break", choices=["ordered", "random"],
                    default="ordered",
                    help="argmax tie handling for MAS/RI_MAS")
@@ -610,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a run directory (trace, edges) per cell")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="aggregate table format")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", default="sweep_out")
     p.set_defaults(func=cmd_sweep)
     return parser

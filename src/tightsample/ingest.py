@@ -1,9 +1,12 @@
 """Parse engagement-event logs into a calibration corpus.
 
 The input is a generic event log (JSONL or CSV), one row per engagement,
-possibly several rows per (tweet, interactor) pair. Parsing deduplicates
-types per pair, drops self-engagement, and enforces a malformed-row cap.
-Filtering applies the seed-activity rule and rank-based outlier trimming.
+possibly several rows per (tweet, interactor) pair. Each row is parsed
+straight to its interaction pattern (the type bit vector of
+:func:`interactions.pattern_of`); repeated rows of a pair merge by OR-ing
+their patterns. Other row fields, such as a timestamp, are ignored. Parsing
+drops self-engagement and enforces a malformed-row cap. Filtering applies the
+seed-activity rule and rank-based outlier trimming.
 """
 
 from __future__ import annotations
@@ -12,29 +15,18 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .interactions import TYPES, pattern_of
+from .interactions import pattern_of, pattern_types
 from .util import DataError, read_csv, read_lines
 
-_TYPE_SET = set(TYPES)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngagementEvent:
-    """One (tweet, interactor) engagement with deduplicated types."""
+    """One (tweet, interactor) engagement; ``pattern`` is its type bit vector."""
 
     tweet_id: str
     author: str
     interactor: str
-    types: frozenset
-    ts: str | None = None
-
-    @property
-    def pattern(self) -> int:
-        return pattern_of(self.types)
-
-    def record(self) -> tuple:
-        """(author, interactor, pattern) triple for the counting pipeline."""
-        return (self.author, self.interactor, self.pattern)
+    pattern: int
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,6 @@ class CorpusFilter:
     distinct-interactor count (ties with the last kept rank survive).
     """
 
-    require_author_activity: bool = True
     trim_quantile: float = 0.9
 
     def __post_init__(self):
@@ -57,8 +48,6 @@ class CorpusFilter:
 class ParseReport:
     rows: int = 0
     malformed: int = 0
-    self_engagements: int = 0
-    merged_rows: int = 0
     samples: list = field(default_factory=list)
 
 
@@ -66,15 +55,14 @@ def _row_to_parts(row: dict) -> tuple:
     tweet = row.get("tweet_id")
     author = row.get("author")
     interactor = row.get("interactor")
-    types = row.get("types")
-    if not tweet or not author or not interactor or not types:
+    names = row.get("types")
+    if not tweet or not author or not interactor or not names:
         raise ValueError("missing field")
-    if isinstance(types, str):
-        types = [t for t in types.split("|") if t]
-    types = {t.strip() for t in types if t and t.strip()}
-    if not types or types - _TYPE_SET:
-        raise ValueError(f"bad types {sorted(types)!r}")
-    return str(tweet), str(author), str(interactor), frozenset(types), row.get("ts")
+    if isinstance(names, str):
+        names = names.split("|")
+    # no names, or an unknown one, raises DataError, a ValueError
+    pattern = pattern_of(t.strip() for t in names if t and t.strip())
+    return str(tweet), str(author), str(interactor), pattern
 
 
 def _iter_jsonl(path):
@@ -103,10 +91,9 @@ def parse_events(path, fmt: str | None = None,
 
     Malformed rows are skipped and counted; if they exceed ``malformed_cap``
     as a fraction of all rows the whole parse fails. Rows repeating a
-    (tweet, interactor) pair merge into one event with the union of types.
+    (tweet, interactor) pair merge into one event with the OR of their patterns.
     """
-    events, report = parse_events_with_report(path, fmt, malformed_cap)
-    return events
+    return parse_events_with_report(path, fmt, malformed_cap)[0]
 
 
 def parse_events_with_report(path, fmt: str | None = None,
@@ -124,23 +111,19 @@ def parse_events_with_report(path, fmt: str | None = None,
             report.malformed += 1
             continue
         try:
-            tweet, author, interactor, types, ts = _row_to_parts(row)
+            tweet, author, interactor, pattern = _row_to_parts(row)
         except (ValueError, AttributeError, TypeError) as exc:
             report.malformed += 1
             if len(report.samples) < 5:
                 report.samples.append(str(exc))
             continue
         if author == interactor:
-            report.self_engagements += 1
             continue
         key = (tweet, interactor)
         prev = merged.get(key)
-        if prev is None:
-            merged[key] = EngagementEvent(tweet, author, interactor, types, ts)
-        else:
-            report.merged_rows += 1
-            merged[key] = EngagementEvent(tweet, prev.author, interactor,
-                                          prev.types | types, prev.ts)
+        if prev is not None:  # the first row's author stands
+            author, pattern = prev.author, prev.pattern | pattern
+        merged[key] = EngagementEvent(tweet, author, interactor, pattern)
 
     if report.rows and report.malformed / report.rows > malformed_cap:
         raise DataError(
@@ -165,14 +148,8 @@ def apply_filters(events, seeds, corpus_filter: CorpusFilter) -> FilterResult:
     removed, keeping ties with the last surviving rank.
     """
     events = list(events)
-    if seeds is None:
-        kept_seeds = sorted({e.author for e in events})
-    else:
-        authored = {e.author for e in events}
-        if corpus_filter.require_author_activity:
-            kept_seeds = [s for s in seeds if s in authored]
-        else:
-            kept_seeds = list(seeds)
+    authored = {e.author for e in events}
+    kept_seeds = sorted(authored) if seeds is None else [s for s in seeds if s in authored]
     seed_set = set(kept_seeds)
     seed_events = [e for e in events if e.author in seed_set]
 
@@ -210,9 +187,7 @@ def write_events_jsonl(path, events) -> None:
     with open(path, "w", newline="") as fh:
         for e in events:
             row = {"tweet_id": e.tweet_id, "author": e.author,
-                   "interactor": e.interactor, "types": sorted(e.types)}
-            if e.ts is not None:
-                row["ts"] = e.ts
+                   "interactor": e.interactor, "types": pattern_types(e.pattern)}
             fh.write(json.dumps(row) + "\n")
 
 
@@ -231,24 +206,24 @@ def synthetic_corpus(rng, n_authors: int = 5, n_interactors: int = 40,
                      n_tweets: int = 60, n_events: int = 300,
                      mix=_DEFAULT_MIX) -> list[EngagementEvent]:
     """Random fixture corpus; deterministic given the numpy Generator state."""
-    type_sets = [frozenset(ts) for ts, _w in mix]
-    probs = [w for _ts, w in mix]
+    patterns = [pattern_of(names) for names, _w in mix]
+    probs = [w for _names, w in mix]
     total = sum(probs)
     probs = [w / total for w in probs]
     tweet_author = {f"t{k}": f"a{int(rng.integers(n_authors))}" for k in range(n_tweets)}
 
-    merged: dict[tuple, frozenset] = {}
+    merged: dict[tuple, int] = {}
     for _ in range(n_events):
         tweet = f"t{int(rng.integers(n_tweets))}"
         interactor = f"u{int(rng.integers(n_interactors))}"
-        choice = type_sets[int(rng.choice(len(type_sets), p=probs))]
+        choice = patterns[int(rng.choice(len(patterns), p=probs))]
         key = (tweet, interactor)
-        merged[key] = merged.get(key, frozenset()) | choice
+        merged[key] = merged.get(key, 0) | choice
 
     events = []
-    for (tweet, interactor), types in sorted(merged.items()):
+    for (tweet, interactor), pattern in sorted(merged.items()):
         author = tweet_author[tweet]
         if author == interactor:
             continue
-        events.append(EngagementEvent(tweet, author, interactor, types))
+        events.append(EngagementEvent(tweet, author, interactor, pattern))
     return events

@@ -87,6 +87,11 @@ def pattern_of(events) -> int:
     return bits
 
 
+def pattern_types(pattern: int) -> list[str]:
+    """The type names of a 4-bit pattern, in :data:`TYPES` order."""
+    return [t for t in TYPES if pattern & _TYPE_BIT[t]]
+
+
 def pattern_str(pattern: int, width: int = 4) -> str:
     return format(pattern, f"0{width}b")
 
@@ -278,9 +283,9 @@ class WeightTable:
             return self._max_weight
         return w
 
-    def event_weight(self, events) -> float:
-        """Total weight of an event multiset ((tweet_id, pattern), ...)."""
-        return sum(self.of(p) for _tid, p in events)
+    def event_weight(self, patterns) -> float:
+        """Total weight of one edge's event patterns, summed in the order given."""
+        return sum(map(self.of, patterns))
 
     def scaled(self, c: float) -> "WeightTable":
         """A copy with every weight multiplied by ``c`` (scale-invariance runs)."""
@@ -298,8 +303,8 @@ class UnitWeights:
     def of(self, pattern: int) -> float:
         return self.value
 
-    def event_weight(self, events) -> float:
-        return self.value * len(events)
+    def event_weight(self, patterns) -> float:
+        return self.value * len(patterns)
 
     def scaled(self, c: float) -> "UnitWeights":
         return UnitWeights(self.value * c)

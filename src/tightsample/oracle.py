@@ -22,7 +22,7 @@ class UnknownNodeError(DataError):
 
 def _plain_in_adjacency(sources: dict[int, list[int]]) -> dict:
     """Plain-edge in-adjacency from in-neighbour ids: sorted, no repeats or self-loops."""
-    plain = ((None, PLAIN_EDGE),)
+    plain = (PLAIN_EDGE,)
     return {v: tuple((u, plain) for u in sorted(set(srcs)) if u != v)
             for v, srcs in sources.items()}
 
@@ -83,7 +83,9 @@ class GraphOracle:
         """Engagement-event backing, pre-indexed by author at load time.
 
         ``in_neighbors(author)`` lists every user who engaged with the
-        author's tweets, with the per-tweet interaction patterns.
+        author's tweets, with one interaction pattern per tweet. The patterns
+        are ordered by tweet id (as strings), the order in which
+        ``event_weight`` sums them; the ids themselves are not kept.
         """
         ids = IdMap()
         per_author: dict[int, dict[int, list]] = {}
@@ -97,7 +99,7 @@ class GraphOracle:
         in_adj = {}
         for a, by_src in per_author.items():
             in_adj[a] = tuple(
-                (j, tuple(sorted(evs, key=lambda tp: str(tp[0]))))
+                (j, tuple(p for _t, p in sorted(evs, key=lambda tp: str(tp[0]))))
                 for j, evs in sorted(by_src.items()))
         return cls(in_adj, ids)
 
@@ -115,10 +117,12 @@ class GraphOracle:
         return internal
 
     def in_neighbors(self, v: int):
-        """All known in-neighbors of ``v`` with their event multisets.
+        """All known in-neighbors of ``v``, each as ``(u, patterns)``.
 
-        Strictly ascending internal id, which the sampler's frontiers rely
-        on. ``v`` must be discoverable.
+        ``patterns`` is a tuple of interaction-pattern ints, one per event on
+        the edge ``u -> v``; a plain edge answers ``(PLAIN_EDGE,)``. Strictly
+        ascending internal id, which the sampler's frontiers rely on. ``v``
+        must be discoverable.
         """
         if v not in self._discoverable:
             ext = self.ids.external(v) if 0 <= v < len(self.ids) else v
@@ -126,7 +130,7 @@ class GraphOracle:
         with self._lock:
             self._log.append(v)
         answer = self._in.get(v, ())
-        for u, _events in answer:
+        for u, _patterns in answer:
             self._discoverable.add(u)
         return answer
 

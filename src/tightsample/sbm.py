@@ -41,6 +41,8 @@ class BlockModelConfig:
             raise ConfigError("total size must exceed the largest block")
         if self.k_intra <= 0 or self.r <= 0:
             raise ConfigError("k_intra and r must be positive")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @property
     def n_nodes(self) -> int:
@@ -63,6 +65,8 @@ class SeedConfig:
         object.__setattr__(self, "per_block", tuple(int(c) for c in self.per_block))
         if any(c < 0 for c in self.per_block):
             raise ConfigError("seed counts must be non-negative")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed_rng must be non-negative, got {self.rng_seed}")
         if self.selection not in SEED_SELECTIONS:
             raise ConfigError(f"unknown seed selection {self.selection!r}; "
                               f"expected one of {SEED_SELECTIONS}")

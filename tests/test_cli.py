@@ -363,6 +363,32 @@ def test_replay_refuses_a_mistyped_manifest_field(small_run, tmp_path, key, valu
     assert str(path) in err and key in err
 
 
+NEGATIVE_SEED_CASES = ("sample", "gen-sbm", "gen-sbm-config", "sweep", "replay")
+
+
+@pytest.mark.parametrize("case", NEGATIVE_SEED_CASES)
+def test_negative_rng_seed_exits_cleanly(small_run, tmp_path, case):
+    # numpy's generators take only non-negative seeds
+    net = small_run.parent / "net"
+    config, manifest = tmp_path / "sbm.cfg", tmp_path / "manifest.json"
+    config.write_text((net / "sbm.cfg").read_text().replace("rng_seed = 3", "rng_seed = -1"))
+    manifest.write_text(json.dumps(
+        {**json.loads((small_run / "manifest.json").read_text()), "rng_seed": -1}))
+    argv, expected, fragments = {
+        "sample": (["sample", "--undirected", net / "edges.tsv", "--seeds", "0",
+                    "--budget", "5", "--seed", "-1"], 2, ["--seed", "'-1'"]),
+        "gen-sbm": (["gen-sbm", "--sizes", "30x2", "--seed", "-1"], 2, ["--seed", "'-1'"]),
+        "gen-sbm-config": (["gen-sbm", "--config", config], 2, [str(config), "rng_seed"]),
+        "sweep": (["sweep", "--sizes", "30x2", "--r-list", "4", "--budget", "5",
+                   "--seed", "-1"], 2, ["--seed", "'-1'"]),
+        "replay": (["sample", "--from-manifest", manifest], 3, [str(manifest), "rng_seed"]),
+    }[case]
+    code, err = run_cli_process(*argv, "--out", tmp_path / "out")
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert all(fragment in err for fragment in fragments), err
+
+
 def test_replay_of_a_target_size_run(small_run, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run_cli("sample", "--undirected", small_run.parent / "net" / "edges.tsv",
@@ -512,7 +538,8 @@ def test_calibrate_fixture_corpus(tmp_path):
     assert run_cli("calibrate", events_path, "--scheme", "distinct",
                    "--out", out) == 0
     loaded = read_weight_csv(out / "weights_distinct.csv")["distinct"]
-    expected = calibrate_records([e.record() for e in corpus], Scheme.DISTINCT)
+    expected = calibrate_records([(e.author, e.interactor, e.pattern) for e in corpus],
+                                 Scheme.DISTINCT)
     for x, star in expected.eta_star.values.items():
         assert loaded.eta_star.values[x] == pytest.approx(star, rel=1e-4)
     summary = json.loads((out / "calibration_summary.json").read_text())

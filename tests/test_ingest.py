@@ -37,16 +37,11 @@ def test_fixture_log_parses_to_expected_events(fixture_log):
     by_key = {(e.tweet_id, e.interactor): e for e in events}
     # 10 rows -> 8 events: one self-engagement dropped, t3/u3 rows merged
     assert len(events) == 8
-    assert by_key[("t1", "u2")].types == frozenset({"retweet", "quote"})
-    assert by_key[("t2", "u1")].types == frozenset({"like", "retweet"})
-    assert by_key[("t3", "u3")].types == frozenset({"reply", "like"})
+    assert by_key[("t1", "u2")].pattern == 0b0101  # retweet, quote
+    assert by_key[("t2", "u1")].pattern == 0b1100  # like twice, retweet
+    assert by_key[("t3", "u3")].pattern == 0b1010  # reply row | like row
     assert ("t4", "a2") not in by_key
-    assert by_key[("t6", "u5")].ts == "2022-07-03T10:00:00Z"
-
-
-def test_duplicate_types_collapse():
-    e = ingest.EngagementEvent("t", "a", "u", frozenset({"like", "retweet"}))
-    assert e.pattern == 0b1100
+    assert by_key[("t6", "u5")].pattern == 0b0010  # its ts field is ignored
 
 
 def test_empty_types_row_is_counted_malformed(tmp_path):
@@ -85,8 +80,21 @@ def test_csv_format_round_trip(tmp_path):
         "t1,a1,u1,like|retweet,\n"
         "t2,a1,u2,quote,2022-07-01\n")
     events = ingest.parse_events(path)
-    assert {e.types for e in events} == {frozenset({"like", "retweet"}),
-                                         frozenset({"quote"})}
+    assert {e.pattern for e in events} == {0b1100, 0b0001}
+
+
+def test_csv_types_cells_parse_to_patterns(tmp_path):
+    cells = {"u1": " like | retweet ", "u2": "like||quote", "u3": "reply|",
+             "u4": "|quote|like|", "u5": "like|boost", "u6": "|", "u7": " "}
+    path = tmp_path / "events.csv"
+    path.write_text("tweet_id,author,interactor,types\n" + "".join(
+        f"t1,a1,{u},{cell}\n" for u, cell in cells.items()))
+    events, report = ingest.parse_events_with_report(path, malformed_cap=1.0)
+    assert {e.interactor: e.pattern for e in events} == {
+        "u1": 0b1100, "u2": 0b1001, "u3": 0b0010, "u4": 0b1001}
+    # an unknown type, or no type at all, makes the row malformed
+    assert report.rows == 7 and report.malformed == 3
+    assert any("boost" in sample for sample in report.samples)
 
 
 def test_jsonl_write_read_round_trip(tmp_path, rng):
@@ -94,10 +102,8 @@ def test_jsonl_write_read_round_trip(tmp_path, rng):
     path = tmp_path / "synth.jsonl"
     ingest.write_events_jsonl(path, corpus)
     back = ingest.parse_events(path)
-    assert sorted((e.tweet_id, e.interactor, tuple(sorted(e.types)))
-                  for e in back) == \
-        sorted((e.tweet_id, e.interactor, tuple(sorted(e.types)))
-               for e in corpus)
+    assert sorted((e.tweet_id, e.interactor, e.pattern) for e in back) == \
+        sorted((e.tweet_id, e.interactor, e.pattern) for e in corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +115,7 @@ def _mk_events(counts_per_tweet):
     events = []
     for k, c in enumerate(counts_per_tweet):
         for j in range(c):
-            events.append(ingest.EngagementEvent(
-                f"t{k}", "a0", f"u{k}_{j}", frozenset({"like"})))
+            events.append(ingest.EngagementEvent(f"t{k}", "a0", f"u{k}_{j}", 0b1000))
     return events
 
 
@@ -145,8 +150,7 @@ def test_inactive_seeds_removed():
 
 
 def test_three_of_five_seeds_kept():
-    events = [ingest.EngagementEvent(f"t{k}", f"a{k}", f"u{k}", frozenset({"like"}))
-              for k in range(3)]
+    events = [ingest.EngagementEvent(f"t{k}", f"a{k}", f"u{k}", 0b1000) for k in range(3)]
     seeds = ["a0", "a1", "a2", "a3", "a4"]
     out = ingest.apply_filters(events, seeds, ingest.CorpusFilter())
     assert out.seeds == ["a0", "a1", "a2"]
@@ -154,7 +158,7 @@ def test_three_of_five_seeds_kept():
 
 def test_events_of_nonseed_authors_dropped():
     events = _mk_events([2]) + [
-        ingest.EngagementEvent("tx", "stranger", "u9", frozenset({"like"}))]
+        ingest.EngagementEvent("tx", "stranger", "u9", 0b1000)]
     out = ingest.apply_filters(events, ["a0"],
                                ingest.CorpusFilter(trim_quantile=1.0))
     assert out.events and all(e.author == "a0" for e in out.events)

@@ -258,7 +258,7 @@ def test_af_table_collapses_raw_event_patterns():
     assert wt.of(0b1100) == wt.omega_star[0b101]  # like+retweet -> like, rtq
     assert wt.of(0b0101) == wt.omega_star[0b001]  # retweet+quote -> rtq
     assert wt.of(0b1000) == wt.omega_star[0b100]  # like -> like
-    assert wt.event_weight((("t", 0b1100), ("t2", 0b1000))) == \
+    assert wt.event_weight((0b1100, 0b1000)) == \
         pytest.approx(wt.omega_star[0b101] + wt.omega_star[0b100])
 
 

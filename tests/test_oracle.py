@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from tightsample import interactions as ia
 from tightsample.ingest import EngagementEvent
 from tightsample.oracle import GraphOracle, UnknownNodeError
 from tightsample.util import DataError
@@ -20,14 +21,39 @@ def test_generated_backing_serves_both_directions():
 
 
 def test_event_backing_builds_patterns():
-    events = [EngagementEvent("t", "i", "j", frozenset({"like", "retweet"}))]
+    events = [EngagementEvent("t", "i", "j", 0b1100)]
     oracle = GraphOracle.from_events(events)
     seed = oracle.declare_seeds(["i"])[0]
     answer = oracle.in_neighbors(seed)
     assert len(answer) == 1
-    u, evs = answer[0]
+    u, patterns = answer[0]
     assert oracle.ids.external(u) == "j"
-    assert evs == (("t", 0b1100),)
+    assert patterns == (0b1100,)
+
+
+def test_event_patterns_answer_in_tweet_id_string_order():
+    # ids sort as strings (t10 < t2 < t9), and event_weight adds in that order
+    events = [EngagementEvent("t9", "i", "j", 0b1000),
+              EngagementEvent("t10", "i", "j", 0b0001),
+              EngagementEvent("t2", "i", "j", 0b0100)]
+    oracle = GraphOracle.from_events(events)
+    ((_u, patterns),) = oracle.in_neighbors(oracle.declare_seeds(["i"])[0])
+    assert patterns == (0b0001, 0b0100, 0b1000)
+    # t9, t10, t2 weigh 0.1, 0.2, 0.3: the row order, or numeric id order, would
+    # add up to 0.6000000000000001
+    wt = ia.WeightTable(ia.Scheme.DISTINCT, {0b1000: 0.1, 0b0001: 0.2, 0b0100: 0.3})
+    assert wt.event_weight(patterns) == 0.2 + 0.3 + 0.1 == 0.6
+    assert 0.1 + 0.2 + 0.3 != 0.6
+
+
+def test_plain_edges_answer_one_plain_pattern(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("a\tb\n")
+    for oracle in (GraphOracle.from_undirected_edges([(0, 1)]),
+                   GraphOracle.from_edgelist(path)):
+        seed = oracle.declare_seeds([oracle.ids.external(1)])[0]
+        ((_u, patterns),) = oracle.in_neighbors(seed)
+        assert patterns == (ia.PLAIN_EDGE,)
 
 
 def test_repeated_calls_identical():
@@ -107,7 +133,7 @@ def test_every_backing_answers_in_ascending_id(tmp_path):
     pairs = [pairs[i] for i in rng.permutation(len(pairs))]
     path = tmp_path / "edges.tsv"
     path.write_text("".join(f"n{a}\tn{b}\n" for a, b in pairs))
-    events = [EngagementEvent(f"t{i % 40}", f"n{b}", f"n{a}", frozenset({"like"}))
+    events = [EngagementEvent(f"t{i % 40}", f"n{b}", f"n{a}", 0b1000)
               for i, (a, b) in enumerate(pairs)]
     backings = {"undirected": GraphOracle.from_undirected_edges(pairs),
                 "edgelist": GraphOracle.from_edgelist(path),

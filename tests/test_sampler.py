@@ -40,7 +40,7 @@ def test_init_seed_to_seed_edges_stay_inside():
 
 
 def test_init_weighted_seed_priority():
-    events = [EngagementEvent("t", "seed", "fan", frozenset({"like"}))]
+    events = [EngagementEvent("t", "seed", "fan", 0b1000)]
     oracle = GraphOracle.from_events(events)
     weights = ia.load_reference_tables()["distinct"].weights
     state = sampler.init(["seed"], oracle, weights)
@@ -64,9 +64,9 @@ def test_init_rejects_bad_seeds():
 
 def two_priority_state():
     """Outsiders b (priority 2, two edges) and c (priority 1)."""
-    events = [EngagementEvent("t1", "A", "B", frozenset({"like"})),
-              EngagementEvent("t2", "A", "B", frozenset({"like"})),
-              EngagementEvent("t3", "A", "C", frozenset({"like"}))]
+    events = [EngagementEvent("t1", "A", "B", 0b1000),
+              EngagementEvent("t2", "A", "B", 0b1000),
+              EngagementEvent("t3", "A", "C", 0b1000)]
     oracle = GraphOracle.from_events(events)
     state = sampler.init(["A"], oracle)
     b, c = oracle.ids.resolve("B"), oracle.ids.resolve("C")
@@ -147,9 +147,9 @@ def test_ro_uniform_over_outsiders(rng):
 
 def test_staged_strategies_condition_on_insider(rng):
     # two insiders with disjoint frontiers: stage-1 picks the insider uniformly
-    events = [EngagementEvent("t1", "A", "x", frozenset({"like"})),
-              EngagementEvent("t2", "B", "y", frozenset({"like"})),
-              EngagementEvent("t3", "B", "z", frozenset({"like"}))]
+    events = [EngagementEvent("t1", "A", "x", 0b1000),
+              EngagementEvent("t2", "B", "y", 0b1000),
+              EngagementEvent("t3", "B", "z", 0b1000)]
     oracle = GraphOracle.from_events(events)
     state = sampler.init(["A", "B"], oracle)
     x = oracle.ids.resolve("x")
@@ -159,9 +159,9 @@ def test_staged_strategies_condition_on_insider(rng):
 
 
 def test_ri_mas_max_within_insider(rng):
-    events = [EngagementEvent("t1", "A", "B", frozenset({"like"})),
-              EngagementEvent("t2", "A", "B", frozenset({"like"})),
-              EngagementEvent("t3", "A", "C", frozenset({"like"}))]
+    events = [EngagementEvent("t1", "A", "B", 0b1000),
+              EngagementEvent("t2", "A", "B", 0b1000),
+              EngagementEvent("t3", "A", "C", 0b1000)]
     oracle = GraphOracle.from_events(events)
     state = sampler.init(["A"], oracle)
     b = oracle.ids.resolve("B")

@@ -38,6 +38,11 @@ def test_infeasible_configs_rejected():
         sbm.derive_block_matrix(sbm.BlockModelConfig((100, 100), 90.0, 0.004, 0))
     with pytest.raises(ConfigError):
         sbm.BlockModelConfig((1,) * 4, 1.0, 1.0, 0)
+    # numpy's generators take only non-negative seeds
+    with pytest.raises(ConfigError, match="rng_seed"):
+        sbm.BlockModelConfig((5, 5), 2.0, 4.0, -1)
+    with pytest.raises(ConfigError, match="seed_rng"):
+        sbm.SeedConfig((1, 1), rng_seed=-1)
 
 
 def test_generate_empty_and_complete():
