@@ -81,9 +81,9 @@ def _load_weights(selector: str):
 
 
 def cmd_calibrate(args) -> int:
+    corpus_filter = ingest.CorpusFilter(trim_quantile=args.trim)
     events = ingest.parse_events(args.events, fmt=args.events_format)
     seeds = _read_seed_file(args.seeds_file) if args.seeds_file else None
-    corpus_filter = ingest.CorpusFilter(trim_quantile=args.trim)
     filtered = ingest.apply_filters(events, seeds, corpus_filter)
     if not filtered.events:
         raise ConfigError("empty corpus")

@@ -3,20 +3,25 @@
 The input is a generic event log (JSONL or CSV), one row per engagement,
 possibly several rows per (tweet, interactor) pair. Each row is parsed
 straight to its interaction pattern (the type bit vector of
-:func:`interactions.pattern_of`); repeated rows of a pair merge by OR-ing
-their patterns. Other row fields, such as a timestamp, are ignored. Parsing
-drops self-engagement and enforces a malformed-row cap. Filtering applies the
-seed-activity rule and rank-based outlier trimming.
+:func:`interactions.pattern_of`) and its ids are interned to int codes, so the
+parse result is an :class:`EventTable` of int columns; repeated rows of a pair
+merge by OR-ing their patterns. Other row fields, such as a timestamp, are
+ignored. Parsing drops self-engagement and enforces a malformed-row cap.
+Filtering applies the seed-activity rule and rank-based outlier trimming.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from json.scanner import make_scanner
+
+import numpy as np
 
 from .interactions import pattern_of, pattern_types
-from .util import DataError, read_csv, read_lines
+from .util import ConfigError, DataError, read_csv, read_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,6 +32,49 @@ class EngagementEvent:
     author: str
     interactor: str
     pattern: int
+
+
+@dataclass(eq=False, slots=True)
+class EventTable:
+    """Engagement events as int columns, one row per event.
+
+    ``tweet``, ``author`` and ``interactor`` are int64 codes into ``tweets``
+    and ``users``, the external ids in first-seen order (tweet ids as
+    strings); ``pattern`` holds each event's type bit vector. ``len()`` is the
+    number of events, and iterating yields them as :class:`EngagementEvent`
+    in row order.
+    """
+
+    tweets: list
+    users: list
+    tweet: np.ndarray
+    author: np.ndarray
+    interactor: np.ndarray
+    pattern: np.ndarray
+
+    @classmethod
+    def from_events(cls, events) -> "EventTable":
+        """The columns of ``events`` as given, in order: nothing merged or dropped."""
+        tweets: dict[str, int] = {}
+        users: dict = {}
+        columns = tuple(array("q") for _ in range(4))
+        tweet, author, interactor, pattern = (c.append for c in columns)
+        for e in events:
+            tweet(tweets.setdefault(str(e.tweet_id), len(tweets)))
+            author(users.setdefault(e.author, len(users)))
+            interactor(users.setdefault(e.interactor, len(users)))
+            pattern(e.pattern)
+        return cls(list(tweets), list(users),
+                   *(np.frombuffer(c, dtype=np.int64) for c in columns))
+
+    def __len__(self) -> int:
+        return len(self.pattern)
+
+    def __iter__(self):
+        tweets, users = self.tweets, self.users
+        for t, a, j, p in zip(self.tweet.tolist(), self.author.tolist(),
+                              self.interactor.tolist(), self.pattern.tolist()):
+            yield EngagementEvent(tweets[t], users[a], users[j], p)
 
 
 @dataclass(frozen=True)
@@ -40,8 +88,8 @@ class CorpusFilter:
     trim_quantile: float = 0.9
 
     def __post_init__(self):
-        if not (0.0 < self.trim_quantile <= 1.0):
-            raise DataError(f"trim_quantile must be in (0, 1], got {self.trim_quantile}")
+        if not (0.0 < self.trim_quantile <= 1.0):   # false for NaN too
+            raise ConfigError(f"trim_quantile must be in (0, 1], got {self.trim_quantile}")
 
 
 @dataclass
@@ -51,29 +99,27 @@ class ParseReport:
     samples: list = field(default_factory=list)
 
 
-def _row_to_parts(row: dict) -> tuple:
-    tweet = row.get("tweet_id")
-    author = row.get("author")
-    interactor = row.get("interactor")
-    names = row.get("types")
-    if not tweet or not author or not interactor or not names:
-        raise ValueError("missing field")
+def _types_pattern(names) -> int:
+    """The pattern of a row's ``types`` field: a list of names or one '|'-joined string."""
     if isinstance(names, str):
         names = names.split("|")
     # no names, or an unknown one, raises DataError, a ValueError
-    pattern = pattern_of(t.strip() for t in names if t and t.strip())
-    return str(tweet), str(author), str(interactor), pattern
+    return pattern_of(t.strip() for t in names if t and t.strip())
 
 
 def _iter_jsonl(path):
+    """Each non-blank line's JSON value, or None for a line that is not JSON."""
+    scan = make_scanner(json.JSONDecoder())   # (line, start) -> (value, end)
     for _lineno, line in read_lines(path, "event log"):
         line = line.strip()
         if not line:
             continue
         try:
-            yield json.loads(line)
-        except (ValueError, RecursionError):  # bad JSON, an over-long int, deep nesting
-            yield None
+            value, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            yield None   # no JSON value, bad JSON, an over-long int, deep nesting
+            continue
+        yield value if end == len(line) else None
 
 
 def _iter_csv(path):
@@ -85,33 +131,51 @@ def _iter_csv(path):
         yield dict(zip(header, row))
 
 
-def parse_events(path, fmt: str | None = None,
-                 malformed_cap: float = 0.01) -> list[EngagementEvent]:
-    """Parse a JSONL or CSV event log into deduplicated events.
+def parse_events(path, fmt: str | None = None, malformed_cap: float = 0.01) -> EventTable:
+    """Parse a JSONL or CSV event log into an :class:`EventTable` of deduplicated events.
 
     Malformed rows are skipped and counted; if they exceed ``malformed_cap``
     as a fraction of all rows the whole parse fails. Rows repeating a
-    (tweet, interactor) pair merge into one event with the OR of their patterns.
+    (tweet, interactor) pair merge into one event with the OR of their
+    patterns and the first row's author; events keep the order of their
+    pair's first row.
     """
     return parse_events_with_report(path, fmt, malformed_cap)[0]
 
 
 def parse_events_with_report(path, fmt: str | None = None,
-                             malformed_cap: float = 0.01):
+                             malformed_cap: float = 0.01) -> tuple[EventTable, ParseReport]:
     if fmt is None:
         fmt = "csv" if str(path).endswith(".csv") else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown event-log format {fmt!r}")
     rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
     report = ParseReport()
-    merged: dict[tuple, EngagementEvent] = {}
+    tweets: dict[str, int] = {}
+    users: dict[str, int] = {}
+    patterns: dict = {}   # types field (a list as a tuple) -> pattern
+    columns = tuple(array("q") for _ in range(4))
+    add_tweet, add_author, add_interactor, add_pattern = (c.append for c in columns)
     for row in rows:
         report.rows += 1
         if row is None:
             report.malformed += 1
             continue
         try:
-            tweet, author, interactor, pattern = _row_to_parts(row)
+            tweet = row.get("tweet_id")
+            author = row.get("author")
+            interactor = row.get("interactor")
+            names = row.get("types")
+            if not tweet or not author or not interactor or not names:
+                raise ValueError("missing field")
+            key = tuple(names) if type(names) is list else names
+            try:
+                pattern = patterns[key]
+            except KeyError:
+                pattern = patterns[key] = _types_pattern(names)
+            except TypeError:   # unhashable: names holding a list or an object
+                pattern = _types_pattern(names)
+            tweet, author, interactor = str(tweet), str(author), str(interactor)
         except (ValueError, AttributeError, TypeError) as exc:
             report.malformed += 1
             if len(report.samples) < 5:
@@ -119,17 +183,29 @@ def parse_events_with_report(path, fmt: str | None = None,
             continue
         if author == interactor:
             continue
-        key = (tweet, interactor)
-        prev = merged.get(key)
-        if prev is not None:  # the first row's author stands
-            author, pattern = prev.author, prev.pattern | pattern
-        merged[key] = EngagementEvent(tweet, author, interactor, pattern)
+        add_tweet(tweets.setdefault(tweet, len(tweets)))
+        add_author(users.setdefault(author, len(users)))
+        add_interactor(users.setdefault(interactor, len(users)))
+        add_pattern(pattern)
 
     if report.rows and report.malformed / report.rows > malformed_cap:
         raise DataError(
             f"{path}: {report.malformed}/{report.rows} malformed rows exceeds "
             f"the {malformed_cap:.0%} cap (e.g. {report.samples[:3]})")
-    return list(merged.values()), report
+    tweet, author, interactor, pattern = (np.frombuffer(c, dtype=np.int64)
+                                          for c in columns)
+    # one event per (tweet, interactor) pair: its first row, with all rows' patterns OR-ed;
+    # codes are below twice the row count, so a key fits int64 below 2e9 rows
+    pair = tweet * len(users) + interactor
+    pairs, first_row, row_pair = np.unique(pair, return_index=True, return_inverse=True)
+    if len(pairs) < len(pair):
+        merged = np.zeros(len(pairs), dtype=np.int64)
+        np.bitwise_or.at(merged, row_pair, pattern)
+        by_first_row = np.argsort(first_row)
+        rows_kept = first_row[by_first_row]
+        tweet, author, interactor = tweet[rows_kept], author[rows_kept], interactor[rows_kept]
+        pattern = merged[by_first_row]
+    return EventTable(list(tweets), list(users), tweet, author, interactor, pattern), report
 
 
 @dataclass

@@ -11,13 +11,33 @@ from __future__ import annotations
 import csv
 import threading
 
+import numpy as np
+
 from .graph import IdMap
+from .ingest import EventTable
 from .interactions import PLAIN_EDGE
 from .util import DataError, read_lines
 
 
 class UnknownNodeError(DataError):
     """Raised when a query names a node the oracle never revealed."""
+
+
+def _string_ranks(strings: list[str]) -> np.ndarray:
+    """Each of the distinct ``strings``' position in sorted order."""
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    ranks = np.empty(len(strings), dtype=np.int64)
+    ranks[order] = np.arange(len(strings))
+    return ranks
+
+
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal ``keys`` rows begins, in rows sorted by them."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
 
 
 def _plain_in_adjacency(sources: dict[int, list[int]]) -> dict:
@@ -82,25 +102,44 @@ class GraphOracle:
     def from_events(cls, events) -> "GraphOracle":
         """Engagement-event backing, pre-indexed by author at load time.
 
-        ``in_neighbors(author)`` lists every user who engaged with the
-        author's tweets, with one interaction pattern per tweet. The patterns
-        are ordered by tweet id (as strings), the order in which
-        ``event_weight`` sums them; the ids themselves are not kept.
+        ``events`` is an :class:`~tightsample.ingest.EventTable` or an
+        iterable of events. ``in_neighbors(author)`` lists every user who
+        engaged with the author's tweets, with one interaction pattern per
+        tweet. The patterns are ordered by tweet id (as strings), the order in
+        which ``event_weight`` sums them; the ids themselves are not kept.
+        Internal ids go to users in order of appearance, author before
+        interactor, event by event.
         """
+        if not isinstance(events, EventTable):
+            events = EventTable.from_events(events)
+        # user codes in order of first appearance in the interleaved (author, interactor)
+        codes, first = np.unique(np.column_stack((events.author, events.interactor)),
+                                 return_index=True)
+        codes = codes[np.argsort(first)]
         ids = IdMap()
-        per_author: dict[int, dict[int, list]] = {}
-        for e in events:
-            a = ids.intern(e.author)
-            j = ids.intern(e.interactor)
-            if a == j:
-                continue
-            per_author.setdefault(a, {}).setdefault(j, []).append(
-                (e.tweet_id, e.pattern))
-        in_adj = {}
-        for a, by_src in per_author.items():
-            in_adj[a] = tuple(
-                (j, tuple(p for _t, p in sorted(evs, key=lambda tp: str(tp[0]))))
-                for j, evs in sorted(by_src.items()))
+        for code in codes.tolist():
+            ids.intern(events.users[code])
+        internal = np.empty(len(events.users), dtype=np.int64)
+        internal[codes] = np.arange(len(codes))
+        author, interactor = internal[events.author], internal[events.interactor]
+        engaged = author != interactor
+        author, interactor = author[engaged], interactor[engaged]
+        tweet_rank = _string_ranks(events.tweets)[events.tweet[engaged]]
+
+        # sorted by (author, interactor, tweet id string): an answer per run of one
+        # author, an edge per run of one (author, interactor)
+        order = np.lexsort((tweet_rank, interactor, author))
+        author, interactor = author[order], interactor[order]
+        patterns = events.pattern[engaged][order].tolist()
+        edges = _starts(author, interactor)
+        bounds = edges.tolist() + [len(patterns)]
+        answers = list(zip(interactor[edges].tolist(),
+                           (tuple(patterns[i:k]) for i, k in zip(bounds, bounds[1:]))))
+        targets = author[edges]
+        heads = _starts(targets)
+        bounds = heads.tolist() + [len(answers)]
+        in_adj = {v: tuple(answers[i:k])
+                  for v, i, k in zip(targets[heads].tolist(), bounds, bounds[1:])}
         return cls(in_adj, ids)
 
     # -- seed declaration and queries -----------------------------------

@@ -39,8 +39,9 @@ class BlockModelConfig:
             raise ConfigError("every block needs size >= 2")
         if len(sizes) >= 2 and sum(sizes) <= max(sizes):
             raise ConfigError("total size must exceed the largest block")
-        if self.k_intra <= 0 or self.r <= 0:
-            raise ConfigError("k_intra and r must be positive")
+        if not (self.k_intra > 0) or not (self.r > 0):   # true for NaN too
+            raise ConfigError(f"k_intra and r must be positive, got k_intra={self.k_intra}, "
+                              f"r={self.r}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
 

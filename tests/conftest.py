@@ -6,11 +6,16 @@ data structures and algorithms so they can serve as independent checks.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from tightsample import sbm, sampler
+from tightsample.ingest import EngagementEvent, ParseReport
+from tightsample.interactions import pattern_of
 from tightsample.oracle import GraphOracle
+from tightsample.util import DataError, read_csv, read_lines
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +116,86 @@ def random_digraph(rng, n, p):
             if u != v and rng.random() < p:
                 pairs.append((u, v))
     return pairs
+
+
+def reference_parse_events(path, fmt=None, malformed_cap=0.01):
+    """Row-at-a-time event-log parse: a dict of merged events, one row after another.
+
+    Returns ``(events, report)`` as ``ingest.parse_events_with_report`` does.
+    """
+    if fmt is None:
+        fmt = "csv" if str(path).endswith(".csv") else "jsonl"
+    if fmt == "jsonl":
+        def rows():
+            for _lineno, line in read_lines(path, "event log"):
+                line = line.strip()
+                if line:
+                    try:
+                        yield json.loads(line)
+                    except (ValueError, RecursionError):
+                        yield None
+    else:
+        def rows():
+            lines = read_csv(path, "event log")
+            _lineno, header = next(lines, (0, None))
+            if header is None or "tweet_id" not in header:
+                raise DataError(f"{path}: missing CSV header with tweet_id column")
+            for _lineno, row in lines:
+                yield dict(zip(header, row))
+
+    report = ParseReport()
+    merged = {}
+    for row in rows():
+        report.rows += 1
+        if row is None:
+            report.malformed += 1
+            continue
+        try:
+            tweet, author = row.get("tweet_id"), row.get("author")
+            interactor, names = row.get("interactor"), row.get("types")
+            if not tweet or not author or not interactor or not names:
+                raise ValueError("missing field")
+            if isinstance(names, str):
+                names = names.split("|")
+            pattern = pattern_of(t.strip() for t in names if t and t.strip())
+            tweet, author, interactor = str(tweet), str(author), str(interactor)
+        except (ValueError, AttributeError, TypeError) as exc:
+            report.malformed += 1
+            if len(report.samples) < 5:
+                report.samples.append(str(exc))
+            continue
+        if author == interactor:
+            continue
+        prev = merged.get((tweet, interactor))
+        if prev is not None:
+            author, pattern = prev.author, prev.pattern | pattern
+        merged[tweet, interactor] = EngagementEvent(tweet, author, interactor, pattern)
+    if report.rows and report.malformed / report.rows > malformed_cap:
+        raise DataError(f"{path}: {report.malformed}/{report.rows} malformed rows")
+    return list(merged.values()), report
+
+
+def reference_in_adjacency(events):
+    """``(external ids in internal-id order, {author id: answer})`` of an event oracle.
+
+    Ids are assigned author then interactor over the events in order; an
+    answer lists ``(interactor id, patterns)`` by ascending id, the patterns
+    ordered by ``str(tweet_id)``.
+    """
+    ext2int, int2ext = {}, []
+    per_author = {}
+    for e in events:
+        for ext in (e.author, e.interactor):
+            if ext not in ext2int:
+                ext2int[ext] = len(int2ext)
+                int2ext.append(ext)
+        a, j = ext2int[e.author], ext2int[e.interactor]
+        if a != j:
+            per_author.setdefault(a, {}).setdefault(j, []).append((e.tweet_id, e.pattern))
+    in_adj = {a: tuple((j, tuple(p for _t, p in sorted(evs, key=lambda tp: str(tp[0]))))
+                       for j, evs in sorted(by_src.items()))
+              for a, by_src in per_author.items()}
+    return int2ext, in_adj
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,8 @@ BAD_INPUTS = {
     "config-missing": ("sbm.cfg", None, 3, "sbm.cfg"),
     "config-number": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = four\nr = 4\n", 2,
                       "sbm.cfg"),
+    "config-nan": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = nan\nr = 4\n", 2,
+                   "k_intra=nan"),
     "undirected-utf8": ("undirected.tsv", b"0\t1\n\xff\t2\n", 3, "undirected.tsv:2:"),
     "edgelist-utf8": ("edgelist.tsv", b"0\t1\n1\t\xfe\n", 3, "edgelist.tsv:2:"),
     "events-jsonl-utf8": ("events.jsonl", b'{"tweet_id": "t"}\n\xff\n', 3,
@@ -555,6 +557,27 @@ def test_calibrate_af_gives_seven_patterns(tmp_path):
     assert run_cli("calibrate", events_path, "--scheme", "af", "--out", out) == 0
     loaded = read_weight_csv(out / "weights_af.csv")["af"]
     assert len(loaded.eta_star.values) == 7
+
+
+@pytest.mark.parametrize("option", ["--k-intra", "--r"])
+def test_gen_sbm_nan_parameter_exits_2(tmp_path, option):
+    code, err = run_cli_process("gen-sbm", "--sizes", "30x2", option, "nan",
+                                "--out", tmp_path / "net")
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "must be positive" in err
+
+
+def test_calibrate_trim_out_of_range_exits_2(tmp_path):
+    events_path = tmp_path / "events.jsonl"
+    ingest.write_events_jsonl(events_path,
+                              ingest.synthetic_corpus(np.random.default_rng(3), n_events=50))
+    for trim in ("0", "nan", "1.5"):
+        code, err = run_cli_process("calibrate", events_path, "--trim", trim,
+                                    "--out", tmp_path / "cal")
+        assert code == 2, (trim, err)
+        assert "Traceback" not in err
+        assert "trim_quantile" in err, err
 
 
 def test_calibrate_empty_corpus_exits_2(tmp_path):

@@ -1,9 +1,17 @@
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_in_adjacency, reference_parse_events
 from tightsample import ingest
+from tightsample.oracle import GraphOracle
 from tightsample.util import DataError
 
 FIXTURE_ROWS = [
@@ -200,3 +208,91 @@ def test_synthetic_corpus_deterministic():
     a = ingest.synthetic_corpus(np.random.default_rng(5), n_events=100)
     b = ingest.synthetic_corpus(np.random.default_rng(5), n_events=100)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# parity of the columnar parse and oracle build with a row-at-a-time reference
+
+# small pools so that pairs repeat (often with another author) and users
+# engage with themselves; ids include JSON numbers and non-ASCII text
+TWEET_IDS = ["t1", "t10", "t9", "tš", "推", 7, "7"]
+USER_IDS = ["u1", "u2", "ü", "用户", 3, "3", "u10"]
+TYPES = ["like", "retweet", "reply", "quote", " like ", "", "boost"]
+
+row_values = st.fixed_dictionaries(
+    {"tweet_id": st.sampled_from(TWEET_IDS), "author": st.sampled_from(USER_IDS),
+     "interactor": st.sampled_from(USER_IDS),
+     "types": st.one_of(st.lists(st.sampled_from(TYPES), max_size=3),
+                        st.lists(st.sampled_from(TYPES), max_size=3).map("|".join))})
+# a field may be missing, or hold a value of the wrong type
+jsonl_rows = st.one_of(
+    row_values.map(json.dumps),
+    row_values.map(lambda row: json.dumps(row, ensure_ascii=False)),
+    st.tuples(row_values, st.sampled_from(["author", "types"]),
+              st.sampled_from([None, 5, [["like"]], {"like": 1}, ""])).map(
+        lambda r: json.dumps({**r[0], r[1]: r[2]})),
+    # blank, not JSON, JSON but not an object, halves of one object
+    st.sampled_from(["", "   ", "{not json", "[1, 2]", "5", '"text"', "{", "}",
+                     '{"tweet_id": "t1",', '"author": "u1"}', '{"a": 1} {"b": 2}']))
+
+
+def _compare_with_reference(path, fmt, cap):
+    try:
+        expected = reference_parse_events(path, fmt, cap)
+    except DataError:
+        with pytest.raises(DataError, match="malformed"):
+            ingest.parse_events_with_report(path, fmt, cap)
+        return
+    table, report = ingest.parse_events_with_report(path, fmt, cap)
+    ref_events, ref_report = expected
+    assert list(table) == ref_events
+    assert len(table) == len(ref_events)
+    assert report == ref_report
+    _compare_oracles(table, ref_events)
+
+
+def _compare_oracles(events, ref_events):
+    oracle = GraphOracle.from_events(events)
+    externals, in_adj = reference_in_adjacency(ref_events)
+    assert [oracle.ids.external(v) for v in range(len(oracle.ids))] == externals
+    everyone = oracle.declare_seeds(externals)
+    assert {v: oracle.in_neighbors(v) for v in everyone} == \
+        {v: in_adj.get(v, ()) for v in everyone}
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(jsonl_rows, min_size=10, max_size=40),
+       cap=st.sampled_from([0.01, 1.0, 1.0]))
+def test_jsonl_parse_and_oracle_match_row_at_a_time_reference(lines, cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        path.write_bytes("\n".join(lines).encode())
+        _compare_with_reference(path, "jsonl", cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.one_of(
+    row_values.map(lambda r: [str(r["tweet_id"]), str(r["author"]),
+                              str(r["interactor"]),
+                              r["types"] if isinstance(r["types"], str)
+                              else "|".join(r["types"])]),
+    st.lists(st.sampled_from(["t1", "u1", "like"]), max_size=3)), min_size=10, max_size=40),
+    cap=st.sampled_from([0.01, 1.0, 1.0]))
+def test_csv_parse_and_oracle_match_row_at_a_time_reference(rows, cap):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["tweet_id", "author", "interactor", "types"])
+    writer.writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(buf.getvalue().encode())
+        _compare_with_reference(path, "csv", cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.lists(st.builds(
+    ingest.EngagementEvent, st.sampled_from(TWEET_IDS), st.sampled_from(USER_IDS),
+    st.sampled_from(USER_IDS), st.integers(1, 15)), max_size=30))
+def test_oracle_from_unparsed_events_matches_reference(events):
+    # not deduplicated: a pair may repeat, even on one tweet, and ids keep their type
+    _compare_oracles(events, events)

@@ -74,3 +74,43 @@ def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypat
     assert any(len(patterns) > 1 for patterns in calls)
     assert all(type(patterns) is tuple and all(type(p) is int for p in patterns)
                for patterns in calls)
+
+
+def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
+    # the traced ingest.* and oracle.build layers count these calls, and ingest.rows
+    # is len() of what parse_events returns: the deduplicated events
+    import json
+
+    import numpy as np
+
+    from tightsample import cli, ingest, oracle
+    from tightsample.interactions import pattern_types
+
+    corpus = ingest.synthetic_corpus(np.random.default_rng(6), n_events=300)
+    log = tmp_path / "events.jsonl"
+    # one row per interaction type, so repeated rows must merge into one event
+    log.write_text("".join(
+        json.dumps({"tweet_id": e.tweet_id, "author": e.author,
+                    "interactor": e.interactor, "types": [name]}) + "\n"
+        for e in corpus for name in pattern_types(e.pattern)))
+    assert sum(1 for _ in open(log)) > len(corpus)
+
+    parsed, built = [], []
+    parse_events = ingest.parse_events
+    from_events = oracle.GraphOracle.from_events.__func__
+
+    def counted_parse(*args, **kwargs):
+        parsed.append(parse_events(*args, **kwargs))
+        return parsed[-1]
+
+    def counted_build(cls, events):
+        built.append(events)
+        return from_events(cls, events)
+
+    monkeypatch.setattr(ingest, "parse_events", counted_parse)
+    monkeypatch.setattr(oracle.GraphOracle, "from_events", classmethod(counted_build))
+    assert cli.main(["sample", "--events", str(log), "--seeds", corpus[0].author,
+                     "--budget", "5", "--out", str(tmp_path / "run")]) == 0
+    assert len(parsed) == 1 and len(built) == 1
+    assert built[0] is parsed[0]
+    assert len(parsed[0]) == len(corpus)

@@ -2,19 +2,21 @@
 
 A change to the sampler's bookkeeping must not move a single pick, so every
 strategy, both tie-breaks, is pinned on a small blockmodel, plus weighted
-runs on a synthetic engagement corpus. The generated graph and corpus come
-from numpy's random generators, so these digests only change when the
-inputs do (e.g. another numpy version), not when the sampler is refactored.
+runs on a synthetic engagement corpus, plus CLI runs that parse that corpus
+from a JSONL log. The generated graph and corpus come from numpy's random
+generators, so these digests only change when the inputs do (e.g. another
+numpy version), not when the sampler, the parse or the oracle is refactored.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from conftest import make_sbm_oracle
-from tightsample import graph, sampler
+from tightsample import cli, graph, sampler
 from tightsample import interactions as ia
 from tightsample.ingest import synthetic_corpus
 from tightsample.oracle import GraphOracle
@@ -134,6 +136,20 @@ CORPUS_PINNED = {
     ),
 }
 
+# (strategy, weights) -> digests of RUN_FILES of a CLI ``sample --events`` run
+EVENTS_PINNED = {
+    ("MAS", "distinct"): (
+        "51b5ee9f2928a421358854a6dce917fc0a3d99098c97030688310b4cb545aa9c",
+        "1c62ad86ad8426f7802407ed542c12979d3b0d05a5eebb8bd81de31bafa32d1e",
+        "e0d315da5e6f60f8def3f5b8027b5a2159bd9d532e2324170981900541dbc002",
+    ),
+    ("RO", "distinct"): (
+        "fa9063632e7a48e9f460184552dfe4c4f7bea2c150854e785dc73faf569ac619",
+        "b5d6fc827a20e1574985308ac15a56312e0e323f8075efeb26f580fb988f9d38",
+        "37977665ace4cefa0f10f538902216faf5134f433d8efd079d6f15277d53178d",
+    ),
+}
+
 
 def run_digests(oracle, seeds, weights, strategy, tie_break, steps, tmp_path):
     state = sampler.init(seeds, oracle, weights)
@@ -151,11 +167,36 @@ def sbm_digests(strategy, tie_break, tmp_path):
     return run_digests(oracle, seeds, None, strategy, tie_break, 200, tmp_path)
 
 
-def corpus_digests(strategy, tie_break, tmp_path):
+def graph_corpus():
     # interactors renamed into the authors' id space, so engagement forms a graph
-    corpus = [dataclasses.replace(e, interactor="a" + e.interactor[1:])
-              for e in synthetic_corpus(np.random.default_rng(9), n_authors=60,
-                                        n_interactors=60, n_tweets=300, n_events=1500)]
+    return [dataclasses.replace(e, interactor="a" + e.interactor[1:])
+            for e in synthetic_corpus(np.random.default_rng(9), n_authors=60,
+                                      n_interactors=60, n_tweets=300, n_events=1500)]
+
+
+def write_split_log(corpus, path):
+    """Write ``corpus`` as a JSONL log of one row per interaction type, shuffled.
+
+    Every row after a pair's first names another author, which the parse must
+    ignore, and the log also holds a self-engagement, a malformed line and a
+    blank line, which it must drop.
+    """
+    rows = [(e, name) for e in corpus for name in ia.pattern_types(e.pattern)]
+    seen = set()
+    lines = []
+    for i in np.random.default_rng(3).permutation(len(rows)).tolist():
+        e, name = rows[i]
+        author = "x" + e.author if (e.tweet_id, e.interactor) in seen else e.author
+        seen.add((e.tweet_id, e.interactor))
+        lines.append(json.dumps({"tweet_id": e.tweet_id, "author": author,
+                                 "interactor": e.interactor, "types": [name]}))
+    lines[10:10] = ['{"tweet_id": "t0", "author": "a1", "interactor": "a1", "types": "like"}',
+                    "{not json", ""]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def corpus_digests(strategy, tie_break, tmp_path):
+    corpus = graph_corpus()
     oracle = GraphOracle.from_events(corpus)
     seeds = sorted({e.author for e in corpus})[:3]
     weights = ia.load_reference_tables()["distinct"].weights
@@ -171,3 +212,18 @@ def test_sbm_traces_pinned(strategy, tie_break, tmp_path):
 def test_weighted_corpus_traces_pinned(strategy, tie_break, tmp_path):
     assert corpus_digests(strategy, tie_break, tmp_path) == \
         CORPUS_PINNED[strategy, tie_break]
+
+
+@pytest.mark.parametrize("strategy,weights", sorted(EVENTS_PINNED))
+def test_cli_events_log_traces_pinned(strategy, weights, tmp_path):
+    corpus = graph_corpus()
+    log = tmp_path / "events.jsonl"
+    write_split_log(corpus, log)
+    seeds = ",".join(sorted({e.author for e in corpus})[:3])
+    out = tmp_path / "run"
+    assert cli.main(["sample", "--events", str(log), "--seeds", seeds,
+                     "--strategy", strategy, "--weights", weights, "--budget", "50",
+                     "--seed", "11", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in RUN_FILES)
+    assert digests == EVENTS_PINNED[strategy, weights]
