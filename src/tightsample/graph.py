@@ -134,9 +134,15 @@ def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
     return total
 
 
-def _by_target(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row order by (target, source); rows of one pair keep their append order."""
-    return np.lexsort((sources, targets))
+def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
+    """Sort edge rows by (target, source, *minor) and cut them into edges.
+
+    Returns the stable row order and ``edges``, the positions in it where the
+    run of rows of each (target, source) pair begins. Ids must be non-negative.
+    """
+    order = np.lexsort(minor[::-1] + (sources, targets))
+    changed = np.diff(targets[order], prepend=-1) | np.diff(sources[order], prepend=-1)
+    return order, np.flatnonzero(changed)
 
 
 def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
@@ -146,7 +152,7 @@ def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
     """
     sources = np.frombuffer(g.sources, dtype=np.int64)
     targets = np.frombuffer(g.targets, dtype=np.int64)
-    order = _by_target(sources, targets)
+    order, _edges = in_edge_runs(targets, sources)
     columns = (sources[order], targets[order],
                np.frombuffer(g.weights, dtype=np.float64)[order],
                np.frombuffer(g.event_counts, dtype=np.int64)[order])
@@ -179,9 +185,8 @@ def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMa
         g.add_events(ids.intern(source), ids.intern(target), weight, n_events)
     sources = np.frombuffer(g.sources, dtype=np.int64)
     targets = np.frombuffer(g.targets, dtype=np.int64)
-    order = _by_target(sources, targets)
-    sources, targets = sources[order], targets[order]
-    repeats = order[1:][(sources[1:] == sources[:-1]) & (targets[1:] == targets[:-1])]
+    order, edges = in_edge_runs(targets, sources)
+    repeats = np.delete(order, edges)   # every row of a pair but its first
     if repeats.size:
         row = int(repeats.min())   # every line is one row
         raise DataError(f"{path}:{row + 1}: repeats the edge "

@@ -108,18 +108,18 @@ def _types_pattern(names) -> int:
 
 
 def _iter_jsonl(path):
-    """Each non-blank line's JSON value, or None for a line that is not JSON."""
+    """Each non-blank line's number and JSON value (None for a line that is not JSON)."""
     scan = make_scanner(json.JSONDecoder())   # (line, start) -> (value, end)
-    for _lineno, line in read_lines(path, "event log"):
+    for lineno, line in read_lines(path, "event log"):
         line = line.strip()
         if not line:
             continue
         try:
             value, end = scan(line, 0)
         except (StopIteration, ValueError, RecursionError):
-            yield None   # no JSON value, bad JSON, an over-long int, deep nesting
+            yield lineno, None   # no JSON value, bad JSON, an over-long int, deep nesting
             continue
-        yield value if end == len(line) else None
+        yield lineno, value if end == len(line) else None
 
 
 def _iter_csv(path):
@@ -127,8 +127,8 @@ def _iter_csv(path):
     _lineno, header = next(rows, (0, None))
     if header is None or "tweet_id" not in header:
         raise DataError(f"{path}: missing CSV header with tweet_id column")
-    for _lineno, row in rows:
-        yield dict(zip(header, row))
+    for lineno, row in rows:
+        yield lineno, dict(zip(header, row))
 
 
 def parse_events(path, fmt: str | None = None, malformed_cap: float = 0.01) -> EventTable:
@@ -156,12 +156,11 @@ def parse_events_with_report(path, fmt: str | None = None,
     patterns: dict = {}   # types field (a list as a tuple) -> pattern
     columns = tuple(array("q") for _ in range(4))
     add_tweet, add_author, add_interactor, add_pattern = (c.append for c in columns)
-    for row in rows:
+    for lineno, row in rows:
         report.rows += 1
-        if row is None:
-            report.malformed += 1
-            continue
         try:
+            if row is None:
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             tweet = row.get("tweet_id")
             author = row.get("author")
             interactor = row.get("interactor")

@@ -30,7 +30,7 @@ from itertools import count
 
 import numpy as np
 
-from .graph import DiscoveredGraph, induced_subgraph
+from .graph import DiscoveredGraph, in_edge_runs, induced_subgraph
 from .sampler import SampleTrace
 from .util import ConfigError, DataError
 
@@ -128,9 +128,8 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
     sources = np.searchsorted(nodes, np.frombuffer(g.sources, dtype=np.int64))
     targets = np.searchsorted(nodes, np.frombuffer(g.targets, dtype=np.int64))
     # in-edge CSR: edge sources grouped by target, one segment per target
-    order = np.argsort(targets, kind="stable")
-    sources = sources[order]
-    targets = targets[order]
+    order, _edges = in_edge_runs(targets, sources)
+    sources, targets = sources[order], targets[order]
     starts = np.flatnonzero(np.diff(targets, prepend=-1))
     heads = targets[starts]
 

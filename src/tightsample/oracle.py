@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import threading
+from itertools import chain
 
 import numpy as np
 
-from .graph import IdMap
+from .graph import IdMap, in_edge_runs
 from .ingest import EventTable
 from .interactions import PLAIN_EDGE
 from .util import DataError, read_lines
@@ -31,62 +32,71 @@ def _string_ranks(strings: list[str]) -> np.ndarray:
     return ranks
 
 
-def _starts(*keys: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal ``keys`` rows begins, in rows sorted by them."""
-    new = np.zeros(len(keys[0]), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        new[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(new)
-
-
-def _plain_in_adjacency(sources: dict[int, list[int]]) -> dict:
-    """Plain-edge in-adjacency from in-neighbour ids: sorted, no repeats or self-loops."""
-    plain = (PLAIN_EDGE,)
-    return {v: tuple((u, plain) for u in sorted(set(srcs)) if u != v)
-            for v, srcs in sources.items()}
-
-
 class GraphOracle:
     """In-neighborhood oracle over one of three backings.
 
     Backings: an in-memory generated graph (undirected edges served in both
-    directions), a directed edge-list file, or an engagement-event index.
-    ``in_neighbors`` is read-only on the backing and safe for concurrent
-    callers; the access log append is lock-protected.
+    directions), a directed edge-list file, or an engagement-event index,
+    each held as one in-edge CSR. ``in_neighbors`` is read-only on the
+    backing and safe for concurrent callers; the access log append is
+    lock-protected.
     """
 
-    def __init__(self, in_adj: dict, ids: IdMap):
-        self._in = in_adj
+    # -- construction --------------------------------------------------
+
+    def __init__(self, ids: IdMap, targets: np.ndarray, sources: np.ndarray,
+                 patterns: np.ndarray | None = None, tweet_rank: np.ndarray | None = None):
+        """The in-edge CSR of the rows ``sources[i] -> targets[i]`` (internal ids).
+
+        Self-loops are dropped and the rows of one (target, source) pair make one
+        edge: ``v``'s in-neighbours are ``_sources[_indptr[v]:_indptr[v + 1]]``,
+        ascending, and ``_patterns`` holds their pattern tuples: ``(PLAIN_EDGE,)``
+        when ``patterns`` is None, else the rows' patterns in ``tweet_rank`` order.
+        """
+        kept = targets != sources
+        targets, sources = targets[kept], sources[kept]
+        minor = () if tweet_rank is None else (tweet_rank[kept],)
+        order, edges = in_edge_runs(targets, sources, *minor)
+        if patterns is None:
+            self._patterns = [(PLAIN_EDGE,)] * len(edges)
+        else:
+            patterns = patterns[kept][order].tolist()
+            bounds = edges.tolist() + [len(patterns)]
+            self._patterns = [tuple(patterns[i:k]) for i, k in zip(bounds, bounds[1:])]
+        edges = order[edges]
+        self._indptr = np.searchsorted(targets[edges], np.arange(len(ids) + 1)).tolist()
+        # one int object per node, shared by its edges: less memory, identity-hit lookups
+        self._sources = np.arange(len(ids)).astype(object)[sources[edges]].tolist()
         self.ids = ids
         self._discoverable: set[int] = set()
         self._log: list[int] = []
         self._lock = threading.Lock()
 
-    # -- construction --------------------------------------------------
-
     @classmethod
     def from_undirected_edges(cls, edges, n_nodes: int | None = None) -> "GraphOracle":
-        """Serve an undirected simple graph as two directed plain edges each.
+        """Serve an undirected graph as two directed plain edges each.
 
-        Nodes are the integers 0..n-1; external and internal ids coincide.
+        Internal ids go to nodes by first appearance, ``u`` before ``v`` edge by
+        edge, after 0..n_nodes-1 when ``n_nodes`` is given, so node ``i`` of a
+        generated graph has internal id ``i``. Repeats and self-loops are dropped.
         """
         ids = IdMap()
         if n_nodes is not None:
             for v in range(n_nodes):
                 ids.intern(v)
-        sources: dict[int, list[int]] = {}
-        for u, v in edges:
-            ui, vi = ids.intern(u), ids.intern(v)
-            sources.setdefault(vi, []).append(ui)
-            sources.setdefault(ui, []).append(vi)
-        return cls(_plain_in_adjacency(sources), ids)
+        codes = np.fromiter(map(ids.intern, chain.from_iterable(edges)), dtype=np.int64)
+        u, v = codes[0::2], codes[1::2]
+        return cls(ids, np.concatenate((v, u)), np.concatenate((u, v)))
 
     @classmethod
     def from_edgelist(cls, path) -> "GraphOracle":
-        """Directed edge-list TSV backing: one ``source<TAB>target`` per line."""
+        """Directed edge-list TSV backing: one ``source<TAB>target`` per line.
+
+        Internal ids go to nodes in order of first appearance, source before
+        target. Repeated lines and self-loops are dropped.
+        """
         ids = IdMap()
-        sources: dict[int, list[int]] = {}
+        codes = []
         for lineno, line in read_lines(path, "edge list"):
             line = line.rstrip("\n")
             if not line:
@@ -94,9 +104,11 @@ class GraphOracle:
             parts = line.split("\t")
             if len(parts) < 2:
                 raise DataError(f"{path}:{lineno}: expected source<TAB>target")
-            src = ids.intern(parts[0])
-            sources.setdefault(ids.intern(parts[1]), []).append(src)
-        return cls(_plain_in_adjacency(sources), ids)
+            if not parts[0] or not parts[1]:
+                raise DataError(f"{path}:{lineno}: empty node id")
+            codes += ids.intern(parts[0]), ids.intern(parts[1])
+        codes = np.array(codes, dtype=np.int64)
+        return cls(ids, codes[1::2], codes[0::2])
 
     @classmethod
     def from_events(cls, events) -> "GraphOracle":
@@ -121,26 +133,8 @@ class GraphOracle:
             ids.intern(events.users[code])
         internal = np.empty(len(events.users), dtype=np.int64)
         internal[codes] = np.arange(len(codes))
-        author, interactor = internal[events.author], internal[events.interactor]
-        engaged = author != interactor
-        author, interactor = author[engaged], interactor[engaged]
-        tweet_rank = _string_ranks(events.tweets)[events.tweet[engaged]]
-
-        # sorted by (author, interactor, tweet id string): an answer per run of one
-        # author, an edge per run of one (author, interactor)
-        order = np.lexsort((tweet_rank, interactor, author))
-        author, interactor = author[order], interactor[order]
-        patterns = events.pattern[engaged][order].tolist()
-        edges = _starts(author, interactor)
-        bounds = edges.tolist() + [len(patterns)]
-        answers = list(zip(interactor[edges].tolist(),
-                           (tuple(patterns[i:k]) for i, k in zip(bounds, bounds[1:]))))
-        targets = author[edges]
-        heads = _starts(targets)
-        bounds = heads.tolist() + [len(answers)]
-        in_adj = {v: tuple(answers[i:k])
-                  for v, i, k in zip(targets[heads].tolist(), bounds, bounds[1:])}
-        return cls(in_adj, ids)
+        return cls(ids, internal[events.author], internal[events.interactor],
+                   events.pattern, _string_ranks(events.tweets)[events.tweet])
 
     # -- seed declaration and queries -----------------------------------
 
@@ -168,10 +162,10 @@ class GraphOracle:
             raise UnknownNodeError(f"node not discoverable: {ext!r}")
         with self._lock:
             self._log.append(v)
-        answer = self._in.get(v, ())
-        for u, _patterns in answer:
-            self._discoverable.add(u)
-        return answer
+        i, k = self._indptr[v], self._indptr[v + 1]
+        sources = self._sources[i:k]
+        self._discoverable.update(sources)
+        return tuple(zip(sources, self._patterns[i:k]))
 
     # -- audit ----------------------------------------------------------
 

@@ -1,205 +1,11 @@
-"""Shared fixtures and independent brute-force oracles.
-
-The brute-force implementations here deliberately avoid the package's own
-data structures and algorithms so they can serve as independent checks.
-"""
+"""Shared fixtures; the reference implementations are in ``reference.py``."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
-from tightsample import sbm, sampler
-from tightsample.ingest import EngagementEvent, ParseReport
-from tightsample.interactions import pattern_of
-from tightsample.oracle import GraphOracle
-from tightsample.util import DataError, read_csv, read_lines
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-
-
-def brute_nested_counts(patterns):
-    """Count, for every pattern x, the events whose pattern is a superset."""
-    out = {}
-    for x in range(1, 16):
-        out[x] = sum(1 for p in patterns if p & x == x)
-    return {x: n for x, n in out.items() if n}
-
-
-def brute_sse(candidate, tables):
-    """Sum of squared errors of a candidate table against several tables."""
-    patterns = set(candidate)
-    for t in tables:
-        patterns |= set(t)
-    total = 0.0
-    for x in patterns:
-        for t in tables:
-            total += (candidate.get(x, 0.0) - t.get(x, 0.0)) ** 2
-    return total
-
-
-def brute_local_clustering(nodes, edge_pairs):
-    """Directed local clustering by scanning all edges per node."""
-    edge_set = set(edge_pairs)
-    per_node = {}
-    for i in nodes:
-        nbrs = {s for s, t in edge_set if t == i} | {t for s, t in edge_set if s == i}
-        nbrs.discard(i)
-        deg = len(nbrs)
-        if deg < 2:
-            per_node[i] = 0.0
-            continue
-        links = sum(1 for j in nbrs for k in nbrs if j != k and (j, k) in edge_set)
-        per_node[i] = links / (deg * (deg - 1))
-    return per_node
-
-
-def brute_global_clustering(nodes, edge_pairs):
-    """Transitivity by enumerating every unordered node triple."""
-    und = {}
-    for s, t in edge_pairs:
-        if s != t:
-            und.setdefault(s, set()).add(t)
-            und.setdefault(t, set()).add(s)
-    nodes = sorted(nodes)
-    closed = open_ = 0
-    for ai in range(len(nodes)):
-        for bi in range(ai + 1, len(nodes)):
-            for ci in range(bi + 1, len(nodes)):
-                a, b, c = nodes[ai], nodes[bi], nodes[ci]
-                links = ((b in und.get(a, ())) + (c in und.get(a, ()))
-                         + (c in und.get(b, ())))
-                if links == 3:
-                    closed += 3
-                elif links == 2:
-                    open_ += 1
-    total = closed + open_
-    return closed / total if total else 0.0
-
-
-def brute_all_pairs(nodes, edge_pairs):
-    """Floyd-Warshall min-plus; returns (sum of finite dists, reachable pairs)."""
-    nodes = sorted(nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for s, t in edge_pairs:
-        if s != t:
-            dist[idx[s], idx[t]] = 1.0
-    for k in range(n):
-        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
-    off = ~np.eye(n, dtype=bool)
-    finite = np.isfinite(dist) & off
-    return dist[finite].sum(), int(finite.sum())
-
-
-def brute_priorities(state):
-    """Outsider priorities and boundary by a full scan of the discovered graph."""
-    prio = {}
-    g = state.discovered
-    for s, t, weight in zip(g.sources, g.targets, g.weights):
-        if t in state.insiders and s not in state.insiders:
-            prio[s] = prio.get(s, 0.0) + weight
-    return prio, sum(prio.values())
-
-
-def random_digraph(rng, n, p):
-    """Directed simple random graph as a list of (u, v) pairs, u != v."""
-    pairs = []
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < p:
-                pairs.append((u, v))
-    return pairs
-
-
-def reference_parse_events(path, fmt=None, malformed_cap=0.01):
-    """Row-at-a-time event-log parse: a dict of merged events, one row after another.
-
-    Returns ``(events, report)`` as ``ingest.parse_events_with_report`` does.
-    """
-    if fmt is None:
-        fmt = "csv" if str(path).endswith(".csv") else "jsonl"
-    if fmt == "jsonl":
-        def rows():
-            for _lineno, line in read_lines(path, "event log"):
-                line = line.strip()
-                if line:
-                    try:
-                        yield json.loads(line)
-                    except (ValueError, RecursionError):
-                        yield None
-    else:
-        def rows():
-            lines = read_csv(path, "event log")
-            _lineno, header = next(lines, (0, None))
-            if header is None or "tweet_id" not in header:
-                raise DataError(f"{path}: missing CSV header with tweet_id column")
-            for _lineno, row in lines:
-                yield dict(zip(header, row))
-
-    report = ParseReport()
-    merged = {}
-    for row in rows():
-        report.rows += 1
-        if row is None:
-            report.malformed += 1
-            continue
-        try:
-            tweet, author = row.get("tweet_id"), row.get("author")
-            interactor, names = row.get("interactor"), row.get("types")
-            if not tweet or not author or not interactor or not names:
-                raise ValueError("missing field")
-            if isinstance(names, str):
-                names = names.split("|")
-            pattern = pattern_of(t.strip() for t in names if t and t.strip())
-            tweet, author, interactor = str(tweet), str(author), str(interactor)
-        except (ValueError, AttributeError, TypeError) as exc:
-            report.malformed += 1
-            if len(report.samples) < 5:
-                report.samples.append(str(exc))
-            continue
-        if author == interactor:
-            continue
-        prev = merged.get((tweet, interactor))
-        if prev is not None:
-            author, pattern = prev.author, prev.pattern | pattern
-        merged[tweet, interactor] = EngagementEvent(tweet, author, interactor, pattern)
-    if report.rows and report.malformed / report.rows > malformed_cap:
-        raise DataError(f"{path}: {report.malformed}/{report.rows} malformed rows")
-    return list(merged.values()), report
-
-
-def reference_in_adjacency(events):
-    """``(external ids in internal-id order, {author id: answer})`` of an event oracle.
-
-    Ids are assigned author then interactor over the events in order; an
-    answer lists ``(interactor id, patterns)`` by ascending id, the patterns
-    ordered by ``str(tweet_id)``.
-    """
-    ext2int, int2ext = {}, []
-    per_author = {}
-    for e in events:
-        for ext in (e.author, e.interactor):
-            if ext not in ext2int:
-                ext2int[ext] = len(int2ext)
-                int2ext.append(ext)
-        a, j = ext2int[e.author], ext2int[e.interactor]
-        if a != j:
-            per_author.setdefault(a, {}).setdefault(j, []).append((e.tweet_id, e.pattern))
-    in_adj = {a: tuple((j, tuple(p for _t, p in sorted(evs, key=lambda tp: str(tp[0]))))
-                       for j, evs in sorted(by_src.items()))
-              for a, by_src in per_author.items()}
-    return int2ext, in_adj
-
-
-# ---------------------------------------------------------------------------
-# fixtures
+from reference import make_sbm_oracle
 
 
 @pytest.fixture
@@ -207,25 +13,8 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def make_sbm_oracle(sizes, k_intra, r, graph_seed, seeds_per_block=1, seed_rng=0):
-    """Generate an SBM, pick per-block seeds, and wrap it in an oracle."""
-    cfg = sbm.BlockModelConfig(tuple(sizes), k_intra, r, graph_seed)
-    matrix = sbm.derive_block_matrix(cfg)
-    edges, labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
-    seed_cfg = sbm.SeedConfig((seeds_per_block,) * len(sizes), rng_seed=seed_rng)
-    seeds = sbm.select_seeds(labels, seed_cfg)
-    oracle = GraphOracle.from_undirected_edges(edges, n_nodes=sum(sizes))
-    return oracle, seeds, labels, edges
-
-
 @pytest.fixture
 def small_sbm():
     """4 blocks x 60 nodes, r=4: small but structured."""
     return make_sbm_oracle((60,) * 4, 6, 4.0, graph_seed=17, seed_rng=5)
 
-
-def run_strategy(oracle_seeds, strategy, steps, run_seed, weights=None):
-    oracle, seeds = oracle_seeds
-    state = sampler.init(seeds, oracle, weights)
-    trace = sampler.run(state, strategy, steps=steps, rng_seed=run_seed)
-    return state, trace

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import brute_all_pairs, brute_nested_counts, make_sbm_oracle
+from reference import brute_all_pairs, brute_nested_counts, make_sbm_oracle
 from tightsample import interactions as ia
 from tightsample import metrics, sampler, sbm
 from tightsample.ingest import synthetic_corpus

@@ -320,6 +320,8 @@ BAD_INPUTS = {
                    "k_intra=nan"),
     "undirected-utf8": ("undirected.tsv", b"0\t1\n\xff\t2\n", 3, "undirected.tsv:2:"),
     "edgelist-utf8": ("edgelist.tsv", b"0\t1\n1\t\xfe\n", 3, "edgelist.tsv:2:"),
+    "edgelist-empty-id": ("edgelist.tsv", b"0\t1\n\t1\n", 3,
+                          "edgelist.tsv:2: empty node id"),
     "events-jsonl-utf8": ("events.jsonl", b'{"tweet_id": "t"}\n\xff\n', 3,
                           "events.jsonl:2:"),
     "events-jsonl-int": ("events.jsonl", b"1" * 5000 + b"\n", 3, "events.jsonl:"),
@@ -578,6 +580,15 @@ def test_calibrate_trim_out_of_range_exits_2(tmp_path):
         assert code == 2, (trim, err)
         assert "Traceback" not in err
         assert "trim_quantile" in err, err
+
+
+def test_calibrate_names_a_line_that_is_not_json(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{bad\n{worse\n")
+    code, err = run_cli_process("calibrate", bad, "--out", tmp_path / "cal")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"{bad}:1: not a JSON object" in err, err
 
 
 def test_calibrate_empty_corpus_exits_2(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_in_adjacency, reference_parse_events
+from reference import reference_in_adjacency, reference_parse_events
 from tightsample import ingest
 from tightsample.oracle import GraphOracle
 from tightsample.util import DataError

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_nested_counts, brute_sse
+from reference import brute_nested_counts, brute_sse
 from tightsample import interactions as ia
 from tightsample.util import ConfigError, DataError
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (
+from reference import (
     brute_all_pairs,
     brute_global_clustering,
     brute_local_clustering,

@@ -1,8 +1,13 @@
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import reference_plain_in_adjacency
 from tightsample import interactions as ia
 from tightsample.ingest import EngagementEvent
 from tightsample.oracle import GraphOracle, UnknownNodeError
@@ -18,6 +23,36 @@ def test_generated_backing_serves_both_directions():
     oracle2 = GraphOracle.from_undirected_edges([(3, 7)], n_nodes=8)
     oracle2.declare_seeds([3])
     assert [u for u, _ev in oracle2.in_neighbors(3)] == [7]
+
+
+def test_undirected_ids_follow_first_appearance_without_n_nodes():
+    # the CLI passes n_nodes=None, and ordered traces depend on this id order
+    oracle = GraphOracle.from_undirected_edges([(0, 5), (0, 1)])
+    assert [oracle.ids.external(v) for v in range(3)] == [0, 5, 1]
+    oracle = GraphOracle.from_undirected_edges([(0, 5), (0, 1)], n_nodes=6)
+    assert [oracle.ids.external(v) for v in range(6)] == list(range(6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+       n_nodes=st.sampled_from([None, 12]))
+def test_plain_backings_match_reference(pairs, n_nodes):
+    # small id pools: lines repeat, edges appear in both orientations, self-loops
+    # occur, and with n_nodes some nodes have no edge at all
+    undirected = GraphOracle.from_undirected_edges(pairs, n_nodes=n_nodes)
+    both_ways = [p for u, v in pairs for p in ((u, v), (v, u))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_text("".join(f"n{u}\tn{v}\n" for u, v in pairs))
+        directed = GraphOracle.from_edgelist(path)
+    named = [(f"n{u}", f"n{v}") for u, v in pairs]
+    for oracle, (externals, in_adj) in (
+            (undirected, reference_plain_in_adjacency(both_ways, range(n_nodes or 0))),
+            (directed, reference_plain_in_adjacency(named))):
+        assert [oracle.ids.external(v) for v in range(len(oracle.ids))] == externals
+        everyone = oracle.declare_seeds(externals)
+        assert {v: oracle.in_neighbors(v) for v in everyone} == \
+            {v: in_adj.get(v, ()) for v in everyone}
 
 
 def test_event_backing_builds_patterns():

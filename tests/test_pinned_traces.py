@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_sbm_oracle
+from reference import make_sbm_oracle
 from tightsample import cli, graph, sampler
 from tightsample import interactions as ia
 from tightsample.ingest import synthetic_corpus

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_priorities, make_sbm_oracle
+from reference import brute_priorities, make_sbm_oracle
 from tightsample import interactions as ia
 from tightsample import sampler
 from tightsample.ingest import EngagementEvent, synthetic_corpus
