@@ -131,8 +131,7 @@ def cmd_gen_sbm(args) -> int:
     edges, labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
     out = _out_dir(args.out)
     sbm.write_edges_tsv(out / "edges.tsv", edges)
-    graph.write_labels_csv(out / "labels.csv", {v: int(labels[v])
-                                                for v in range(len(labels))})
+    graph.write_labels_csv(out / "labels.csv", dict(enumerate(labels.tolist())))
     sbm.write_config(out / "sbm.cfg", cfg, seed_cfg)
     stats = sbm.realized_block_stats(edges, labels)
     print(f"generated {len(labels)} nodes, {len(edges)} undirected edges "

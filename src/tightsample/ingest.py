@@ -24,6 +24,9 @@ from .interactions import pattern_of, pattern_types
 from .util import ConfigError, DataError, read_csv, read_lines
 
 
+_FIELDS = ("tweet_id", "author", "interactor", "types")   # a missing one is named in this order
+
+
 @dataclass(frozen=True, slots=True)
 class EngagementEvent:
     """One (tweet, interactor) engagement; ``pattern`` is its type bit vector."""
@@ -159,14 +162,12 @@ def parse_events_with_report(path, fmt: str | None = None,
     for lineno, row in rows:
         report.rows += 1
         try:
-            if row is None:
-                raise ValueError(f"{path}:{lineno}: not a JSON object")
-            tweet = row.get("tweet_id")
-            author = row.get("author")
-            interactor = row.get("interactor")
-            names = row.get("types")
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            tweet, author = row.get("tweet_id"), row.get("author")
+            interactor, names = row.get("interactor"), row.get("types")
             if not tweet or not author or not interactor or not names:
-                raise ValueError("missing field")
+                raise ValueError(f"missing field {next(f for f in _FIELDS if not row.get(f))}")
             key = tuple(names) if type(names) is list else names
             try:
                 pattern = patterns[key]
@@ -178,7 +179,7 @@ def parse_events_with_report(path, fmt: str | None = None,
         except (ValueError, AttributeError, TypeError) as exc:
             report.malformed += 1
             if len(report.samples) < 5:
-                report.samples.append(str(exc))
+                report.samples.append(f"{path}:{lineno}: {exc}")
             continue
         if author == interactor:
             continue

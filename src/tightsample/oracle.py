@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import threading
-from itertools import chain
 
 import numpy as np
 
@@ -76,16 +75,20 @@ class GraphOracle:
     def from_undirected_edges(cls, edges, n_nodes: int | None = None) -> "GraphOracle":
         """Serve an undirected graph as two directed plain edges each.
 
+        ``edges`` is an ``(m, 2)`` int array or a sequence of ``(u, v)`` int pairs.
         Internal ids go to nodes by first appearance, ``u`` before ``v`` edge by
         edge, after 0..n_nodes-1 when ``n_nodes`` is given, so node ``i`` of a
         generated graph has internal id ``i``. Repeats and self-loops are dropped.
         """
         ids = IdMap()
-        if n_nodes is not None:
-            for v in range(n_nodes):
-                ids.intern(v)
-        codes = np.fromiter(map(ids.intern, chain.from_iterable(edges)), dtype=np.int64)
-        u, v = codes[0::2], codes[1::2]
+        for v in range(n_nodes or 0):
+            ids.intern(v)
+        nodes, first, codes = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                                        return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        internal = np.empty(len(nodes), dtype=np.int64)
+        internal[by_first] = [ids.intern(x) for x in nodes[by_first].tolist()]
+        u, v = internal[codes.reshape(-1, 2)].T
         return cls(ids, np.concatenate((v, u)), np.concatenate((u, v)))
 
     @classmethod
@@ -98,7 +101,7 @@ class GraphOracle:
         ids = IdMap()
         codes = []
         for lineno, line in read_lines(path, "edge list"):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split("\t")

@@ -12,10 +12,13 @@ both directions.
 
 from __future__ import annotations
 
+import contextlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import WRITE_CHUNK
 from .util import ConfigError, DataError, read_lines
 
 SEED_SELECTIONS = ("uniform-random", "low-degree", "high-degree")
@@ -91,65 +94,58 @@ def block_offsets(block_sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(block_sizes)])
 
 
-def _distinct_uniform(rng: np.random.Generator, n_choices: int, m: int) -> list[int]:
-    """m distinct uniform draws from range(n_choices)."""
+def _distinct_uniform(rng: np.random.Generator, n_choices: int, m: int) -> np.ndarray:
+    """m distinct uniform draws from range(n_choices), as an int64 array."""
     if m > n_choices:
         raise ConfigError("cannot draw more distinct values than exist")
     if m * 2 >= n_choices:
-        return [int(x) for x in rng.permutation(n_choices)[:m]]
-    seen: set[int] = set()
-    while len(seen) < m:
-        batch = rng.integers(n_choices, size=max(16, 2 * (m - len(seen))))
-        for x in batch.tolist():
-            if len(seen) >= m:
-                break
-            seen.add(x)
-    return sorted(seen)
+        return rng.permutation(n_choices)[:m]
+    drawn = np.empty(0, dtype=np.int64)
+    while len(drawn) < m:
+        batch = rng.integers(n_choices, size=max(16, 2 * (m - len(drawn))))
+        values, first = np.unique(batch, return_index=True)
+        first = np.sort(first[~np.isin(values, drawn)])[:m - len(drawn)]
+        drawn = np.concatenate((drawn, batch[first]))
+    return drawn
 
 
 def generate(matrix: np.ndarray, block_sizes, rng_seed: int):
     """Sample an undirected simple graph from a block matrix.
 
-    Returns (edges, labels): edges is a sorted list of (u, v) with u < v,
-    labels a numpy array mapping node -> block index. Deterministic for a
-    given rng_seed. Each unordered pair appears independently with the
-    probability of its block pair.
+    Returns (edges, labels): edges is an ``(m, 2)`` int64 array of rows (u, v)
+    with u < v, sorted by (u, v); labels a numpy array mapping node -> block
+    index. Deterministic for a given rng_seed. Each unordered pair appears
+    independently with the probability of its block pair.
     """
     sizes = [int(s) for s in block_sizes]
     rng = np.random.default_rng(rng_seed)
-    offsets = block_offsets(sizes)
+    offsets = block_offsets(sizes).tolist()
     b = len(sizes)
     labels = np.repeat(np.arange(b), sizes)
-    edges: list[tuple[int, int]] = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
 
     for i in range(b):
         n_i = sizes[i]
-        base_i = int(offsets[i])
         n_pairs = n_i * (n_i - 1) // 2
         if n_pairs:
             m = int(rng.binomial(n_pairs, float(matrix[i, i])))
-            for k in _distinct_uniform(rng, n_pairs, m):
-                # invert the row-major upper-triangle index
-                row = int((2 * n_i - 1 - np.sqrt((2 * n_i - 1) ** 2 - 8 * k)) // 2)
-                col = k - row * (2 * n_i - row - 1) // 2 + row + 1
-                edges.append((base_i + row, base_i + col))
+            k = _distinct_uniform(rng, n_pairs, m)
+            # invert the row-major upper-triangle index
+            row = ((2 * n_i - 1 - np.sqrt((2 * n_i - 1) ** 2 - 8 * k)) // 2).astype(np.int64)
+            col = k - row * (2 * n_i - row - 1) // 2 + row + 1
+            blocks.append(offsets[i] + np.column_stack((row, col)))
         for j in range(i + 1, b):
             n_j = sizes[j]
-            base_j = int(offsets[j])
             m = int(rng.binomial(n_i * n_j, float(matrix[i, j])))
-            for k in _distinct_uniform(rng, n_i * n_j, m):
-                edges.append((base_i + k // n_j, base_j + k % n_j))
+            k = _distinct_uniform(rng, n_i * n_j, m)
+            blocks.append(np.column_stack((offsets[i] + k // n_j, offsets[j] + k % n_j)))
 
-    edges.sort()
-    return edges, labels
+    edges = np.concatenate(blocks)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))], labels
 
 
-def degrees_from_edges(edges, n_nodes: int) -> np.ndarray:
-    deg = np.zeros(n_nodes, dtype=np.int64)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+def degrees_from_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    return np.bincount(edges.ravel(), minlength=n_nodes)
 
 
 def select_seeds(labels: np.ndarray, seed_cfg: SeedConfig,
@@ -192,15 +188,10 @@ def realized_block_stats(edges, labels: np.ndarray) -> dict:
     """Per-block intra edge counts, mean intra degrees, and intra/inter ratios."""
     b = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=b)
-    intra = np.zeros(b, dtype=np.int64)
-    inter = np.zeros(b, dtype=np.int64)
-    for u, v in edges:
-        bu, bv = labels[u], labels[v]
-        if bu == bv:
-            intra[bu] += 1
-        else:
-            inter[bu] += 1
-            inter[bv] += 1
+    ends = labels[edges]   # the block of each endpoint
+    within = ends[:, 0] == ends[:, 1]
+    intra = np.bincount(ends[within, 0], minlength=b)
+    inter = np.bincount(ends[~within].ravel(), minlength=b)
     mean_intra_degree = 2.0 * intra / sizes
     with np.errstate(divide="ignore"):
         ratio = np.where(inter > 0, intra / np.maximum(inter, 1), np.inf)
@@ -212,24 +203,40 @@ def realized_block_stats(edges, labels: np.ndarray) -> dict:
 # file formats
 
 
-def write_edges_tsv(path, edges) -> None:
+def write_edges_tsv(path, edges: np.ndarray) -> None:
+    """One ``u<TAB>v`` line per row of ``edges``, written :data:`WRITE_CHUNK` at a time."""
     with open(path, "w", newline="") as fh:
-        for u, v in edges:
-            fh.write(f"{u}\t{v}\n")
+        for start in range(0, len(edges), WRITE_CHUNK):
+            chunk = edges[start:start + WRITE_CHUNK]
+            fh.write("%d\t%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def read_edges_tsv(path) -> list[tuple[int, int]]:
-    edges = []
+def read_edges_tsv(path) -> np.ndarray:
+    """The ``(m, 2)`` int64 array of a ``u<TAB>v`` edge list (blank lines skipped).
+
+    A bad line, a node id outside int64 or a non-UTF-8 line is a DataError naming it.
+    """
+    # newline="\n" keeps a lone \r inside its line, which loadtxt then refuses
+    with contextlib.suppress(OSError, ValueError), warnings.catch_warnings(), \
+            open(path, encoding="utf-8", newline="\n") as fh:
+        warnings.simplefilter("ignore", UserWarning)   # an empty file
+        edges = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+        if edges.shape[1] == 2:
+            return edges
+    # name the bad line, or take what int() takes and loadtxt refuses ('1_0', an end tab)
+    pairs = []
     for lineno, line in read_lines(path, "edge list"):
         line = line.strip()
         if line:
             try:
-                u, v = line.split("\t")
-                edges.append((int(u), int(v)))
+                u, v = map(int, line.split("\t"))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: expected two tab-separated "
                                 f"integer fields") from None
-    return edges
+            if not -2**63 <= min(u, v) <= max(u, v) < 2**63:
+                raise DataError(f"{path}:{lineno}: node id outside int64")
+            pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def write_config(path, cfg: BlockModelConfig, seed_cfg: SeedConfig | None = None) -> None:

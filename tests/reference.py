@@ -147,16 +147,14 @@ def reference_parse_events(path, fmt=None, malformed_cap=0.01):
     merged = {}
     for lineno, row in rows():
         report.rows += 1
-        if row is None:
-            report.malformed += 1
-            if len(report.samples) < 5:
-                report.samples.append(f"{path}:{lineno}: not a JSON object")
-            continue
         try:
-            tweet, author = row.get("tweet_id"), row.get("author")
-            interactor, names = row.get("interactor"), row.get("types")
-            if not tweet or not author or not interactor or not names:
-                raise ValueError("missing field")
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            for name in ("tweet_id", "author", "interactor", "types"):
+                if not row.get(name):
+                    raise ValueError(f"missing field {name}")
+            tweet, author = row["tweet_id"], row["author"]
+            interactor, names = row["interactor"], row["types"]
             if isinstance(names, str):
                 names = names.split("|")
             pattern = pattern_of(t.strip() for t in names if t and t.strip())
@@ -164,7 +162,7 @@ def reference_parse_events(path, fmt=None, malformed_cap=0.01):
         except (ValueError, AttributeError, TypeError) as exc:
             report.malformed += 1
             if len(report.samples) < 5:
-                report.samples.append(str(exc))
+                report.samples.append(f"{path}:{lineno}: {exc}")
             continue
         if author == interactor:
             continue
@@ -219,6 +217,62 @@ def reference_plain_in_adjacency(pairs, first_ids=()):
     plain = (PLAIN_EDGE,)
     return int2ext, {v: tuple((u, plain) for u in sorted(set(srcs)) if u != v)
                      for v, srcs in sources.items()}
+
+
+def reference_distinct_uniform(rng, n_choices, m):
+    """m distinct uniform draws from range(n_choices), one Python int at a time."""
+    if m * 2 >= n_choices:
+        return [int(x) for x in rng.permutation(n_choices)[:m]]
+    seen = set()
+    while len(seen) < m:
+        batch = rng.integers(n_choices, size=max(16, 2 * (m - len(seen))))
+        for x in batch.tolist():
+            if len(seen) >= m:
+                break
+            seen.add(x)
+    return sorted(seen)
+
+
+def reference_generate(matrix, block_sizes, rng_seed):
+    """Row-at-a-time blockmodel: ``(sorted list of (u, v), labels)``, as ``sbm.generate``."""
+    sizes = [int(s) for s in block_sizes]
+    rng = np.random.default_rng(rng_seed)
+    offsets = sbm.block_offsets(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    edges = []
+    for i, n_i in enumerate(sizes):
+        base_i = int(offsets[i])
+        n_pairs = n_i * (n_i - 1) // 2
+        if n_pairs:
+            m = int(rng.binomial(n_pairs, float(matrix[i, i])))
+            for k in reference_distinct_uniform(rng, n_pairs, m):
+                # invert the row-major upper-triangle index
+                row = int((2 * n_i - 1 - np.sqrt((2 * n_i - 1) ** 2 - 8 * k)) // 2)
+                col = k - row * (2 * n_i - row - 1) // 2 + row + 1
+                edges.append((base_i + row, base_i + col))
+        for j in range(i + 1, len(sizes)):
+            n_j = sizes[j]
+            base_j = int(offsets[j])
+            m = int(rng.binomial(n_i * n_j, float(matrix[i, j])))
+            for k in reference_distinct_uniform(rng, n_i * n_j, m):
+                edges.append((base_i + k // n_j, base_j + k % n_j))
+    edges.sort()
+    return edges, labels
+
+
+def reference_read_edges_tsv(path):
+    """Line-at-a-time ``u<TAB>v`` reader: a list of int pairs, as ``sbm.read_edges_tsv``."""
+    edges = []
+    for lineno, line in read_lines(path, "edge list"):
+        line = line.strip()
+        if line:
+            try:
+                u, v = line.split("\t")
+                edges.append((int(u), int(v)))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected two tab-separated "
+                                f"integer fields") from None
+    return edges
 
 
 def make_sbm_oracle(sizes, k_intra, r, graph_seed, seeds_per_block=1, seed_rng=0):

@@ -193,6 +193,22 @@ def test_undirected_edges_listed_both_ways_count_once(net_dir, tmp_path):
             (tmp_path / "both" / output).read_bytes()
 
 
+@pytest.mark.parametrize("backing", ["--edges", "--undirected"])
+def test_crlf_edge_list_samples_as_lf(net_dir, tmp_path, backing):
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lines = (net_dir / "edges.tsv").read_text().splitlines()
+    lf.write_text("".join(f"{line}\n" for line in lines) +   # both ways, for --edges
+                  "".join("{1}\t{0}\n".format(*line.split("\t")) for line in lines))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for name, path in (("lf", lf), ("crlf", crlf)):
+        assert run_cli("sample", backing, path, "--seeds", seed_args(net_dir),
+                       "--budget", "60", "--out", tmp_path / name) == 0
+    for output in ("trace.csv", "discovered.tsv", "access_log.csv"):
+        assert (tmp_path / "lf" / output).read_bytes() == \
+            (tmp_path / "crlf" / output).read_bytes()
+    assert len((tmp_path / "crlf" / "trace.csv").read_text().splitlines()) == 61
+
+
 @pytest.mark.parametrize("argv", [  # the bad value comes last
     ["gen-sbm", "--sizes", "abc"],
     ["sweep", "--sizes", "50x2", "--budget", "5", "--r-list", "1,x"],
@@ -319,6 +335,8 @@ BAD_INPUTS = {
     "config-nan": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = nan\nr = 4\n", 2,
                    "k_intra=nan"),
     "undirected-utf8": ("undirected.tsv", b"0\t1\n\xff\t2\n", 3, "undirected.tsv:2:"),
+    "undirected-int64": ("undirected.tsv", b"0\t1\n1\t9223372036854775808\n", 3,
+                         "undirected.tsv:2: node id outside int64"),
     "edgelist-utf8": ("edgelist.tsv", b"0\t1\n1\t\xfe\n", 3, "edgelist.tsv:2:"),
     "edgelist-empty-id": ("edgelist.tsv", b"0\t1\n\t1\n", 3,
                           "edgelist.tsv:2: empty node id"),
@@ -582,13 +600,20 @@ def test_calibrate_trim_out_of_range_exits_2(tmp_path):
         assert "trim_quantile" in err, err
 
 
-def test_calibrate_names_a_line_that_is_not_json(tmp_path):
+@pytest.mark.parametrize("lines,messages", [
+    (["{bad", "{worse"], ["1: not a JSON object"]),
+    (["[1, 2]", "5", '{"tweet_id": "t"}'],
+     ["1: not a JSON object", "2: not a JSON object", "3: missing field author"]),
+    (['{"tweet_id": "t", "author": "a", "interactor": "u", "types": ["boost"]}'],
+     ["1: unknown interaction type 'boost'"]),
+], ids=["not-json", "not-an-object", "unknown-type"])
+def test_calibrate_names_the_line_of_a_bad_row(tmp_path, lines, messages):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("{bad\n{worse\n")
+    bad.write_text("".join(f"{line}\n" for line in lines))
     code, err = run_cli_process("calibrate", bad, "--out", tmp_path / "cal")
     assert code == 3, err
     assert "Traceback" not in err
-    assert f"{bad}:1: not a JSON object" in err, err
+    assert all(f"{bad}:{message}" in err for message in messages), err
 
 
 def test_calibrate_empty_corpus_exits_2(tmp_path):

@@ -35,15 +35,15 @@ def test_undirected_ids_follow_first_appearance_without_n_nodes():
 
 @settings(max_examples=100, deadline=None)
 @given(pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
-       n_nodes=st.sampled_from([None, 12]))
-def test_plain_backings_match_reference(pairs, n_nodes):
+       n_nodes=st.sampled_from([None, 12]), ending=st.sampled_from(["\n", "\r\n"]))
+def test_plain_backings_match_reference(pairs, n_nodes, ending):
     # small id pools: lines repeat, edges appear in both orientations, self-loops
     # occur, and with n_nodes some nodes have no edge at all
     undirected = GraphOracle.from_undirected_edges(pairs, n_nodes=n_nodes)
     both_ways = [p for u, v in pairs for p in ((u, v), (v, u))]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.tsv"
-        path.write_text("".join(f"n{u}\tn{v}\n" for u, v in pairs))
+        path.write_bytes("".join(f"n{u}\tn{v}{ending}" for u, v in pairs).encode())
         directed = GraphOracle.from_edgelist(path)
     named = [(f"n{u}", f"n{v}") for u, v in pairs]
     for oracle, (externals, in_adj) in (

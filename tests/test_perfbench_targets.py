@@ -114,3 +114,39 @@ def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
     assert len(parsed) == 1 and len(built) == 1
     assert built[0] is parsed[0]
     assert len(parsed[0]) == len(corpus)
+
+
+def test_blockmodel_commands_generate_read_and_build_once(monkeypatch, tmp_path):
+    # the traced sbm.generate, sbm.read_edges_tsv and oracle.build layers count these
+    # calls: gen-sbm generates once, sample --undirected reads and builds once
+    from tightsample import cli, oracle, sbm
+
+    generated, read, built = [], [], []
+    generate, read_edges_tsv = sbm.generate, sbm.read_edges_tsv
+    from_undirected_edges = oracle.GraphOracle.from_undirected_edges.__func__
+
+    def counted_generate(*args, **kwargs):
+        generated.append(generate(*args, **kwargs))
+        return generated[-1]
+
+    def counted_read(*args, **kwargs):
+        read.append(read_edges_tsv(*args, **kwargs))
+        return read[-1]
+
+    def counted_build(cls, edges, *args, **kwargs):
+        built.append(edges)
+        return from_undirected_edges(cls, edges, *args, **kwargs)
+
+    monkeypatch.setattr(sbm, "generate", counted_generate)
+    monkeypatch.setattr(sbm, "read_edges_tsv", counted_read)
+    monkeypatch.setattr(oracle.GraphOracle, "from_undirected_edges",
+                        classmethod(counted_build))
+    net = tmp_path / "net"
+    assert cli.main(["gen-sbm", "--sizes", "40x4", "--k-intra", "6", "--seed", "5",
+                     "--out", str(net)]) == 0
+    assert len(generated) == 1 and read == [] and built == []
+    assert cli.main(["sample", "--undirected", str(net / "edges.tsv"), "--seeds", "0",
+                     "--budget", "5", "--out", str(tmp_path / "run")]) == 0
+    assert len(generated) == 1 and len(read) == 1 and len(built) == 1
+    assert built[0] is read[0]
+    assert read[0].tolist() == generated[0][0].tolist()

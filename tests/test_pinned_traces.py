@@ -3,9 +3,10 @@
 A change to the sampler's bookkeeping must not move a single pick, so every
 strategy, both tie-breaks, is pinned on a small blockmodel, plus weighted
 runs on a synthetic engagement corpus, plus CLI runs that parse that corpus
-from a JSONL log. The generated graph and corpus come from numpy's random
-generators, so these digests only change when the inputs do (e.g. another
-numpy version), not when the sampler, the parse or the oracle is refactored.
+from a JSONL log. ``gen-sbm``'s own outputs are pinned too. The generated
+graph and corpus come from numpy's random generators, so these digests only
+change when the inputs do (e.g. another numpy version), not when the
+generator, the sampler, the parse or the oracle is refactored.
 """
 
 import dataclasses
@@ -150,6 +151,19 @@ EVENTS_PINNED = {
     ),
 }
 
+# gen-sbm model options -> digests of edges.tsv and labels.csv; the first model's
+# block pairs are all dense (a permutation prefix), the second's all sparse (batches)
+GEN_SBM_PINNED = {
+    ("--sizes", "30x3", "--k-intra", "20", "--r", "0.3"): (
+        "b04e008003fbede98b73b0b6693f653e42f8d05072163ee0341a35cd97cfd9e7",
+        "69f8116d3fce92a830e5a77f1367034a6d32dd94a9066fcde4acd18e7d98acd7",
+    ),
+    ("--sizes", "50x4", "--k-intra", "4", "--r", "2"): (
+        "10b9aab986146b226492d054e829ba36b33e941455fd5eced790d08b5b59cb44",
+        "edb15216f59ff59d214586afd146129139ed62b1b979c346454cdd8e616ef8ed",
+    ),
+}
+
 
 def run_digests(oracle, seeds, weights, strategy, tie_break, steps, tmp_path):
     state = sampler.init(seeds, oracle, weights)
@@ -227,3 +241,11 @@ def test_cli_events_log_traces_pinned(strategy, weights, tmp_path):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in RUN_FILES)
     assert digests == EVENTS_PINNED[strategy, weights]
+
+
+@pytest.mark.parametrize("model", sorted(GEN_SBM_PINNED))
+def test_gen_sbm_outputs_pinned(model, tmp_path):
+    assert cli.main(["gen-sbm", *model, "--seed", "7", "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("edges.tsv", "labels.csv"))
+    assert digests == GEN_SBM_PINNED[model]

@@ -1,9 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from reference import reference_distinct_uniform, reference_generate, reference_read_edges_tsv
 from tightsample import sbm
-from tightsample.util import ConfigError
+from tightsample.util import ConfigError, DataError
 
 
 def test_block_matrix_eight_equal_blocks():
@@ -48,12 +54,12 @@ def test_infeasible_configs_rejected():
 def test_generate_empty_and_complete():
     rho = np.zeros((2, 2))
     edges, labels = sbm.generate(rho, (5, 5), rng_seed=1)
-    assert edges == []
+    assert edges.tolist() == []
     assert labels.tolist() == [0] * 5 + [1] * 5
 
     rho = np.ones((1, 1))
     edges, _ = sbm.generate(rho, (5,), rng_seed=1)
-    assert sorted(edges) == [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    assert edges.tolist() == [[u, v] for u in range(5) for v in range(u + 1, 5)]
     assert len(edges) == 10
 
 
@@ -62,16 +68,50 @@ def test_generate_deterministic():
     rho = sbm.derive_block_matrix(cfg)
     a, _ = sbm.generate(rho, cfg.block_sizes, 9)
     b, _ = sbm.generate(rho, cfg.block_sizes, 9)
-    assert a == b
+    assert a.tolist() == b.tolist()
     c, _ = sbm.generate(rho, cfg.block_sizes, 10)
-    assert a != c
+    assert a.tolist() != c.tolist()
 
 
 def test_generate_simple_graph():
     cfg = sbm.BlockModelConfig((80, 80), 10.0, 1.0, rng_seed=3)
     edges, _ = sbm.generate(sbm.derive_block_matrix(cfg), cfg.block_sizes, 3)
-    assert len(edges) == len(set(edges))
-    assert all(u < v for u, v in edges)
+    assert len(edges) == len(set(map(tuple, edges.tolist())))
+    assert all(u < v for u, v in edges.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_choices=st.integers(1, 400), share=st.floats(0, 1), seed=st.integers(0, 2**32))
+def test_distinct_uniform_matches_row_at_a_time_reference(n_choices, share, seed):
+    # share below 1/2 takes the batch draws, from 1/2 on the permutation prefix
+    m = int(share * n_choices)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = sbm._distinct_uniform(rng, n_choices, m)
+    expected = reference_distinct_uniform(ref_rng, n_choices, m)
+    assert drawn.dtype == np.int64
+    assert sorted(drawn.tolist()) == sorted(expected)
+    if m * 2 >= n_choices:
+        assert drawn.tolist() == expected
+    # the same draws were consumed
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(2, 40), min_size=1, max_size=4),
+       density=st.floats(0.01, 0.99), r=st.floats(0.05, 8.0), seed=st.integers(0, 2**32))
+@example(sizes=[30, 30, 30], density=20 / 30, r=0.3, seed=7)   # every pair dense
+@example(sizes=[50] * 4, density=4 / 50, r=2.0, seed=7)       # every pair sparse
+def test_generate_matches_row_at_a_time_reference(sizes, density, r, seed):
+    try:
+        cfg = sbm.BlockModelConfig(tuple(sizes), density * min(sizes), r, seed)
+        matrix = sbm.derive_block_matrix(cfg)
+    except ConfigError:
+        assume(False)
+    edges, labels = sbm.generate(matrix, cfg.block_sizes, seed)
+    ref_edges, ref_labels = reference_generate(matrix, cfg.block_sizes, seed)
+    assert edges.dtype == np.int64 and edges.shape == (len(ref_edges), 2)
+    assert edges.tolist() == [list(e) for e in ref_edges]
+    assert labels.tolist() == ref_labels.tolist()
 
 
 def test_realized_intra_degree_matches_target():
@@ -197,7 +237,46 @@ def test_config_round_trip(tmp_path):
 
 
 def test_edges_tsv_round_trip(tmp_path):
-    edges = [(0, 1), (1, 2), (0, 5)]
+    edges = np.array([(0, 1), (1, 2), (0, 5)])
     path = tmp_path / "edges.tsv"
     sbm.write_edges_tsv(path, edges)
-    assert sbm.read_edges_tsv(path) == edges
+    assert sbm.read_edges_tsv(path).tolist() == edges.tolist()
+
+
+# edge-list lines: pairs that loadtxt takes, lines that only the line reader takes,
+# and lines that neither takes
+GOOD_FIELDS = ["0", "7", "23", "-4", "007", "+1", "1_0", "١٢"]
+EDGE_LINES = st.one_of(
+    st.tuples(st.sampled_from(GOOD_FIELDS), st.sampled_from(GOOD_FIELDS)).map(
+        lambda pair: "\t".join(pair).encode()),
+    st.sampled_from([b"", b"  ", b"\r", b"1\t2\t", b"\t1\t2", b" 3 \t 4 "]),
+    st.sampled_from([b"\t", b"1\r2\t3", b"1\t2\r3\t4", b"#", b"# 1\t2", b"1 2", b"1  2",
+                     b"1\t2\t3", b"1\t\t2", b"1.0\t2", b"\xff\t1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(EDGE_LINES, max_size=8), ending=st.sampled_from(["\n", "\r\n"]),
+       last=st.sampled_from(["", "\n", "\r\n"]))
+def test_read_edges_tsv_matches_line_reader(lines, ending, last):
+    data = ending.encode().join(lines) + last.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(data)
+        try:
+            expected = reference_read_edges_tsv(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                sbm.read_edges_tsv(path)
+            assert str(raised.value) == str(exc)
+            return
+        edges = sbm.read_edges_tsv(path)
+    assert edges.dtype == np.int64 and edges.shape == (len(expected), 2)
+    assert edges.tolist() == [list(e) for e in expected]
+
+
+def test_read_edges_tsv_refuses_ids_outside_int64(tmp_path):
+    path = tmp_path / "edges.tsv"
+    for big in (2**63, -2**63 - 1):
+        path.write_text(f"0\t1\n{2**63 - 1}\t{-2**63}\n1\t{big}\n")
+        with pytest.raises(DataError, match=f"{path}:3: node id outside int64"):
+            sbm.read_edges_tsv(path)
