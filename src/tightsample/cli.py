@@ -82,14 +82,15 @@ def _load_weights(selector: str):
 
 def cmd_calibrate(args) -> int:
     corpus_filter = ingest.CorpusFilter(trim_quantile=args.trim)
-    events = ingest.parse_events(args.events, fmt=args.events_format)
+    scheme = interactions.Scheme.parse(args.scheme)
     seeds = _read_seed_file(args.seeds_file) if args.seeds_file else None
+    events = ingest.parse_events(args.events, fmt=args.events_format)
     filtered = ingest.apply_filters(events, seeds, corpus_filter)
     if not filtered.events:
         raise ConfigError("empty corpus")
-    scheme = interactions.Scheme.parse(args.scheme)
+    kept = filtered.events
     cal = interactions.calibrate_records(
-        ((e.author, e.interactor, e.pattern) for e in filtered.events), scheme)
+        zip(kept.author.tolist(), kept.interactor.tolist(), kept.pattern.tolist()), scheme)
     out = _out_dir(args.out)
     table_path = out / f"weights_{scheme.value}.csv"
     interactions.write_weight_csv(table_path, cal)

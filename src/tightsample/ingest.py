@@ -210,7 +210,7 @@ def parse_events_with_report(path, fmt: str | None = None,
 
 @dataclass
 class FilterResult:
-    events: list[EngagementEvent]
+    events: EventTable
     seeds: list[str]
     report: dict
 
@@ -218,45 +218,41 @@ class FilterResult:
 def apply_filters(events, seeds, corpus_filter: CorpusFilter) -> FilterResult:
     """Apply the seed-activity rule and the interaction-count trim.
 
-    Seeds that authored nothing are removed; events by non-seed authors are
-    dropped (when a seed list is given); tweets are ranked by
-    distinct-interactor count and the top (1 - trim_quantile) fraction is
-    removed, keeping ties with the last surviving rank.
+    ``events`` is an :class:`EventTable` or an iterable of events; the kept
+    events are an :class:`EventTable` in their original order. Seeds that
+    authored nothing are removed; events by non-seed authors are dropped
+    (when a seed list is given); tweets are ranked by distinct-interactor
+    count and the top (1 - trim_quantile) fraction is removed, keeping ties
+    with the last surviving rank.
     """
-    events = list(events)
-    authored = {e.author for e in events}
-    kept_seeds = sorted(authored) if seeds is None else [s for s in seeds if s in authored]
-    seed_set = set(kept_seeds)
-    seed_events = [e for e in events if e.author in seed_set]
+    if not isinstance(events, EventTable):
+        events = EventTable.from_events(events)
+    authors = {events.users[a]: a for a in np.unique(events.author).tolist()}   # id -> code
+    kept_seeds = sorted(authors) if seeds is None else [s for s in seeds if s in authors]
+    seed_rows = np.isin(events.author, [authors[s] for s in kept_seeds])
 
-    interactors_per_tweet: dict[str, set] = {}
-    for e in seed_events:
-        interactors_per_tweet.setdefault(e.tweet_id, set()).add(e.interactor)
-    tweet_counts = {t: len(js) for t, js in interactors_per_tweet.items()}
-
-    if tweet_counts:
-        n = len(tweet_counts)
-        n_keep = math.floor(corpus_filter.trim_quantile * n + 1e-9)
-        if n_keep < 1:
-            raise DataError("trim removed every tweet; raise trim_quantile")
-        ordered = sorted(tweet_counts.values())
-        cutoff = ordered[n_keep - 1]
-        kept_tweets = {t for t, c in tweet_counts.items() if c <= cutoff}
-    else:
-        cutoff = None
-        kept_tweets = set()
-
-    kept_events = [e for e in seed_events if e.tweet_id in kept_tweets]
+    # distinct interactors per tweet: count (tweet, interactor) keys, since rows may repeat a pair
+    n_users = len(events.users)
+    pairs = np.unique(events.tweet[seed_rows] * n_users + events.interactor[seed_rows])
+    counts = np.bincount(pairs // n_users, minlength=len(events.tweets))
+    ranked = np.sort(counts[counts > 0])   # the counts of the tweets with a seed event
+    n_keep = math.floor(corpus_filter.trim_quantile * len(ranked) + 1e-9)
+    if len(ranked) and n_keep < 1:
+        raise DataError("trim removed every tweet; raise trim_quantile")
+    cutoff = int(ranked[n_keep - 1]) if len(ranked) else 0
+    keep = seed_rows & (counts <= cutoff)[events.tweet]
     report = {
         "seeds_in": len(seeds) if seeds is not None else len(kept_seeds),
         "seeds_removed": (len(seeds) - len(kept_seeds)) if seeds is not None else 0,
-        "tweets_in": len(tweet_counts),
-        "tweets_removed": len(tweet_counts) - len(kept_tweets),
+        "tweets_in": len(ranked),
+        "tweets_removed": int((ranked > cutoff).sum()),
         "events_in": len(events),
-        "events_removed": len(events) - len(kept_events),
-        "interaction_cutoff": cutoff,
+        "events_removed": len(events) - int(keep.sum()),
+        "interaction_cutoff": cutoff if len(ranked) else None,
     }
-    return FilterResult(kept_events, kept_seeds, report)
+    kept = EventTable(events.tweets, events.users, events.tweet[keep], events.author[keep],
+                      events.interactor[keep], events.pattern[keep])
+    return FilterResult(kept, kept_seeds, report)
 
 
 def write_events_jsonl(path, events) -> None:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 from .util import ConfigError, DataError, read_csv, round_half_up
 
@@ -54,10 +56,6 @@ class Scheme(enum.Enum):
     @property
     def width(self) -> int:
         return 3 if self.collapsed else 4
-
-    @property
-    def patterns(self) -> tuple[int, ...]:
-        return AF_PATTERNS if self.collapsed else FULL_PATTERNS
 
     @classmethod
     def parse(cls, tag: str) -> "Scheme":
@@ -130,20 +128,38 @@ def subpatterns(pattern: int):
 
 @dataclass
 class PatternCounts:
-    """Per-source, per-target, and global pattern counts for one corpus.
+    """Global, per-source and per-target pattern counts for one corpus.
 
-    ``raw_events`` and the ``raw_by_*`` denominators count each
-    (tweet, interactor) event exactly once regardless of scheme; only the
-    numerator counters depend on the counting scheme.
+    ``by_source`` and ``by_target`` are node x 16 int arrays indexed by
+    pattern, nodes in order of first appearance. ``raw_events`` and the
+    ``raw_by_*`` denominators count each (tweet, interactor) event exactly
+    once regardless of scheme; only the numerators depend on the scheme.
     """
 
     scheme: Scheme
-    global_: Counter
-    by_source: dict
-    by_target: dict
+    global_: dict[int, int]
+    by_source: np.ndarray
+    by_target: np.ndarray
     raw_events: int
-    raw_by_source: dict
-    raw_by_target: dict
+    raw_by_source: np.ndarray
+    raw_by_target: np.ndarray
+
+
+def _scheme_matrix(scheme: Scheme) -> np.ndarray:
+    """16 x 16 0/1 matrix: row p marks the patterns an event of pattern p counts toward."""
+    matrix = np.zeros((16, 16), dtype=np.int64)
+    for p in FULL_PATTERNS:
+        x = collapse_af(p) if scheme.collapsed else p
+        matrix[p, [x] if scheme in (Scheme.DISTINCT, Scheme.AF_DISTINCT) else subpatterns(x)] = 1
+    return matrix
+
+
+def _node_counts(nodes, patterns: np.ndarray, matrix: np.ndarray):
+    """Scheme counts (node x 16) and event counts per node, nodes in first-seen order."""
+    codes: dict = {}
+    node = np.array([codes.setdefault(v, len(codes)) for v in nodes], dtype=np.int64)
+    raw = np.bincount(node * 16 + patterns, minlength=len(codes) * 16).reshape(-1, 16)
+    return raw @ matrix, raw.sum(axis=1)   # int64 throughout, so exact
 
 
 def count_events(records, scheme: Scheme) -> PatternCounts:
@@ -152,30 +168,17 @@ def count_events(records, scheme: Scheme) -> PatternCounts:
     Records must already be deduplicated per (tweet, interactor); each record
     is one raw event.
     """
-    global_: Counter = Counter()
-    by_source: dict = {}
-    by_target: dict = {}
-    raw_by_source: dict = {}
-    raw_by_target: dict = {}
-    raw_events = 0
-
-    for author, interactor, pattern in records:
-        if scheme.collapsed:
-            pattern = collapse_af(pattern)
-        counted = [pattern] if scheme in (Scheme.DISTINCT, Scheme.AF_DISTINCT) \
-            else subpatterns(pattern)
-        src = by_source.setdefault(author, Counter())
-        tgt = by_target.setdefault(interactor, Counter())
-        for x in counted:
-            global_[x] += 1
-            src[x] += 1
-            tgt[x] += 1
-        raw_events += 1
-        raw_by_source[author] = raw_by_source.get(author, 0) + 1
-        raw_by_target[interactor] = raw_by_target.get(interactor, 0) + 1
-
-    return PatternCounts(scheme, global_, by_source, by_target,
-                         raw_events, raw_by_source, raw_by_target)
+    authors, interactors, patterns = tuple(zip(*records)) or ((), (), ())
+    patterns = np.array(patterns, dtype=np.int64)
+    bad = patterns[(patterns < 1) | (patterns > 15)]
+    if len(bad):
+        raise DataError(f"pattern {bad[0]} is outside 1-15")
+    matrix = _scheme_matrix(scheme)
+    by_source, raw_by_source = _node_counts(authors, patterns, matrix)
+    by_target, raw_by_target = _node_counts(interactors, patterns, matrix)
+    global_ = {x: n for x, n in enumerate(by_source.sum(axis=0).tolist()) if n}
+    return PatternCounts(scheme, global_, by_source, by_target, len(patterns),
+                         raw_by_source, raw_by_target)
 
 
 @dataclass
@@ -198,19 +201,16 @@ def normalize_global(counts: PatternCounts) -> FrequencyTable:
     return FrequencyTable(counts.scheme, "global", values)
 
 
-def _mean_shares(scheme: Scheme, kind: str, per_node: dict,
-                 denominators: dict) -> FrequencyTable:
+def _mean_shares(scheme: Scheme, kind: str, per_node: np.ndarray,
+                 denominators: np.ndarray) -> FrequencyTable:
     """Per-node pattern shares averaged over the nodes of ``per_node``."""
-    if not per_node:
+    if not len(per_node):
         raise DataError(f"empty corpus: no engaged {kind}s")
-    values: dict[int, float] = {}
-    for node, counter in per_node.items():
-        denom = denominators[node]
-        for x, n in counter.items():
-            values[x] = values.get(x, 0.0) + n / denom
+    # summed node by node in first-appearance order, not pairwise as np.sum would
+    sums = np.cumsum(per_node / denominators[:, None], axis=0)[-1].tolist()
+    observed = np.flatnonzero(per_node.any(axis=0)).tolist()
     n_nodes = len(per_node)
-    return FrequencyTable(scheme, kind,
-                          {x: 100.0 * v / n_nodes for x, v in values.items()})
+    return FrequencyTable(scheme, kind, {x: 100.0 * sums[x] / n_nodes for x in observed})
 
 
 def normalize_source(counts: PatternCounts) -> FrequencyTable:
@@ -334,16 +334,13 @@ class Calibration:
     weights: WeightTable
 
 
-def calibrate_counts(counts: PatternCounts) -> Calibration:
+def calibrate_records(records, scheme: Scheme) -> Calibration:
+    counts = count_events(records, scheme)
     g = normalize_global(counts)
     s = normalize_source(counts)
     t = normalize_target(counts)
     star = balance(g, s, t)
-    return Calibration(counts.scheme, g, s, t, star, weights_from(star))
-
-
-def calibrate_records(records, scheme: Scheme) -> Calibration:
-    return calibrate_counts(count_events(records, scheme))
+    return Calibration(scheme, g, s, t, star, weights_from(star))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +387,10 @@ def read_weight_csv(path) -> dict[str, Calibration]:
         try:
             x = parse_pattern(row[1])
             for name, cell in zip(WEIGHT_CSV_HEADER[2:], row[2:]):
-                cols[name][x] = float(cell)
+                value = float(cell)
+                if not 0.0 <= value < math.inf:   # false for NaN too
+                    raise DataError(f"{name} must be a finite number >= 0, got {cell!r}")
+                cols[name][x] = value
         except ValueError as exc:  # DataError is a ValueError too
             raise DataError(f"{path}:{lineno}: {exc}") from None
 

@@ -35,14 +35,13 @@ from .sampler import SampleTrace
 from .util import ConfigError, DataError
 
 
-def _directed_adjacency(g: DiscoveredGraph, nodes):
-    """Simple directed view: per-node out- and in-neighbor sets."""
-    out: dict[int, set[int]] = {v: set() for v in nodes}
-    inc: dict[int, set[int]] = {v: set() for v in nodes}
+def _undirected_neighbors(g: DiscoveredGraph) -> dict[int, set[int]]:
+    """Per-node neighbor sets of the undirected projection; a graph holds no self-loop."""
+    und: dict[int, set[int]] = {v: set() for v in g.nodes}
     for s, t in g.pairs():
-        out[s].add(t)
-        inc[t].add(s)
-    return out, inc
+        und[s].add(t)
+        und[t].add(s)
+    return und
 
 
 def clustering_local(g: DiscoveredGraph):
@@ -50,35 +49,27 @@ def clustering_local(g: DiscoveredGraph):
 
     Nodes with fewer than two distinct neighbors contribute 0.
     """
-    nodes = g.nodes
-    if not nodes:
+    und = _undirected_neighbors(g)
+    if not und:
         raise DataError("empty graph")
-    out, inc = _directed_adjacency(g, nodes)
+    # an edge s -> t joins an ordered neighbor pair of every common neighbor of s and t
+    links = dict.fromkeys(und, 0)
+    for s, t in g.pairs():
+        for v in und[s] & und[t]:
+            links[v] += 1
     per_node: dict[int, float] = {}
-    for v in sorted(nodes):  # ascending, so the mean does not depend on set order
-        nbrs = (out[v] | inc[v]) - {v}
-        deg = len(nbrs)
-        if deg < 2:
-            per_node[v] = 0.0
-            continue
-        links = 0
-        for j in nbrs:
-            links += len(out[j] & nbrs)
-        per_node[v] = links / (deg * (deg - 1))
+    for v in sorted(und):  # ascending, so the mean does not depend on set order
+        deg = len(und[v])
+        per_node[v] = links[v] / (deg * (deg - 1)) if deg >= 2 else 0.0
     mean = sum(per_node.values()) / len(per_node)
     return per_node, mean
 
 
 def clustering_global(g: DiscoveredGraph) -> float:
     """Transitivity on the undirected projection: 3*triangles / triplets."""
-    nodes = g.nodes
-    if not nodes:
+    und = _undirected_neighbors(g)
+    if not und:
         raise DataError("empty graph")
-    und: dict[int, set[int]] = {v: set() for v in nodes}
-    for s, t in g.pairs():
-        if s != t:
-            und[s].add(t)
-            und[t].add(s)
     triplets = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in und.values())
     if triplets == 0:
         warnings.warn("graph has no connected triplets; global clustering is 0",

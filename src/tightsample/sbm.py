@@ -82,7 +82,8 @@ def derive_block_matrix(cfg: BlockModelConfig) -> np.ndarray:
     n = sizes.sum()
     if any(cfg.k_intra >= s for s in cfg.block_sizes):
         raise ConfigError("infeasible configuration: k_intra >= block size")
-    rho_star = cfg.k_intra / (2.0 * cfg.r * (n - sizes))
+    with np.errstate(divide="ignore"):   # n - sizes is 0 for one block, which has no off-diagonal
+        rho_star = cfg.k_intra / (2.0 * cfg.r * (n - sizes))
     rho = (rho_star[:, None] + rho_star[None, :]) / 2.0
     np.fill_diagonal(rho, cfg.k_intra / (sizes - 1.0))
     if (rho > 1.0).any() or (rho < 0.0).any():

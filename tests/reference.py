@@ -7,10 +7,13 @@ structures and algorithms so they can serve as independent checks.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from itertools import chain
 
 import numpy as np
 
+from tightsample import interactions as ia
 from tightsample import sbm
 from tightsample.ingest import EngagementEvent, ParseReport
 from tightsample.interactions import PLAIN_EDGE, pattern_of
@@ -173,6 +176,85 @@ def reference_parse_events(path, fmt=None, malformed_cap=0.01):
     if report.rows and report.malformed / report.rows > malformed_cap:
         raise DataError(f"{path}: {report.malformed}/{report.rows} malformed rows")
     return list(merged.values()), report
+
+
+def reference_apply_filters(events, seeds, corpus_filter):
+    """Event-at-a-time seed and trim filters: ``(kept events, kept seeds, report)``.
+
+    Returns what ``ingest.apply_filters`` returns, with the kept events as a list.
+    """
+    events = list(events)
+    authored = {e.author for e in events}
+    kept_seeds = sorted(authored) if seeds is None else [s for s in seeds if s in authored]
+    seed_set = set(kept_seeds)
+    seed_events = [e for e in events if e.author in seed_set]
+
+    interactors_per_tweet = {}
+    for e in seed_events:
+        interactors_per_tweet.setdefault(e.tweet_id, set()).add(e.interactor)
+    tweet_counts = {t: len(js) for t, js in interactors_per_tweet.items()}
+
+    if tweet_counts:
+        n = len(tweet_counts)
+        n_keep = math.floor(corpus_filter.trim_quantile * n + 1e-9)
+        if n_keep < 1:
+            raise DataError("trim removed every tweet; raise trim_quantile")
+        cutoff = sorted(tweet_counts.values())[n_keep - 1]
+        kept_tweets = {t for t, c in tweet_counts.items() if c <= cutoff}
+    else:
+        cutoff = None
+        kept_tweets = set()
+
+    kept_events = [e for e in seed_events if e.tweet_id in kept_tweets]
+    report = {
+        "seeds_in": len(seeds) if seeds is not None else len(kept_seeds),
+        "seeds_removed": (len(seeds) - len(kept_seeds)) if seeds is not None else 0,
+        "tweets_in": len(tweet_counts),
+        "tweets_removed": len(tweet_counts) - len(kept_tweets),
+        "events_in": len(events),
+        "events_removed": len(events) - len(kept_events),
+        "interaction_cutoff": cutoff,
+    }
+    return kept_events, kept_seeds, report
+
+
+def reference_calibrate_records(records, scheme):
+    """Record-at-a-time calibration: a ``Counter`` per node, shares summed in a dict loop.
+
+    Returns the global, source and target ``FrequencyTable`` values and the
+    ``Calibration`` that ``balance`` and ``weights_from`` make of them.
+    """
+    global_ = Counter()
+    by_source, by_target, raw_by_source, raw_by_target = {}, {}, {}, {}
+    raw_events = 0
+    for author, interactor, pattern in records:
+        if scheme.collapsed:
+            pattern = ia.collapse_af(pattern)
+        counted = [pattern] if scheme in (ia.Scheme.DISTINCT, ia.Scheme.AF_DISTINCT) \
+            else ia.subpatterns(pattern)
+        src = by_source.setdefault(author, Counter())
+        tgt = by_target.setdefault(interactor, Counter())
+        for x in counted:
+            global_[x] += 1
+            src[x] += 1
+            tgt[x] += 1
+        raw_events += 1
+        raw_by_source[author] = raw_by_source.get(author, 0) + 1
+        raw_by_target[interactor] = raw_by_target.get(interactor, 0) + 1
+
+    def mean_shares(per_node, denominators):
+        values = {}
+        for node, counter in per_node.items():
+            for x, n in counter.items():
+                values[x] = values.get(x, 0.0) + n / denominators[node]
+        return {x: 100.0 * v / len(per_node) for x, v in values.items()}
+
+    g = ia.FrequencyTable(scheme, "global",
+                          {x: 100.0 * n / raw_events for x, n in global_.items()})
+    s = ia.FrequencyTable(scheme, "source", mean_shares(by_source, raw_by_source))
+    t = ia.FrequencyTable(scheme, "target", mean_shares(by_target, raw_by_target))
+    star = ia.balance(g, s, t)
+    return ia.Calibration(scheme, g, s, t, star, ia.weights_from(star))
 
 
 def reference_in_adjacency(events):

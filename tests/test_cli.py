@@ -350,6 +350,12 @@ BAD_INPUTS = {
                          "events.csv:2:"),
     "weights-number": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,x,1,1,1,1,1\n", 3,
                        "weights.csv:2:"),
+    "weights-nan": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,1,1,1,1,1,nan\n", 3,
+                    "weights.csv:2: omega_star must be a finite number >= 0"),
+    "weights-inf": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,1,1,1,1,inf,1\n", 3,
+                    "weights.csv:2: omega must be a finite number >= 0"),
+    "weights-negative": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,-1,1,1,1,1,1\n", 3,
+                         "weights.csv:2: eta_global must be a finite number >= 0"),
     "labels-number": ("labels.csv", b"node,block\n0,x\n", 3, "labels.csv:2:"),
 }
 
@@ -579,6 +585,14 @@ def test_calibrate_af_gives_seven_patterns(tmp_path):
     assert len(loaded.eta_star.values) == 7
 
 
+def test_gen_sbm_one_block_prints_no_warning(tmp_path):
+    # a one-block model has no off-diagonal block pair to divide by n - n_i for
+    code, err = run_cli_process("gen-sbm", "--sizes", "30x1", "--k-intra", "4",
+                                "--out", tmp_path / "net")
+    assert code == 0
+    assert err == ""
+
+
 @pytest.mark.parametrize("option", ["--k-intra", "--r"])
 def test_gen_sbm_nan_parameter_exits_2(tmp_path, option):
     code, err = run_cli_process("gen-sbm", "--sizes", "30x2", option, "nan",
@@ -620,6 +634,52 @@ def test_calibrate_empty_corpus_exits_2(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert run_cli("calibrate", empty, "--out", tmp_path / "cal") == 2
+
+
+@pytest.mark.parametrize("option,value,expected", [("--scheme", "bogus", 2),
+                                                   ("--seeds-file", "missing.txt", 3)])
+def test_calibrate_checks_its_arguments_before_reading_the_log(
+        tmp_path, monkeypatch, capsys, option, value, expected):
+    def parse_events(*args, **kwargs):
+        raise AssertionError("the event log was read")
+
+    log = tmp_path / "events.jsonl"
+    ingest.write_events_jsonl(log, ingest.synthetic_corpus(np.random.default_rng(3), n_events=50))
+    monkeypatch.setattr(ingest, "parse_events", parse_events)
+    arg = value if option == "--scheme" else tmp_path / value
+    assert run_cli("calibrate", log, option, arg, "--out", tmp_path / "cal") == expected
+    assert value in capsys.readouterr().err
+
+
+def test_calibrate_reads_the_event_table_as_columns(tmp_path, monkeypatch):
+    def events_as_objects(self):
+        raise AssertionError("the event table was iterated")
+
+    corpus = ingest.synthetic_corpus(np.random.default_rng(31), n_events=400)
+    log, seeds = tmp_path / "events.jsonl", tmp_path / "seeds.txt"
+    ingest.write_events_jsonl(log, corpus)
+    seeds.write_text("\n".join(sorted({e.author for e in corpus})[:3]) + "\n")
+    monkeypatch.setattr(ingest.EventTable, "__iter__", events_as_objects)
+    assert run_cli("calibrate", log, "--scheme", "nested", "--seeds-file", seeds,
+                   "--trim", "0.8", "--out", tmp_path / "cal") == 0
+
+
+def test_events_mas_run_on_a_nan_weight_table_exits_3(tmp_path):
+    corpus = ingest.synthetic_corpus(np.random.default_rng(91), n_events=600)
+    log = tmp_path / "events.jsonl"
+    ingest.write_events_jsonl(log, corpus)
+    assert run_cli("calibrate", log, "--out", tmp_path / "cal") == 0
+    rows = list(csv.reader((tmp_path / "cal" / "weights_distinct.csv").read_text().splitlines()))
+    rows[1][-1] = "nan"   # the omega_star of the first pattern
+    weights = tmp_path / "weights.csv"
+    with open(weights, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code, err = run_cli_process("sample", "--events", log, "--seeds", corpus[0].author,
+                                "--strategy", "MAS", "--weights", weights, "--budget", "20",
+                                "--out", tmp_path / "run")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"{weights}:2: omega_star" in err, err
 
 
 def test_calibrate_twelve_event_fixture_matches_hand_computation(tmp_path):

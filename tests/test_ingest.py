@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_in_adjacency, reference_parse_events
+from reference import reference_apply_filters, reference_in_adjacency, reference_parse_events
 from tightsample import ingest
 from tightsample.oracle import GraphOracle
 from tightsample.util import DataError
@@ -296,3 +296,41 @@ def test_csv_parse_and_oracle_match_row_at_a_time_reference(rows, cap):
 def test_oracle_from_unparsed_events_matches_reference(events):
     # not deduplicated: a pair may repeat, even on one tweet, and ids keep their type
     _compare_oracles(events, events)
+
+
+# one id pool per corpus, string ids as a parse makes them or int ids as a caller may
+# pass them; pairs repeat unmerged, and seeds repeat or name a user who authored nothing
+ID_POOLS = ((["t1", "t10", "t9", "tš", "7"], ["u1", "u2", "ü", "用户", "3", "u10"]),
+            ([1, 10, 9, 7], [3, 1, 10, 2, 0, 7]))
+
+
+def _filter_case(pool):
+    tweets, users = pool
+    events = st.lists(st.builds(ingest.EngagementEvent, st.sampled_from(tweets),
+                                st.sampled_from(users), st.sampled_from(users),
+                                st.integers(1, 15)), max_size=40)
+    seeds = st.none() | st.lists(st.sampled_from([*users, "ghost"]), max_size=8)
+    return st.tuples(events, seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(ID_POOLS).flatmap(_filter_case),
+       trim=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0]), as_table=st.booleans())
+def test_filters_match_event_at_a_time_reference(case, trim, as_table):
+    events, seeds = case
+    f = ingest.CorpusFilter(trim_quantile=trim)
+    given_events = ingest.EventTable.from_events(events) if as_table else events
+    try:
+        ref_events, ref_seeds, ref_report = reference_apply_filters(events, seeds, f)
+    except DataError:
+        with pytest.raises(DataError, match="trim removed every tweet"):
+            ingest.apply_filters(given_events, seeds, f)
+        return
+    out = ingest.apply_filters(given_events, seeds, f)
+    assert isinstance(out.events, ingest.EventTable)
+    # the table keeps tweet ids as strings, as GraphOracle.from_events does
+    assert list(out.events) == [ingest.EngagementEvent(str(e.tweet_id), e.author, e.interactor,
+                                                       e.pattern) for e in ref_events]
+    assert out.seeds == ref_seeds
+    assert out.report == ref_report
+    assert all(v is None or type(v) is int for v in out.report.values())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import brute_nested_counts, brute_sse
+from reference import brute_nested_counts, brute_sse, reference_calibrate_records
 from tightsample import interactions as ia
 from tightsample.util import ConfigError, DataError
 
@@ -102,6 +102,30 @@ def test_nested_1111_equals_distinct_1111(patterns):
     nested = _count(records, ia.Scheme.NESTED).global_
     distinct = _count(records, ia.Scheme.DISTINCT).global_
     assert nested.get(0b1111, 0) == distinct.get(0b1111, 0)
+
+
+@pytest.mark.parametrize("pattern", [0, 16, -1])
+def test_pattern_outside_the_four_bits_is_a_data_error(pattern):
+    with pytest.raises(DataError, match=f"pattern {pattern} "):
+        _count([("a", "u", 0b1000), ("a", "v", pattern)], ia.Scheme.DISTINCT)
+
+
+# many nodes sharing a few common patterns: the float shares of a pattern are summed
+# over nodes, so a change of summation order shows in the last bits
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30),
+                                  st.sampled_from([0b1000, 0b1100]) | st.integers(1, 15)),
+                        min_size=1, max_size=300),
+       scheme=st.sampled_from(list(ia.Scheme)), as_str=st.booleans())
+def test_calibration_matches_record_at_a_time_reference(records, scheme, as_str):
+    if as_str:
+        records = [(f"a{a}", f"u{j}", p) for a, j, p in records]
+    ref = reference_calibrate_records(records, scheme)
+    cal = ia.calibrate_records(iter(records), scheme)
+    for name in ("eta_global", "eta_source", "eta_target", "eta_star"):
+        assert getattr(cal, name).values == getattr(ref, name).values
+    assert cal.weights.omega == ref.weights.omega
+    assert cal.weights.omega_star == ref.weights.omega_star
 
 
 # ---------------------------------------------------------------------------

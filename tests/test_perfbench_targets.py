@@ -116,6 +116,42 @@ def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
     assert len(parsed[0]) == len(corpus)
 
 
+def test_calibrate_parses_filters_and_calibrates_once(monkeypatch, tmp_path):
+    # the traced ingest.apply_filters and interactions.calibrate_records layers time
+    # these calls, and apply_filters must get the table the parse made
+    import numpy as np
+
+    from tightsample import cli, ingest, interactions
+
+    corpus = ingest.synthetic_corpus(np.random.default_rng(6), n_events=300)
+    log = tmp_path / "events.jsonl"
+    ingest.write_events_jsonl(log, corpus)
+
+    parsed, filtered, calibrated = [], [], []
+    parse_events, apply_filters = ingest.parse_events, ingest.apply_filters
+    calibrate_records = interactions.calibrate_records
+
+    def counted_parse(*args, **kwargs):
+        parsed.append(parse_events(*args, **kwargs))
+        return parsed[-1]
+
+    def counted_filter(events, *args):
+        filtered.append(events)
+        return apply_filters(events, *args)
+
+    def counted_calibrate(*args):
+        calibrated.append(args)
+        return calibrate_records(*args)
+
+    monkeypatch.setattr(ingest, "parse_events", counted_parse)
+    monkeypatch.setattr(ingest, "apply_filters", counted_filter)
+    monkeypatch.setattr(interactions, "calibrate_records", counted_calibrate)
+    assert cli.main(["calibrate", str(log), "--trim", "0.9",
+                     "--out", str(tmp_path / "cal")]) == 0
+    assert len(parsed) == len(filtered) == len(calibrated) == 1
+    assert filtered[0] is parsed[0]
+
+
 def test_blockmodel_commands_generate_read_and_build_once(monkeypatch, tmp_path):
     # the traced sbm.generate, sbm.read_edges_tsv and oracle.build layers count these
     # calls: gen-sbm generates once, sample --undirected reads and builds once

@@ -3,10 +3,12 @@
 A change to the sampler's bookkeeping must not move a single pick, so every
 strategy, both tie-breaks, is pinned on a small blockmodel, plus weighted
 runs on a synthetic engagement corpus, plus CLI runs that parse that corpus
-from a JSONL log. ``gen-sbm``'s own outputs are pinned too. The generated
+from a JSONL log. ``gen-sbm``'s own outputs are pinned too, and so are
+``calibrate``'s weight table and summary for every scheme. The generated
 graph and corpus come from numpy's random generators, so these digests only
 change when the inputs do (e.g. another numpy version), not when the
-generator, the sampler, the parse or the oracle is refactored.
+generator, the sampler, the parse, the calibration or the oracle is
+refactored.
 """
 
 import dataclasses
@@ -151,6 +153,27 @@ EVENTS_PINNED = {
     ),
 }
 
+# scheme -> digests of weights_<scheme>.csv and of calibration_summary.json without
+# its "weight_table" path, from a CLI ``calibrate`` of the split log with a seeds file
+CALIBRATE_PINNED = {
+    "af": (
+        "3a12427a6944aef869c4aa75a149d59796cd20b531f3575384449482795d3a1f",
+        "c1e4d3a5eee0156b666eec7a046f92ab3e5f2868d044937d14773fcc8806912c",
+    ),
+    "af-distinct": (
+        "2b2b02fb9f49ae43e9c5998852098c9dea399de6326ac525e2d644152d559d8e",
+        "caa0e94480c34d9aee428949d44bc30999ee5f9782cdcd8fe4490d4bf271b878",
+    ),
+    "distinct": (
+        "0bfb13b28b7dbab77f087151a8891b64ac55a35f03ef240cedbf0d408d0e2393",
+        "75b9c6d4fa43f0f189f9298d6c70f215d7fe7faa32b2e97b0075ba8b56ba014c",
+    ),
+    "nested": (
+        "d54ede80043ba789e4a298fa6028961e541e47b063aae3b34642140c031eeb39",
+        "3f19c088e7e29c8f0d9dec2fc1ae2a2ca41b1c0c336572291dd8fd6faa479c59",
+    ),
+}
+
 # gen-sbm model options -> digests of edges.tsv and labels.csv; the first model's
 # block pairs are all dense (a permutation prefix), the second's all sparse (batches)
 GEN_SBM_PINNED = {
@@ -209,6 +232,21 @@ def write_split_log(corpus, path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def calibrate_digests(scheme, tmp_path):
+    corpus = graph_corpus()
+    log, seeds, out = tmp_path / "events.jsonl", tmp_path / "seeds.txt", tmp_path / "cal"
+    write_split_log(corpus, log)
+    authors = sorted({e.author for e in corpus})
+    # a seed that authored nothing, and a repeated one
+    seeds.write_text("\n".join([*authors[:30], "ghost", authors[0]]) + "\n")
+    assert cli.main(["calibrate", str(log), "--scheme", scheme, "--seeds-file", str(seeds),
+                     "--trim", "0.8", "--out", str(out)]) == 0
+    summary = json.loads((out / "calibration_summary.json").read_text())
+    del summary["weight_table"]
+    return (hashlib.sha256((out / f"weights_{scheme}.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(summary, indent=2).encode()).hexdigest())
+
+
 def corpus_digests(strategy, tie_break, tmp_path):
     corpus = graph_corpus()
     oracle = GraphOracle.from_events(corpus)
@@ -249,3 +287,8 @@ def test_gen_sbm_outputs_pinned(model, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("edges.tsv", "labels.csv"))
     assert digests == GEN_SBM_PINNED[model]
+
+
+@pytest.mark.parametrize("scheme", sorted(CALIBRATE_PINNED))
+def test_cli_calibrate_outputs_pinned(scheme, tmp_path):
+    assert calibrate_digests(scheme, tmp_path) == CALIBRATE_PINNED[scheme]

@@ -96,6 +96,7 @@ def test_distinct_uniform_matches_row_at_a_time_reference(n_choices, share, seed
     assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # one-block models included
 @settings(max_examples=80, deadline=None)
 @given(sizes=st.lists(st.integers(2, 40), min_size=1, max_size=4),
        density=st.floats(0.01, 0.99), r=st.floats(0.05, 8.0), seed=st.integers(0, 2**32))
