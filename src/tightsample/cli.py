@@ -24,6 +24,7 @@ from .oracle import GraphOracle
 from .util import ConfigError, DataError, read_csv, read_lines
 
 WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
+SHIPPED_SCHEMES = ("distinct", "nested", "af")   # the shipped weight table's sections
 
 
 def _out_dir(path) -> Path:
@@ -64,7 +65,7 @@ def _load_weights(selector: str):
     """'unit', a scheme tag of the shipped tables, or a weight-CSV path."""
     if selector == "unit":
         return interactions.UnitWeights()
-    if selector in ("distinct", "nested", "af"):
+    if selector in SHIPPED_SCHEMES:
         return interactions.load_reference_tables()[selector].weights
     path = Path(selector)
     if not path.exists():
@@ -72,8 +73,8 @@ def _load_weights(selector: str):
     tables = interactions.read_weight_csv(path)
     if len(tables) == 1:
         return next(iter(tables.values())).weights
-    raise ConfigError(f"{selector} holds several schemes; pass scheme "
-                      f"explicitly as one of {sorted(tables)}")
+    raise ConfigError(f"{selector} holds the schemes {', '.join(tables)}; use a weight "
+                      f"table of one scheme, or a shipped tag ({', '.join(SHIPPED_SCHEMES)})")
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +89,7 @@ def cmd_calibrate(args) -> int:
     filtered = ingest.apply_filters(events, seeds, corpus_filter)
     if not filtered.events:
         raise ConfigError("empty corpus")
-    kept = filtered.events
-    cal = interactions.calibrate_records(
-        zip(kept.author.tolist(), kept.interactor.tolist(), kept.pattern.tolist()), scheme)
+    cal = interactions.calibrate_records(filtered.events, scheme)
     out = _out_dir(args.out)
     table_path = out / f"weights_{scheme.value}.csv"
     interactions.write_weight_csv(table_path, cal)
@@ -282,7 +281,9 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
     """Seed tokens arrive as strings; integer-keyed oracles need ints."""
     coerced = []
     for s in seeds:
-        if isinstance(s, str) and s not in oracle.ids and s.lstrip("-").isdigit() \
+        digits = s.removeprefix("-") if isinstance(s, str) else ""
+        # one optional '-', then ASCII digits: int() raises on '²', a digit to isdigit()
+        if digits.isascii() and digits.isdigit() and s not in oracle.ids \
                 and int(s) in oracle.ids:
             coerced.append(int(s))
         else:
@@ -332,7 +333,7 @@ def cmd_sample(args) -> int:
         weights_ref = args.weights
         weights = _load_weights(weights_ref)
         input_paths = [descriptor["path"]]
-        if weights_ref not in ("unit", "distinct", "nested", "af"):
+        if weights_ref not in ("unit", *SHIPPED_SCHEMES):
             weights_ref = str(Path(weights_ref).resolve())
             input_paths.append(weights_ref)
         manifest = {
@@ -396,6 +397,11 @@ def _load_run(run_dir: Path):
 
 def cmd_metrics(args) -> int:
     run_dirs = [Path(d) for d in args.runs]
+    names = [d.name for d in run_dirs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"two run directories are named {name!r}; their reports "
+                              f"would overwrite each other")
     runs = [_load_run(d) for d in run_dirs]
     out = _out_dir(args.out)
     snapshots = metrics.min_common_snapshot([(t, g) for t, g, _ids in runs])

@@ -27,16 +27,6 @@ from .util import ConfigError, DataError, read_csv, read_lines
 _FIELDS = ("tweet_id", "author", "interactor", "types")   # a missing one is named in this order
 
 
-@dataclass(frozen=True, slots=True)
-class EngagementEvent:
-    """One (tweet, interactor) engagement; ``pattern`` is its type bit vector."""
-
-    tweet_id: str
-    author: str
-    interactor: str
-    pattern: int
-
-
 @dataclass(eq=False, slots=True)
 class EventTable:
     """Engagement events as int columns, one row per event.
@@ -44,8 +34,7 @@ class EventTable:
     ``tweet``, ``author`` and ``interactor`` are int64 codes into ``tweets``
     and ``users``, the external ids in first-seen order (tweet ids as
     strings); ``pattern`` holds each event's type bit vector. ``len()`` is the
-    number of events, and iterating yields them as :class:`EngagementEvent`
-    in row order.
+    number of events.
     """
 
     tweets: list
@@ -56,28 +45,26 @@ class EventTable:
     pattern: np.ndarray
 
     @classmethod
-    def from_events(cls, events) -> "EventTable":
-        """The columns of ``events`` as given, in order: nothing merged or dropped."""
+    def from_rows(cls, rows) -> "EventTable":
+        """The ``(tweet_id, author, interactor, pattern)`` rows as given, in order.
+
+        Nothing is merged or dropped. Tweet ids are kept as strings; users are
+        interned author before interactor, row by row.
+        """
         tweets: dict[str, int] = {}
         users: dict = {}
         columns = tuple(array("q") for _ in range(4))
-        tweet, author, interactor, pattern = (c.append for c in columns)
-        for e in events:
-            tweet(tweets.setdefault(str(e.tweet_id), len(tweets)))
-            author(users.setdefault(e.author, len(users)))
-            interactor(users.setdefault(e.interactor, len(users)))
-            pattern(e.pattern)
+        add_tweet, add_author, add_interactor, add_pattern = (c.append for c in columns)
+        for tweet, author, interactor, pattern in rows:
+            add_tweet(tweets.setdefault(str(tweet), len(tweets)))
+            add_author(users.setdefault(author, len(users)))
+            add_interactor(users.setdefault(interactor, len(users)))
+            add_pattern(pattern)
         return cls(list(tweets), list(users),
                    *(np.frombuffer(c, dtype=np.int64) for c in columns))
 
     def __len__(self) -> int:
         return len(self.pattern)
-
-    def __iter__(self):
-        tweets, users = self.tweets, self.users
-        for t, a, j, p in zip(self.tweet.tolist(), self.author.tolist(),
-                              self.interactor.tolist(), self.pattern.tolist()):
-            yield EngagementEvent(tweets[t], users[a], users[j], p)
 
 
 @dataclass(frozen=True)
@@ -215,18 +202,16 @@ class FilterResult:
     report: dict
 
 
-def apply_filters(events, seeds, corpus_filter: CorpusFilter) -> FilterResult:
+def apply_filters(events: EventTable, seeds, corpus_filter: CorpusFilter) -> FilterResult:
     """Apply the seed-activity rule and the interaction-count trim.
 
-    ``events`` is an :class:`EventTable` or an iterable of events; the kept
-    events are an :class:`EventTable` in their original order. Seeds that
-    authored nothing are removed; events by non-seed authors are dropped
-    (when a seed list is given); tweets are ranked by distinct-interactor
-    count and the top (1 - trim_quantile) fraction is removed, keeping ties
-    with the last surviving rank.
+    The kept events are an :class:`EventTable` over the same ``tweets`` and
+    ``users``, in their original order. Seeds that authored nothing are
+    removed; events by non-seed authors are dropped (when a seed list is
+    given); tweets are ranked by distinct-interactor count and the top
+    (1 - trim_quantile) fraction is removed, keeping ties with the last
+    surviving rank.
     """
-    if not isinstance(events, EventTable):
-        events = EventTable.from_events(events)
     authors = {events.users[a]: a for a in np.unique(events.author).tolist()}   # id -> code
     kept_seeds = sorted(authors) if seeds is None else [s for s in seeds if s in authors]
     seed_rows = np.isin(events.author, [authors[s] for s in kept_seeds])
@@ -255,11 +240,13 @@ def apply_filters(events, seeds, corpus_filter: CorpusFilter) -> FilterResult:
     return FilterResult(kept, kept_seeds, report)
 
 
-def write_events_jsonl(path, events) -> None:
+def write_events_jsonl(path, events: EventTable) -> None:
+    tweets, users = events.tweets, events.users
     with open(path, "w", newline="") as fh:
-        for e in events:
-            row = {"tweet_id": e.tweet_id, "author": e.author,
-                   "interactor": e.interactor, "types": pattern_types(e.pattern)}
+        for t, a, j, p in zip(events.tweet.tolist(), events.author.tolist(),
+                              events.interactor.tolist(), events.pattern.tolist()):
+            row = {"tweet_id": tweets[t], "author": users[a],
+                   "interactor": users[j], "types": pattern_types(p)}
             fh.write(json.dumps(row) + "\n")
 
 
@@ -276,7 +263,7 @@ _DEFAULT_MIX = (
 
 def synthetic_corpus(rng, n_authors: int = 5, n_interactors: int = 40,
                      n_tweets: int = 60, n_events: int = 300,
-                     mix=_DEFAULT_MIX) -> list[EngagementEvent]:
+                     mix=_DEFAULT_MIX) -> EventTable:
     """Random fixture corpus; deterministic given the numpy Generator state."""
     patterns = [pattern_of(names) for names, _w in mix]
     probs = [w for _names, w in mix]
@@ -292,10 +279,7 @@ def synthetic_corpus(rng, n_authors: int = 5, n_interactors: int = 40,
         key = (tweet, interactor)
         merged[key] = merged.get(key, 0) | choice
 
-    events = []
-    for (tweet, interactor), pattern in sorted(merged.items()):
-        author = tweet_author[tweet]
-        if author == interactor:
-            continue
-        events.append(EngagementEvent(tweet, author, interactor, pattern))
-    return events
+    return EventTable.from_rows(
+        (tweet, tweet_author[tweet], interactor, pattern)
+        for (tweet, interactor), pattern in sorted(merged.items())
+        if tweet_author[tweet] != interactor)

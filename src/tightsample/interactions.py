@@ -154,28 +154,30 @@ def _scheme_matrix(scheme: Scheme) -> np.ndarray:
     return matrix
 
 
-def _node_counts(nodes, patterns: np.ndarray, matrix: np.ndarray):
+def _node_counts(codes: np.ndarray, patterns: np.ndarray, matrix: np.ndarray):
     """Scheme counts (node x 16) and event counts per node, nodes in first-seen order."""
-    codes: dict = {}
-    node = np.array([codes.setdefault(v, len(codes)) for v in nodes], dtype=np.int64)
-    raw = np.bincount(node * 16 + patterns, minlength=len(codes) * 16).reshape(-1, 16)
+    _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    raw = np.bincount(rank[inverse] * 16 + patterns,
+                      minlength=len(first) * 16).reshape(-1, 16)
     return raw @ matrix, raw.sum(axis=1)   # int64 throughout, so exact
 
 
-def count_events(records, scheme: Scheme) -> PatternCounts:
-    """Count (author, interactor, pattern) records under a scheme.
+def count_events(events, scheme: Scheme) -> PatternCounts:
+    """Count events under a scheme from their ``author``, ``interactor`` and ``pattern``.
 
-    Records must already be deduplicated per (tweet, interactor); each record
-    is one raw event.
+    ``events`` holds the three as int64 columns, users as codes (an
+    :class:`~tightsample.ingest.EventTable`). Events must already be
+    deduplicated per (tweet, interactor); each row is one raw event.
     """
-    authors, interactors, patterns = tuple(zip(*records)) or ((), (), ())
-    patterns = np.array(patterns, dtype=np.int64)
+    patterns = events.pattern
     bad = patterns[(patterns < 1) | (patterns > 15)]
     if len(bad):
         raise DataError(f"pattern {bad[0]} is outside 1-15")
     matrix = _scheme_matrix(scheme)
-    by_source, raw_by_source = _node_counts(authors, patterns, matrix)
-    by_target, raw_by_target = _node_counts(interactors, patterns, matrix)
+    by_source, raw_by_source = _node_counts(events.author, patterns, matrix)
+    by_target, raw_by_target = _node_counts(events.interactor, patterns, matrix)
     global_ = {x: n for x, n in enumerate(by_source.sum(axis=0).tolist()) if n}
     return PatternCounts(scheme, global_, by_source, by_target, len(patterns),
                          raw_by_source, raw_by_target)
@@ -334,8 +336,9 @@ class Calibration:
     weights: WeightTable
 
 
-def calibrate_records(records, scheme: Scheme) -> Calibration:
-    counts = count_events(records, scheme)
+def calibrate_records(events, scheme: Scheme) -> Calibration:
+    """``scheme``'s calibration over deduplicated events, as :func:`count_events` reads them."""
+    counts = count_events(events, scheme)
     g = normalize_global(counts)
     s = normalize_source(counts)
     t = normalize_target(counts)
@@ -385,6 +388,7 @@ def read_weight_csv(path) -> dict[str, Calibration]:
             raise DataError(f"{path}:{lineno}: expected {len(WEIGHT_CSV_HEADER)} fields")
         cols = sections.setdefault(row[0], {name: {} for name in WEIGHT_CSV_HEADER[2:]})
         try:
+            Scheme.parse(row[0])   # an unknown tag is a ConfigError, a ValueError too
             x = parse_pattern(row[1])
             for name, cell in zip(WEIGHT_CSV_HEADER[2:], row[2:]):
                 value = float(cell)

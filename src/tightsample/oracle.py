@@ -114,19 +114,16 @@ class GraphOracle:
         return cls(ids, codes[1::2], codes[0::2])
 
     @classmethod
-    def from_events(cls, events) -> "GraphOracle":
+    def from_events(cls, events: EventTable) -> "GraphOracle":
         """Engagement-event backing, pre-indexed by author at load time.
 
-        ``events`` is an :class:`~tightsample.ingest.EventTable` or an
-        iterable of events. ``in_neighbors(author)`` lists every user who
-        engaged with the author's tweets, with one interaction pattern per
-        tweet. The patterns are ordered by tweet id (as strings), the order in
-        which ``event_weight`` sums them; the ids themselves are not kept.
-        Internal ids go to users in order of appearance, author before
-        interactor, event by event.
+        ``in_neighbors(author)`` of the :class:`~tightsample.ingest.EventTable`
+        ``events`` lists every user who engaged with the author's tweets, with
+        one interaction pattern per tweet. The patterns are ordered by tweet id
+        (as strings), the order in which ``event_weight`` sums them; the ids
+        themselves are not kept. Internal ids go to users in order of
+        appearance, author before interactor, event by event.
         """
-        if not isinstance(events, EventTable):
-            events = EventTable.from_events(events)
         # user codes in order of first appearance in the interleaved (author, interactor)
         codes, first = np.unique(np.column_stack((events.author, events.interactor)),
                                  return_index=True)

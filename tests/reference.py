@@ -15,7 +15,7 @@ import numpy as np
 
 from tightsample import interactions as ia
 from tightsample import sbm
-from tightsample.ingest import EngagementEvent, ParseReport
+from tightsample.ingest import ParseReport
 from tightsample.interactions import PLAIN_EDGE, pattern_of
 from tightsample.oracle import GraphOracle
 from tightsample.util import DataError, read_csv, read_lines
@@ -121,10 +121,18 @@ def random_digraph(rng, n, p):
     return pairs
 
 
+def event_rows(table):
+    """The events of an ``ingest.EventTable`` as ``(tweet_id, author, interactor, pattern)``."""
+    return [(table.tweets[t], table.users[a], table.users[j], p)
+            for t, a, j, p in zip(table.tweet.tolist(), table.author.tolist(),
+                                  table.interactor.tolist(), table.pattern.tolist())]
+
+
 def reference_parse_events(path, fmt=None, malformed_cap=0.01):
     """Row-at-a-time event-log parse: a dict of merged events, one row after another.
 
-    Returns ``(events, report)`` as ``ingest.parse_events_with_report`` does.
+    Returns ``(events, report)`` as ``ingest.parse_events_with_report`` does,
+    the events as ``(tweet_id, author, interactor, pattern)`` tuples.
     """
     if fmt is None:
         fmt = "csv" if str(path).endswith(".csv") else "jsonl"
@@ -171,8 +179,8 @@ def reference_parse_events(path, fmt=None, malformed_cap=0.01):
             continue
         prev = merged.get((tweet, interactor))
         if prev is not None:
-            author, pattern = prev.author, prev.pattern | pattern
-        merged[tweet, interactor] = EngagementEvent(tweet, author, interactor, pattern)
+            author, pattern = prev[1], prev[3] | pattern
+        merged[tweet, interactor] = (tweet, author, interactor, pattern)
     if report.rows and report.malformed / report.rows > malformed_cap:
         raise DataError(f"{path}: {report.malformed}/{report.rows} malformed rows")
     return list(merged.values()), report
@@ -181,17 +189,18 @@ def reference_parse_events(path, fmt=None, malformed_cap=0.01):
 def reference_apply_filters(events, seeds, corpus_filter):
     """Event-at-a-time seed and trim filters: ``(kept events, kept seeds, report)``.
 
-    Returns what ``ingest.apply_filters`` returns, with the kept events as a list.
+    Takes and keeps ``(tweet_id, author, interactor, pattern)`` tuples;
+    otherwise returns what ``ingest.apply_filters`` returns.
     """
     events = list(events)
-    authored = {e.author for e in events}
+    authored = {author for _t, author, _j, _p in events}
     kept_seeds = sorted(authored) if seeds is None else [s for s in seeds if s in authored]
     seed_set = set(kept_seeds)
-    seed_events = [e for e in events if e.author in seed_set]
+    seed_events = [e for e in events if e[1] in seed_set]
 
     interactors_per_tweet = {}
-    for e in seed_events:
-        interactors_per_tweet.setdefault(e.tweet_id, set()).add(e.interactor)
+    for tweet, _author, interactor, _pattern in seed_events:
+        interactors_per_tweet.setdefault(tweet, set()).add(interactor)
     tweet_counts = {t: len(js) for t, js in interactors_per_tweet.items()}
 
     if tweet_counts:
@@ -205,7 +214,7 @@ def reference_apply_filters(events, seeds, corpus_filter):
         cutoff = None
         kept_tweets = set()
 
-    kept_events = [e for e in seed_events if e.tweet_id in kept_tweets]
+    kept_events = [e for e in seed_events if e[0] in kept_tweets]
     report = {
         "seeds_in": len(seeds) if seeds is not None else len(kept_seeds),
         "seeds_removed": (len(seeds) - len(kept_seeds)) if seeds is not None else 0,
@@ -218,8 +227,10 @@ def reference_apply_filters(events, seeds, corpus_filter):
     return kept_events, kept_seeds, report
 
 
-def reference_calibrate_records(records, scheme):
-    """Record-at-a-time calibration: a ``Counter`` per node, shares summed in a dict loop.
+def reference_calibrate_records(events, scheme):
+    """Event-at-a-time calibration: a ``Counter`` per node, shares summed in a dict loop.
+
+    Takes ``(tweet_id, author, interactor, pattern)`` tuples, one per event.
 
     Returns the global, source and target ``FrequencyTable`` values and the
     ``Calibration`` that ``balance`` and ``weights_from`` make of them.
@@ -227,7 +238,7 @@ def reference_calibrate_records(records, scheme):
     global_ = Counter()
     by_source, by_target, raw_by_source, raw_by_target = {}, {}, {}, {}
     raw_events = 0
-    for author, interactor, pattern in records:
+    for _tweet, author, interactor, pattern in events:
         if scheme.collapsed:
             pattern = ia.collapse_af(pattern)
         counted = [pattern] if scheme in (ia.Scheme.DISTINCT, ia.Scheme.AF_DISTINCT) \
@@ -260,20 +271,21 @@ def reference_calibrate_records(records, scheme):
 def reference_in_adjacency(events):
     """``(external ids in internal-id order, {author id: answer})`` of an event oracle.
 
-    Ids are assigned author then interactor over the events in order; an
-    answer lists ``(interactor id, patterns)`` by ascending id, the patterns
-    ordered by ``str(tweet_id)``.
+    ``events`` are ``(tweet_id, author, interactor, pattern)`` tuples. Ids are
+    assigned author then interactor over the events in order; an answer lists
+    ``(interactor id, patterns)`` by ascending id, the patterns ordered by
+    ``str(tweet_id)``.
     """
     ext2int, int2ext = {}, []
     per_author = {}
-    for e in events:
-        for ext in (e.author, e.interactor):
+    for tweet, author, interactor, pattern in events:
+        for ext in (author, interactor):
             if ext not in ext2int:
                 ext2int[ext] = len(int2ext)
                 int2ext.append(ext)
-        a, j = ext2int[e.author], ext2int[e.interactor]
+        a, j = ext2int[author], ext2int[interactor]
         if a != j:
-            per_author.setdefault(a, {}).setdefault(j, []).append((e.tweet_id, e.pattern))
+            per_author.setdefault(a, {}).setdefault(j, []).append((tweet, pattern))
     in_adj = {a: tuple((j, tuple(p for _t, p in sorted(evs, key=lambda tp: str(tp[0]))))
                        for j, evs in sorted(by_src.items()))
               for a, by_src in per_author.items()}

@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 from reference import brute_all_pairs, brute_nested_counts, make_sbm_oracle
 from tightsample import interactions as ia
 from tightsample import metrics, sampler, sbm
-from tightsample.ingest import synthetic_corpus
+from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle
 
 
@@ -72,8 +72,8 @@ def test_c02_nested_superset_identity():
     for _ in range(100):
         size = int(rng.integers(1, 1001))
         patterns = [int(p) for p in rng.integers(1, 16, size=size)]
-        records = [(f"a{i % 9}", f"u{i % 57}", p)
-                   for i, p in enumerate(patterns)]
+        records = EventTable.from_rows((f"t{i}", f"a{i % 9}", f"u{i % 57}", p)
+                                       for i, p in enumerate(patterns))
         counts = ia.count_events(records, ia.Scheme.NESTED)
         assert dict(counts.global_) == brute_nested_counts(patterns)
 
@@ -218,7 +218,7 @@ def _build_instance(spec):
     corpus = synthetic_corpus(np.random.default_rng(payload), n_authors=6,
                               n_interactors=50, n_tweets=60, n_events=300)
     oracle = GraphOracle.from_events(corpus)
-    seeds = sorted({e.author for e in corpus})[:3]
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
     weights = ia.load_reference_tables()["distinct"].weights
     return oracle, seeds, weights
 
@@ -383,7 +383,7 @@ def test_c10_selection_sequence_invariant_under_scaling():
     event_sequences = []
     for c in (0.25, 1.0, 4.0):
         oracle = GraphOracle.from_events(corpus)
-        seeds = sorted({e.author for e in corpus})[:4]
+        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:4]
         state = sampler.init(seeds, oracle, base.scaled(c))
         trace = sampler.run(state, "MAS", steps=80, rng_seed=78)
         event_sequences.append(trace.selected())

@@ -356,6 +356,8 @@ BAD_INPUTS = {
                     "weights.csv:2: omega must be a finite number >= 0"),
     "weights-negative": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,-1,1,1,1,1,1\n", 3,
                          "weights.csv:2: eta_global must be a finite number >= 0"),
+    "weights-scheme": ("weights.csv", WEIGHTS_HEADER + b"bogus,0001,1,1,1,1,1,1\n", 3,
+                       "weights.csv:2: unknown counting scheme 'bogus'"),
     "labels-number": ("labels.csv", b"node,block\n0,x\n", 3, "labels.csv:2:"),
 }
 
@@ -415,6 +417,46 @@ def test_negative_rng_seed_exits_cleanly(small_run, tmp_path, case):
     assert code == expected, err
     assert "Traceback" not in err
     assert all(fragment in err for fragment in fragments), err
+
+
+@pytest.mark.parametrize("source", ["--seeds", "--from-manifest"])
+@pytest.mark.parametrize("token", ["²", "--5"])
+def test_digit_like_seed_that_int_rejects_exits_3(small_run, tmp_path, source, token):
+    # '²'.isdigit() holds and '--5'.lstrip('-') is digits, but int() raises on both:
+    # such a token must stay a string, and an unknown one
+    if source == "--seeds":
+        argv = ["sample", "--undirected", small_run.parent / "net" / "edges.tsv",
+                "--seeds", f"0,{token}", "--budget", "3"]
+    else:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {**json.loads((small_run / "manifest.json").read_text()), "seeds": ["0", token]}))
+        argv = ["sample", "--from-manifest", manifest]
+    code, err = run_cli_process(*argv, "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"unknown seed: '{token}'" in err, err
+
+
+def test_sample_on_the_shipped_multi_scheme_table_says_what_works(small_run, tmp_path, capsys):
+    shipped = Path(tightsample.__file__).parent / "data" / "calibrated_weights.csv"
+    assert run_cli("sample", "--undirected", small_run.parent / "net" / "edges.tsv",
+                   "--seeds", "0", "--budget", "3", "--weights", shipped,
+                   "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{shipped} holds the schemes distinct, nested, af" in err, err
+    assert "table of one scheme, or a shipped tag (distinct, nested, af)" in err, err
+
+
+def test_metrics_refuses_two_runs_of_one_name(small_run, tmp_path, capsys):
+    # their report_<name>.json and evolution_<name>.csv would overwrite each other
+    for parent in ("a", "b"):
+        shutil.copytree(small_run, tmp_path / parent / "run")
+    out = tmp_path / "eval"
+    assert run_cli("metrics", tmp_path / "a" / "run", tmp_path / "b" / "run",
+                   "--labels", small_run.parent / "net" / "labels.csv", "--out", out) == 2
+    assert "two run directories are named 'run'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_replay_of_a_target_size_run(small_run, tmp_path):
@@ -541,7 +583,7 @@ def test_sample_events_backing_with_calibrated_weights(tmp_path, monkeypatch):
     cal = tmp_path / "cal"
     assert run_cli("calibrate", events_path, "--scheme", "nested",
                    "--out", cal) == 0
-    seeds = ",".join(sorted({e.author for e in corpus})[:3])
+    seeds = ",".join(sorted({corpus.users[a] for a in corpus.author.tolist()})[:3])
     out1 = tmp_path / "run1"
     assert run_cli("sample", "--events", events_path, "--seeds", seeds,
                    "--strategy", "MAS", "--weights",
@@ -566,8 +608,7 @@ def test_calibrate_fixture_corpus(tmp_path):
     assert run_cli("calibrate", events_path, "--scheme", "distinct",
                    "--out", out) == 0
     loaded = read_weight_csv(out / "weights_distinct.csv")["distinct"]
-    expected = calibrate_records([(e.author, e.interactor, e.pattern) for e in corpus],
-                                 Scheme.DISTINCT)
+    expected = calibrate_records(corpus, Scheme.DISTINCT)
     for x, star in expected.eta_star.values.items():
         assert loaded.eta_star.values[x] == pytest.approx(star, rel=1e-4)
     summary = json.loads((out / "calibration_summary.json").read_text())
@@ -651,19 +692,6 @@ def test_calibrate_checks_its_arguments_before_reading_the_log(
     assert value in capsys.readouterr().err
 
 
-def test_calibrate_reads_the_event_table_as_columns(tmp_path, monkeypatch):
-    def events_as_objects(self):
-        raise AssertionError("the event table was iterated")
-
-    corpus = ingest.synthetic_corpus(np.random.default_rng(31), n_events=400)
-    log, seeds = tmp_path / "events.jsonl", tmp_path / "seeds.txt"
-    ingest.write_events_jsonl(log, corpus)
-    seeds.write_text("\n".join(sorted({e.author for e in corpus})[:3]) + "\n")
-    monkeypatch.setattr(ingest.EventTable, "__iter__", events_as_objects)
-    assert run_cli("calibrate", log, "--scheme", "nested", "--seeds-file", seeds,
-                   "--trim", "0.8", "--out", tmp_path / "cal") == 0
-
-
 def test_events_mas_run_on_a_nan_weight_table_exits_3(tmp_path):
     corpus = ingest.synthetic_corpus(np.random.default_rng(91), n_events=600)
     log = tmp_path / "events.jsonl"
@@ -674,7 +702,7 @@ def test_events_mas_run_on_a_nan_weight_table_exits_3(tmp_path):
     weights = tmp_path / "weights.csv"
     with open(weights, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    code, err = run_cli_process("sample", "--events", log, "--seeds", corpus[0].author,
+    code, err = run_cli_process("sample", "--events", log, "--seeds", corpus.users[corpus.author[0]],
                                 "--strategy", "MAS", "--weights", weights, "--budget", "20",
                                 "--out", tmp_path / "run")
     assert code == 3, err

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_apply_filters, reference_in_adjacency, reference_parse_events
+from reference import (
+    event_rows,
+    reference_apply_filters,
+    reference_in_adjacency,
+    reference_parse_events,
+)
 from tightsample import ingest
 from tightsample.oracle import GraphOracle
 from tightsample.util import DataError
@@ -42,14 +47,14 @@ def fixture_log(tmp_path):
 
 def test_fixture_log_parses_to_expected_events(fixture_log):
     events = ingest.parse_events(fixture_log)
-    by_key = {(e.tweet_id, e.interactor): e for e in events}
+    by_key = {(t, j): p for t, _a, j, p in event_rows(events)}
     # 10 rows -> 8 events: one self-engagement dropped, t3/u3 rows merged
     assert len(events) == 8
-    assert by_key[("t1", "u2")].pattern == 0b0101  # retweet, quote
-    assert by_key[("t2", "u1")].pattern == 0b1100  # like twice, retweet
-    assert by_key[("t3", "u3")].pattern == 0b1010  # reply row | like row
+    assert by_key[("t1", "u2")] == 0b0101  # retweet, quote
+    assert by_key[("t2", "u1")] == 0b1100  # like twice, retweet
+    assert by_key[("t3", "u3")] == 0b1010  # reply row | like row
     assert ("t4", "a2") not in by_key
-    assert by_key[("t6", "u5")].pattern == 0b0010  # its ts field is ignored
+    assert by_key[("t6", "u5")] == 0b0010  # its ts field is ignored
 
 
 def test_empty_types_row_is_counted_malformed(tmp_path):
@@ -88,7 +93,7 @@ def test_csv_format_round_trip(tmp_path):
         "t1,a1,u1,like|retweet,\n"
         "t2,a1,u2,quote,2022-07-01\n")
     events = ingest.parse_events(path)
-    assert {e.pattern for e in events} == {0b1100, 0b0001}
+    assert set(events.pattern.tolist()) == {0b1100, 0b0001}
 
 
 def test_csv_types_cells_parse_to_patterns(tmp_path):
@@ -98,7 +103,7 @@ def test_csv_types_cells_parse_to_patterns(tmp_path):
     path.write_text("tweet_id,author,interactor,types\n" + "".join(
         f"t1,a1,{u},{cell}\n" for u, cell in cells.items()))
     events, report = ingest.parse_events_with_report(path, malformed_cap=1.0)
-    assert {e.interactor: e.pattern for e in events} == {
+    assert {j: p for _t, _a, j, p in event_rows(events)} == {
         "u1": 0b1100, "u2": 0b1001, "u3": 0b0010, "u4": 0b1001}
     # an unknown type, or no type at all, makes the row malformed
     assert report.rows == 7 and report.malformed == 3
@@ -110,21 +115,25 @@ def test_jsonl_write_read_round_trip(tmp_path, rng):
     path = tmp_path / "synth.jsonl"
     ingest.write_events_jsonl(path, corpus)
     back = ingest.parse_events(path)
-    assert sorted((e.tweet_id, e.interactor, e.pattern) for e in back) == \
-        sorted((e.tweet_id, e.interactor, e.pattern) for e in corpus)
+    assert sorted(event_rows(back)) == sorted(event_rows(corpus))
 
 
 # ---------------------------------------------------------------------------
 # filters
 
 
-def _mk_events(counts_per_tweet):
+def _mk_rows(counts_per_tweet):
     """One author; tweet k receives engagement from counts[k] interactors."""
-    events = []
-    for k, c in enumerate(counts_per_tweet):
-        for j in range(c):
-            events.append(ingest.EngagementEvent(f"t{k}", "a0", f"u{k}_{j}", 0b1000))
-    return events
+    return [(f"t{k}", "a0", f"u{k}_{j}", 0b1000)
+            for k, c in enumerate(counts_per_tweet) for j in range(c)]
+
+
+def _mk_events(counts_per_tweet):
+    return ingest.EventTable.from_rows(_mk_rows(counts_per_tweet))
+
+
+def _kept_tweets(result):
+    return [t for t, _a, _j, _p in event_rows(result.events)]
 
 
 def test_trim_identity_at_quantile_one():
@@ -137,7 +146,7 @@ def test_trim_identity_at_quantile_one():
 def test_trim_drops_top_decile_tweet():
     events = _mk_events(range(1, 11))  # counts 1..10
     out = ingest.apply_filters(events, None, ingest.CorpusFilter(trim_quantile=0.9))
-    kept_tweets = {e.tweet_id for e in out.events}
+    kept_tweets = set(_kept_tweets(out))
     assert "t9" not in kept_tweets  # the count-10 tweet
     assert len(kept_tweets) == 9
     assert out.report["interaction_cutoff"] == 9
@@ -146,7 +155,7 @@ def test_trim_drops_top_decile_tweet():
 def test_trim_keeps_ties_with_last_rank():
     events = _mk_events([1, 2, 5, 5, 5])  # 0.8 quantile rank lands inside the tie
     out = ingest.apply_filters(events, None, ingest.CorpusFilter(trim_quantile=0.8))
-    assert len({e.tweet_id for e in out.events}) == 5
+    assert len(set(_kept_tweets(out))) == 5
 
 
 def test_inactive_seeds_removed():
@@ -158,18 +167,17 @@ def test_inactive_seeds_removed():
 
 
 def test_three_of_five_seeds_kept():
-    events = [ingest.EngagementEvent(f"t{k}", f"a{k}", f"u{k}", 0b1000) for k in range(3)]
+    events = ingest.EventTable.from_rows((f"t{k}", f"a{k}", f"u{k}", 0b1000) for k in range(3))
     seeds = ["a0", "a1", "a2", "a3", "a4"]
     out = ingest.apply_filters(events, seeds, ingest.CorpusFilter())
     assert out.seeds == ["a0", "a1", "a2"]
 
 
 def test_events_of_nonseed_authors_dropped():
-    events = _mk_events([2]) + [
-        ingest.EngagementEvent("tx", "stranger", "u9", 0b1000)]
+    events = ingest.EventTable.from_rows(_mk_rows([2]) + [("tx", "stranger", "u9", 0b1000)])
     out = ingest.apply_filters(events, ["a0"],
                                ingest.CorpusFilter(trim_quantile=1.0))
-    assert out.events and all(e.author == "a0" for e in out.events)
+    assert out.events and all(a == "a0" for _t, a, _j, _p in event_rows(out.events))
 
 
 def test_all_tweets_trimmed_errors():
@@ -191,7 +199,7 @@ def test_filter_idempotent_on_tie_heavy_corpus(rng):
     f = ingest.CorpusFilter(trim_quantile=0.9)
     once = ingest.apply_filters(events, None, f)
     twice = ingest.apply_filters(once.events, once.seeds, f)
-    assert [e.tweet_id for e in twice.events] == [e.tweet_id for e in once.events]
+    assert _kept_tweets(twice) == _kept_tweets(once)
     assert twice.seeds == once.seeds
 
 
@@ -207,7 +215,7 @@ def test_seed_filter_idempotent():
 def test_synthetic_corpus_deterministic():
     a = ingest.synthetic_corpus(np.random.default_rng(5), n_events=100)
     b = ingest.synthetic_corpus(np.random.default_rng(5), n_events=100)
-    assert a == b
+    assert event_rows(a) == event_rows(b)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +253,7 @@ def _compare_with_reference(path, fmt, cap):
         return
     table, report = ingest.parse_events_with_report(path, fmt, cap)
     ref_events, ref_report = expected
-    assert list(table) == ref_events
+    assert event_rows(table) == ref_events
     assert len(table) == len(ref_events)
     assert report == ref_report
     _compare_oracles(table, ref_events)
@@ -290,12 +298,11 @@ def test_csv_parse_and_oracle_match_row_at_a_time_reference(rows, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=st.lists(st.builds(
-    ingest.EngagementEvent, st.sampled_from(TWEET_IDS), st.sampled_from(USER_IDS),
-    st.sampled_from(USER_IDS), st.integers(1, 15)), max_size=30))
-def test_oracle_from_unparsed_events_matches_reference(events):
-    # not deduplicated: a pair may repeat, even on one tweet, and ids keep their type
-    _compare_oracles(events, events)
+@given(rows=st.lists(st.tuples(st.sampled_from(TWEET_IDS), st.sampled_from(USER_IDS),
+                               st.sampled_from(USER_IDS), st.integers(1, 15)), max_size=30))
+def test_oracle_from_unparsed_events_matches_reference(rows):
+    # not deduplicated: a pair may repeat, even on one tweet, and user ids keep their type
+    _compare_oracles(ingest.EventTable.from_rows(rows), rows)
 
 
 # one id pool per corpus, string ids as a parse makes them or int ids as a caller may
@@ -306,31 +313,30 @@ ID_POOLS = ((["t1", "t10", "t9", "tš", "7"], ["u1", "u2", "ü", "用户", "3", 
 
 def _filter_case(pool):
     tweets, users = pool
-    events = st.lists(st.builds(ingest.EngagementEvent, st.sampled_from(tweets),
-                                st.sampled_from(users), st.sampled_from(users),
-                                st.integers(1, 15)), max_size=40)
+    events = st.lists(st.tuples(st.sampled_from(tweets), st.sampled_from(users),
+                                st.sampled_from(users), st.integers(1, 15)), max_size=40)
     seeds = st.none() | st.lists(st.sampled_from([*users, "ghost"]), max_size=8)
     return st.tuples(events, seeds)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(ID_POOLS).flatmap(_filter_case),
-       trim=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0]), as_table=st.booleans())
-def test_filters_match_event_at_a_time_reference(case, trim, as_table):
+       trim=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0]))
+def test_filters_match_event_at_a_time_reference(case, trim):
     events, seeds = case
     f = ingest.CorpusFilter(trim_quantile=trim)
-    given_events = ingest.EventTable.from_events(events) if as_table else events
+    table = ingest.EventTable.from_rows(events)
     try:
         ref_events, ref_seeds, ref_report = reference_apply_filters(events, seeds, f)
     except DataError:
         with pytest.raises(DataError, match="trim removed every tweet"):
-            ingest.apply_filters(given_events, seeds, f)
+            ingest.apply_filters(table, seeds, f)
         return
-    out = ingest.apply_filters(given_events, seeds, f)
+    out = ingest.apply_filters(table, seeds, f)
     assert isinstance(out.events, ingest.EventTable)
+    assert out.events.users is table.users
     # the table keeps tweet ids as strings, as GraphOracle.from_events does
-    assert list(out.events) == [ingest.EngagementEvent(str(e.tweet_id), e.author, e.interactor,
-                                                       e.pattern) for e in ref_events]
+    assert event_rows(out.events) == [(str(t), a, j, p) for t, a, j, p in ref_events]
     assert out.seeds == ref_seeds
     assert out.report == ref_report
     assert all(v is None or type(v) is int for v in out.report.values())

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import brute_nested_counts, brute_sse, reference_calibrate_records
+from reference import brute_nested_counts, brute_sse, event_rows, reference_calibrate_records
+from tightsample import ingest
 from tightsample import interactions as ia
 from tightsample.util import ConfigError, DataError
 
@@ -60,72 +61,95 @@ def test_subpatterns():
 # counting
 
 
-def _count(records, scheme):
-    return ia.count_events(records, scheme)
+def _count(rows, scheme):
+    return ia.count_events(ingest.EventTable.from_rows(rows), scheme)
+
+
+def _calibrate(rows, scheme):
+    return ia.calibrate_records(ingest.EventTable.from_rows(rows), scheme)
 
 
 def test_distinct_counts_exact_pattern():
-    counts = _count([("a", "u", 0b1100)], ia.Scheme.DISTINCT)
+    counts = _count([("t", "a", "u", 0b1100)], ia.Scheme.DISTINCT)
     assert counts.global_ == {0b1100: 1}
     assert counts.raw_events == 1
 
 
 def test_nested_counts_all_subsets():
-    counts = _count([("a", "u", 0b1100)], ia.Scheme.NESTED)
+    counts = _count([("t", "a", "u", 0b1100)], ia.Scheme.NESTED)
     assert counts.global_ == {0b1000: 1, 0b0100: 1, 0b1100: 1}
     assert counts.raw_events == 1
 
 
 def test_af_counts_collapse_then_nest():
     # like+retweet collapses to 101 (like, no reply, rtq); nested subsets
-    counts = _count([("a", "u", 0b1100)], ia.Scheme.AF)
+    counts = _count([("t", "a", "u", 0b1100)], ia.Scheme.AF)
     assert counts.global_ == {0b100: 1, 0b001: 1, 0b101: 1}
 
 
 def test_af_distinct_counts_exact_collapsed():
-    counts = _count([("a", "u", 0b1100)], ia.Scheme.AF_DISTINCT)
+    counts = _count([("t", "a", "u", 0b1100)], ia.Scheme.AF_DISTINCT)
     assert counts.global_ == {0b101: 1}
 
 
 @given(st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=200))
 @settings(max_examples=60, deadline=None)
 def test_nested_equals_superset_sums(patterns):
-    records = [("a", f"u{i}", p) for i, p in enumerate(patterns)]
-    counts = _count(records, ia.Scheme.NESTED)
+    rows = [(f"t{i}", "a", f"u{i}", p) for i, p in enumerate(patterns)]
+    counts = _count(rows, ia.Scheme.NESTED)
     assert dict(counts.global_) == brute_nested_counts(patterns)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=100))
 @settings(max_examples=30, deadline=None)
 def test_nested_1111_equals_distinct_1111(patterns):
-    records = [("a", f"u{i}", p) for i, p in enumerate(patterns)]
-    nested = _count(records, ia.Scheme.NESTED).global_
-    distinct = _count(records, ia.Scheme.DISTINCT).global_
+    rows = [(f"t{i}", "a", f"u{i}", p) for i, p in enumerate(patterns)]
+    nested = _count(rows, ia.Scheme.NESTED).global_
+    distinct = _count(rows, ia.Scheme.DISTINCT).global_
     assert nested.get(0b1111, 0) == distinct.get(0b1111, 0)
 
 
 @pytest.mark.parametrize("pattern", [0, 16, -1])
 def test_pattern_outside_the_four_bits_is_a_data_error(pattern):
     with pytest.raises(DataError, match=f"pattern {pattern} "):
-        _count([("a", "u", 0b1000), ("a", "v", pattern)], ia.Scheme.DISTINCT)
+        _count([("t", "a", "u", 0b1000), ("t", "a", "v", pattern)], ia.Scheme.DISTINCT)
 
 
 # many nodes sharing a few common patterns: the float shares of a pattern are summed
-# over nodes, so a change of summation order shows in the last bits
+# over nodes, so a change of summation order shows in the last bits. Authors and
+# interactors share one id pool, so a user may interact before authoring; pairs repeat
+# unmerged; and a filtered table keeps the codes of the whole table's users.
 @settings(max_examples=200, deadline=None)
-@given(records=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30),
-                                  st.sampled_from([0b1000, 0b1100]) | st.integers(1, 15)),
-                        min_size=1, max_size=300),
-       scheme=st.sampled_from(list(ia.Scheme)), as_str=st.booleans())
-def test_calibration_matches_record_at_a_time_reference(records, scheme, as_str):
+@given(rows=st.lists(st.tuples(st.sampled_from(["t1", "t2", "t3", "t4"]), st.integers(0, 30),
+                               st.integers(0, 30),
+                               st.sampled_from([0b1000, 0b1100]) | st.integers(1, 15)),
+                     min_size=1, max_size=300),
+       scheme=st.sampled_from(list(ia.Scheme)), as_str=st.booleans(),
+       seeds=st.none() | st.lists(st.integers(0, 30), max_size=10),
+       trim=st.sampled_from([0.5, 1.0]))
+@example(rows=[("t1", 1, 2, 0b1000), ("t2", 2, 1, 0b1100), ("t1", 1, 2, 0b1000)],
+         scheme=ia.Scheme.NESTED, as_str=False, seeds=[2], trim=1.0)
+def test_calibration_matches_record_at_a_time_reference(rows, scheme, as_str, seeds, trim):
     if as_str:
-        records = [(f"a{a}", f"u{j}", p) for a, j, p in records]
-    ref = reference_calibrate_records(records, scheme)
-    cal = ia.calibrate_records(iter(records), scheme)
-    for name in ("eta_global", "eta_source", "eta_target", "eta_star"):
-        assert getattr(cal, name).values == getattr(ref, name).values
-    assert cal.weights.omega == ref.weights.omega
-    assert cal.weights.omega_star == ref.weights.omega_star
+        rows = [(t, f"u{a}", f"u{j}", p) for t, a, j, p in rows]
+        seeds = seeds and [f"u{a}" for a in seeds]
+    table = ingest.EventTable.from_rows(rows)
+    tables = [table]
+    try:
+        tables.append(ingest.apply_filters(table, seeds, ingest.CorpusFilter(trim)).events)
+    except DataError:   # the trim removed every tweet
+        pass
+    for events in tables:
+        if not len(events):
+            with pytest.raises(DataError, match="empty corpus"):
+                ia.calibrate_records(events, scheme)
+            continue
+        ref = reference_calibrate_records(event_rows(events), scheme)
+        cal = ia.calibrate_records(events, scheme)
+        for name in ("eta_global", "eta_source", "eta_target", "eta_star"):
+            assert getattr(cal, name).values == getattr(ref, name).values
+        assert cal.weights.omega == ref.weights.omega
+        assert cal.weights.omega_star == ref.weights.omega_star
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +157,14 @@ def test_calibration_matches_record_at_a_time_reference(records, scheme, as_str)
 
 
 def test_global_degenerate_distribution():
-    t = ia.normalize_global(_count([("a", "u", 8), ("a", "v", 8)], ia.Scheme.DISTINCT))
+    t = ia.normalize_global(_count([("t", "a", "u", 8), ("t", "a", "v", 8)],
+                                   ia.Scheme.DISTINCT))
     assert t.values == {8: 100.0}
 
 
 def test_global_proportions():
-    records = [("a", f"u{i}", 8) for i in range(3)] + [("a", "u9", 1)]
-    t = ia.normalize_global(_count(records, ia.Scheme.DISTINCT))
+    rows = [("t", "a", f"u{i}", 8) for i in range(3)] + [("t", "a", "u9", 1)]
+    t = ia.normalize_global(_count(rows, ia.Scheme.DISTINCT))
     assert t.values == {8: 75.0, 1: 25.0}
 
 
@@ -150,8 +175,8 @@ def test_empty_corpus_errors():
 
 
 def test_source_single_author_collapses_to_global():
-    records = [("a", "u", 8), ("a", "v", 8), ("a", "w", 2)]
-    counts = _count(records, ia.Scheme.DISTINCT)
+    rows = [("t", "a", "u", 8), ("t", "a", "v", 8), ("t", "a", "w", 2)]
+    counts = _count(rows, ia.Scheme.DISTINCT)
     source = ia.normalize_source(counts).values
     global_ = ia.normalize_global(counts).values
     assert source == pytest.approx(global_)
@@ -159,27 +184,27 @@ def test_source_single_author_collapses_to_global():
 
 def test_source_averages_per_author_rows():
     # two authors with disjoint single-pattern engagement -> 50/50
-    records = [("a", "u", 8), ("b", "v", 2)]
-    t = ia.normalize_source(_count(records, ia.Scheme.DISTINCT))
+    rows = [("t1", "a", "u", 8), ("t2", "b", "v", 2)]
+    t = ia.normalize_source(_count(rows, ia.Scheme.DISTINCT))
     assert t.values == {8: 50.0, 2: 50.0}
 
 
 def test_target_single_interactor_collapses_to_global():
-    records = [("a", "u", 8), ("b", "u", 2)]
-    counts = _count(records, ia.Scheme.DISTINCT)
+    rows = [("t1", "a", "u", 8), ("t2", "b", "u", 2)]
+    counts = _count(rows, ia.Scheme.DISTINCT)
     assert ia.normalize_target(counts).values == ia.normalize_global(counts).values
 
 
 def test_target_averages_per_interactor_rows():
-    records = [("a", "u", 8), ("a", "v", 2)]
-    t = ia.normalize_target(_count(records, ia.Scheme.DISTINCT))
+    rows = [("t", "a", "u", 8), ("t", "a", "v", 2)]
+    t = ia.normalize_target(_count(rows, ia.Scheme.DISTINCT))
     assert t.values == {8: 50.0, 2: 50.0}
 
 
 def test_distinct_global_sums_to_100(rng):
     patterns = [int(p) for p in rng.integers(1, 16, size=500)]
-    records = [(f"a{i % 7}", f"u{i % 31}", p) for i, p in enumerate(patterns)]
-    t = ia.normalize_global(_count(records, ia.Scheme.DISTINCT))
+    rows = [(f"t{i}", f"a{i % 7}", f"u{i % 31}", p) for i, p in enumerate(patterns)]
+    t = ia.normalize_global(_count(rows, ia.Scheme.DISTINCT))
     assert sum(t.values.values()) == pytest.approx(100.0, abs=1e-9)
 
 
@@ -275,9 +300,9 @@ def test_plain_edge_always_weighs_one():
 
 def test_af_table_collapses_raw_event_patterns():
     # keys live in the 3-bit space; raw 4-bit event patterns must fold first
-    records = [("a", f"u{i}", p) for i, p in enumerate(
+    rows = [(f"t{i}", "a", f"u{i}", p) for i, p in enumerate(
         [0b1000, 0b1100, 0b0101, 0b0010, 0b1111, 0b0110] * 4)]
-    cal = ia.calibrate_records(records, ia.Scheme.AF)
+    cal = _calibrate(rows, ia.Scheme.AF)
     wt = cal.weights
     assert wt.of(0b1100) == wt.omega_star[0b101]  # like+retweet -> like, rtq
     assert wt.of(0b0101) == wt.omega_star[0b001]  # retweet+quote -> rtq
@@ -299,10 +324,10 @@ def test_omega_strictly_decreasing_in_eta(rng):
 
 def test_corpus_duplication_leaves_tables_unchanged(rng):
     patterns = [int(p) for p in rng.integers(1, 16, size=60)]
-    records = [(f"a{i % 5}", f"u{i % 17}", p) for i, p in enumerate(patterns)]
+    rows = [(f"t{i}", f"a{i % 5}", f"u{i % 17}", p) for i, p in enumerate(patterns)]
     for scheme in ia.Scheme:
-        once = ia.calibrate_records(records, scheme)
-        thrice = ia.calibrate_records(records * 3, scheme)
+        once = _calibrate(rows, scheme)
+        thrice = _calibrate(rows * 3, scheme)
         assert once.eta_global.values == thrice.eta_global.values
         assert once.eta_source.values == thrice.eta_source.values
         assert once.eta_target.values == thrice.eta_target.values
@@ -315,17 +340,17 @@ def test_corpus_duplication_leaves_tables_unchanged(rng):
 
 
 HAND_CORPUS = [
-    ("a1", "u1", 0b1000),  # t1 liked
-    ("a1", "u2", 0b1100),  # t1 liked+retweeted
-    ("a1", "u1", 0b1000),  # t2 liked
-    ("a2", "u3", 0b0010),  # t3 replied
-    ("a2", "u1", 0b1000),  # t3 liked
-    ("a2", "u2", 0b0001),  # t4 quoted
+    ("t1", "a1", "u1", 0b1000),  # liked
+    ("t1", "a1", "u2", 0b1100),  # liked+retweeted
+    ("t2", "a1", "u1", 0b1000),  # liked
+    ("t3", "a2", "u3", 0b0010),  # replied
+    ("t3", "a2", "u1", 0b1000),  # liked
+    ("t4", "a2", "u2", 0b0001),  # quoted
 ]
 
 
 def test_hand_corpus_distinct_pipeline():
-    cal = ia.calibrate_records(HAND_CORPUS, ia.Scheme.DISTINCT)
+    cal = _calibrate(HAND_CORPUS, ia.Scheme.DISTINCT)
     assert cal.eta_global.values[0b1000] == pytest.approx(50.0)
     assert cal.eta_source.values[0b1000] == pytest.approx(50.0)
     assert cal.eta_target.values[0b1000] == pytest.approx(100.0 / 3)
@@ -343,8 +368,8 @@ def test_hand_corpus_distinct_pipeline():
 
 def test_weight_csv_round_trip(tmp_path, rng):
     patterns = [int(p) for p in rng.integers(1, 16, size=200)]
-    records = [(f"a{i % 4}", f"u{i % 20}", p) for i, p in enumerate(patterns)]
-    cal = ia.calibrate_records(records, ia.Scheme.NESTED)
+    rows = [(f"t{i}", f"a{i % 4}", f"u{i % 20}", p) for i, p in enumerate(patterns)]
+    cal = _calibrate(rows, ia.Scheme.NESTED)
     path = tmp_path / "weights.csv"
     ia.write_weight_csv(path, cal)
     loaded = ia.read_weight_csv(path)["nested"]

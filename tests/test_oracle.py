@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reference import reference_plain_in_adjacency
 from tightsample import interactions as ia
-from tightsample.ingest import EngagementEvent
+from tightsample.ingest import EventTable
 from tightsample.oracle import GraphOracle, UnknownNodeError
 from tightsample.util import DataError
 
@@ -56,8 +56,7 @@ def test_plain_backings_match_reference(pairs, n_nodes, ending):
 
 
 def test_event_backing_builds_patterns():
-    events = [EngagementEvent("t", "i", "j", 0b1100)]
-    oracle = GraphOracle.from_events(events)
+    oracle = GraphOracle.from_events(EventTable.from_rows([("t", "i", "j", 0b1100)]))
     seed = oracle.declare_seeds(["i"])[0]
     answer = oracle.in_neighbors(seed)
     assert len(answer) == 1
@@ -68,9 +67,9 @@ def test_event_backing_builds_patterns():
 
 def test_event_patterns_answer_in_tweet_id_string_order():
     # ids sort as strings (t10 < t2 < t9), and event_weight adds in that order
-    events = [EngagementEvent("t9", "i", "j", 0b1000),
-              EngagementEvent("t10", "i", "j", 0b0001),
-              EngagementEvent("t2", "i", "j", 0b0100)]
+    events = EventTable.from_rows([("t9", "i", "j", 0b1000),
+                                   ("t10", "i", "j", 0b0001),
+                                   ("t2", "i", "j", 0b0100)])
     oracle = GraphOracle.from_events(events)
     ((_u, patterns),) = oracle.in_neighbors(oracle.declare_seeds(["i"])[0])
     assert patterns == (0b0001, 0b0100, 0b1000)
@@ -168,8 +167,8 @@ def test_every_backing_answers_in_ascending_id(tmp_path):
     pairs = [pairs[i] for i in rng.permutation(len(pairs))]
     path = tmp_path / "edges.tsv"
     path.write_text("".join(f"n{a}\tn{b}\n" for a, b in pairs))
-    events = [EngagementEvent(f"t{i % 40}", f"n{b}", f"n{a}", 0b1000)
-              for i, (a, b) in enumerate(pairs)]
+    events = EventTable.from_rows((f"t{i % 40}", f"n{b}", f"n{a}", 0b1000)
+                                  for i, (a, b) in enumerate(pairs))
     backings = {"undirected": GraphOracle.from_undirected_edges(pairs),
                 "edgelist": GraphOracle.from_edgelist(path),
                 "events": GraphOracle.from_events(events)}

@@ -46,12 +46,11 @@ def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
 def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypatch):
     # the traced mode times edge weighting through this leaf, so the sampler must
     # call it rather than sum the patterns itself
-    import dataclasses
-
     import numpy as np
 
+    from reference import event_rows
     from tightsample import interactions, sampler
-    from tightsample.ingest import synthetic_corpus
+    from tightsample.ingest import EventTable, synthetic_corpus
     from tightsample.oracle import GraphOracle
 
     calls = []
@@ -62,12 +61,13 @@ def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypat
         return event_weight(self, patterns)
 
     monkeypatch.setattr(interactions.WeightTable, "event_weight", counted)
-    corpus = [dataclasses.replace(e, interactor="a" + e.interactor[1:])
-              for e in synthetic_corpus(np.random.default_rng(4), n_authors=30,
-                                        n_interactors=30, n_tweets=120, n_events=600)]
+    corpus = synthetic_corpus(np.random.default_rng(4), n_authors=30, n_interactors=30,
+                              n_tweets=120, n_events=600)
+    corpus = EventTable.from_rows((t, a, "a" + j[1:], p) for t, a, j, p in event_rows(corpus))
     oracle = GraphOracle.from_events(corpus)
     weights = interactions.load_reference_tables()["distinct"].weights
-    state = sampler.init(sorted({e.author for e in corpus})[:2], oracle, weights)
+    state = sampler.init(sorted({corpus.users[a] for a in corpus.author.tolist()})[:2],
+                         oracle, weights)
     sampler.run(state, "MAS", steps=20, rng=np.random.default_rng(0))
     assert state.discovered.n_edges() > 20
     assert len(calls) == state.discovered.n_edges()
@@ -83,6 +83,7 @@ def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
 
     import numpy as np
 
+    from reference import event_rows
     from tightsample import cli, ingest, oracle
     from tightsample.interactions import pattern_types
 
@@ -90,9 +91,10 @@ def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
     log = tmp_path / "events.jsonl"
     # one row per interaction type, so repeated rows must merge into one event
     log.write_text("".join(
-        json.dumps({"tweet_id": e.tweet_id, "author": e.author,
-                    "interactor": e.interactor, "types": [name]}) + "\n"
-        for e in corpus for name in pattern_types(e.pattern)))
+        json.dumps({"tweet_id": tweet, "author": author,
+                    "interactor": interactor, "types": [name]}) + "\n"
+        for tweet, author, interactor, pattern in event_rows(corpus)
+        for name in pattern_types(pattern)))
     assert sum(1 for _ in open(log)) > len(corpus)
 
     parsed, built = [], []
@@ -109,7 +111,7 @@ def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ingest, "parse_events", counted_parse)
     monkeypatch.setattr(oracle.GraphOracle, "from_events", classmethod(counted_build))
-    assert cli.main(["sample", "--events", str(log), "--seeds", corpus[0].author,
+    assert cli.main(["sample", "--events", str(log), "--seeds", corpus.users[corpus.author[0]],
                      "--budget", "5", "--out", str(tmp_path / "run")]) == 0
     assert len(parsed) == 1 and len(built) == 1
     assert built[0] is parsed[0]
@@ -118,7 +120,8 @@ def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
 
 def test_calibrate_parses_filters_and_calibrates_once(monkeypatch, tmp_path):
     # the traced ingest.apply_filters and interactions.calibrate_records layers time
-    # these calls, and apply_filters must get the table the parse made
+    # these calls; apply_filters must get the table the parse made, and
+    # calibrate_records the very table apply_filters kept
     import numpy as np
 
     from tightsample import cli, ingest, interactions
@@ -127,7 +130,7 @@ def test_calibrate_parses_filters_and_calibrates_once(monkeypatch, tmp_path):
     log = tmp_path / "events.jsonl"
     ingest.write_events_jsonl(log, corpus)
 
-    parsed, filtered, calibrated = [], [], []
+    parsed, filtered, filtered_results, calibrated = [], [], [], []
     parse_events, apply_filters = ingest.parse_events, ingest.apply_filters
     calibrate_records = interactions.calibrate_records
 
@@ -137,7 +140,8 @@ def test_calibrate_parses_filters_and_calibrates_once(monkeypatch, tmp_path):
 
     def counted_filter(events, *args):
         filtered.append(events)
-        return apply_filters(events, *args)
+        filtered_results.append(apply_filters(events, *args))
+        return filtered_results[-1]
 
     def counted_calibrate(*args):
         calibrated.append(args)
@@ -150,6 +154,7 @@ def test_calibrate_parses_filters_and_calibrates_once(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "cal")]) == 0
     assert len(parsed) == len(filtered) == len(calibrated) == 1
     assert filtered[0] is parsed[0]
+    assert calibrated[0][0] is filtered_results[0].events
 
 
 def test_blockmodel_commands_generate_read_and_build_once(monkeypatch, tmp_path):

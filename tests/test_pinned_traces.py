@@ -11,17 +11,16 @@ generator, the sampler, the parse, the calibration or the oracle is
 refactored.
 """
 
-import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from reference import make_sbm_oracle
+from reference import event_rows, make_sbm_oracle
 from tightsample import cli, graph, sampler
 from tightsample import interactions as ia
-from tightsample.ingest import synthetic_corpus
+from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle
 
 RUN_FILES = ("trace.csv", "discovered.tsv", "access_log.csv")
@@ -206,9 +205,9 @@ def sbm_digests(strategy, tie_break, tmp_path):
 
 def graph_corpus():
     # interactors renamed into the authors' id space, so engagement forms a graph
-    return [dataclasses.replace(e, interactor="a" + e.interactor[1:])
-            for e in synthetic_corpus(np.random.default_rng(9), n_authors=60,
-                                      n_interactors=60, n_tweets=300, n_events=1500)]
+    corpus = synthetic_corpus(np.random.default_rng(9), n_authors=60, n_interactors=60,
+                              n_tweets=300, n_events=1500)
+    return EventTable.from_rows((t, a, "a" + j[1:], p) for t, a, j, p in event_rows(corpus))
 
 
 def write_split_log(corpus, path):
@@ -218,15 +217,16 @@ def write_split_log(corpus, path):
     ignore, and the log also holds a self-engagement, a malformed line and a
     blank line, which it must drop.
     """
-    rows = [(e, name) for e in corpus for name in ia.pattern_types(e.pattern)]
+    rows = [(e, name) for e in event_rows(corpus) for name in ia.pattern_types(e[3])]
     seen = set()
     lines = []
     for i in np.random.default_rng(3).permutation(len(rows)).tolist():
-        e, name = rows[i]
-        author = "x" + e.author if (e.tweet_id, e.interactor) in seen else e.author
-        seen.add((e.tweet_id, e.interactor))
-        lines.append(json.dumps({"tweet_id": e.tweet_id, "author": author,
-                                 "interactor": e.interactor, "types": [name]}))
+        (tweet, author, interactor, _pattern), name = rows[i]
+        if (tweet, interactor) in seen:
+            author = "x" + author
+        seen.add((tweet, interactor))
+        lines.append(json.dumps({"tweet_id": tweet, "author": author,
+                                 "interactor": interactor, "types": [name]}))
     lines[10:10] = ['{"tweet_id": "t0", "author": "a1", "interactor": "a1", "types": "like"}',
                     "{not json", ""]
     path.write_text("\n".join(lines) + "\n")
@@ -236,7 +236,7 @@ def calibrate_digests(scheme, tmp_path):
     corpus = graph_corpus()
     log, seeds, out = tmp_path / "events.jsonl", tmp_path / "seeds.txt", tmp_path / "cal"
     write_split_log(corpus, log)
-    authors = sorted({e.author for e in corpus})
+    authors = sorted({corpus.users[a] for a in corpus.author.tolist()})
     # a seed that authored nothing, and a repeated one
     seeds.write_text("\n".join([*authors[:30], "ghost", authors[0]]) + "\n")
     assert cli.main(["calibrate", str(log), "--scheme", scheme, "--seeds-file", str(seeds),
@@ -250,7 +250,7 @@ def calibrate_digests(scheme, tmp_path):
 def corpus_digests(strategy, tie_break, tmp_path):
     corpus = graph_corpus()
     oracle = GraphOracle.from_events(corpus)
-    seeds = sorted({e.author for e in corpus})[:3]
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
     weights = ia.load_reference_tables()["distinct"].weights
     return run_digests(oracle, seeds, weights, strategy, tie_break, 50, tmp_path)
 
@@ -271,7 +271,7 @@ def test_cli_events_log_traces_pinned(strategy, weights, tmp_path):
     corpus = graph_corpus()
     log = tmp_path / "events.jsonl"
     write_split_log(corpus, log)
-    seeds = ",".join(sorted({e.author for e in corpus})[:3])
+    seeds = ",".join(sorted({corpus.users[a] for a in corpus.author.tolist()})[:3])
     out = tmp_path / "run"
     assert cli.main(["sample", "--events", str(log), "--seeds", seeds,
                      "--strategy", strategy, "--weights", weights, "--budget", "50",

@@ -1,0 +1,19 @@
+"""Every fenced ``python`` block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(code, capsys):
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

@@ -10,6 +10,7 @@ failures.
 import pytest
 
 from tightsample import interactions as ia
+from tightsample.ingest import EventTable
 from tightsample.util import round_half_up
 
 
@@ -135,8 +136,9 @@ def test_af_001_derivable_within_one_percent(tables):
 def test_seventh_af_pattern_computable_from_any_corpus(rng):
     """Calibration over the collapsed space yields all seven patterns."""
     patterns = [int(p) for p in rng.integers(1, 16, size=2000)]
-    records = [(f"a{i % 6}", f"u{i % 50}", p) for i, p in enumerate(patterns)]
-    cal = ia.calibrate_records(records, ia.Scheme.AF)
+    events = EventTable.from_rows((f"t{i}", f"a{i % 6}", f"u{i % 50}", p)
+                                  for i, p in enumerate(patterns))
+    cal = ia.calibrate_records(events, ia.Scheme.AF)
     assert set(cal.eta_star.values) == set(ia.AF_PATTERNS)
 
 

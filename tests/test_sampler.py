@@ -1,15 +1,14 @@
 import copy
-import dataclasses
 import heapq
 import math
 
 import numpy as np
 import pytest
 
-from reference import brute_priorities, make_sbm_oracle
+from reference import brute_priorities, event_rows, make_sbm_oracle
 from tightsample import interactions as ia
 from tightsample import sampler
-from tightsample.ingest import EngagementEvent, synthetic_corpus
+from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle
 from tightsample.util import ConfigError, DataError
 
@@ -40,8 +39,7 @@ def test_init_seed_to_seed_edges_stay_inside():
 
 
 def test_init_weighted_seed_priority():
-    events = [EngagementEvent("t", "seed", "fan", 0b1000)]
-    oracle = GraphOracle.from_events(events)
+    oracle = GraphOracle.from_events(EventTable.from_rows([("t", "seed", "fan", 0b1000)]))
     weights = ia.load_reference_tables()["distinct"].weights
     state = sampler.init(["seed"], oracle, weights)
     fan = oracle.ids.resolve("fan")
@@ -64,9 +62,9 @@ def test_init_rejects_bad_seeds():
 
 def two_priority_state():
     """Outsiders b (priority 2, two edges) and c (priority 1)."""
-    events = [EngagementEvent("t1", "A", "B", 0b1000),
-              EngagementEvent("t2", "A", "B", 0b1000),
-              EngagementEvent("t3", "A", "C", 0b1000)]
+    events = EventTable.from_rows([("t1", "A", "B", 0b1000),
+                                   ("t2", "A", "B", 0b1000),
+                                   ("t3", "A", "C", 0b1000)])
     oracle = GraphOracle.from_events(events)
     state = sampler.init(["A"], oracle)
     b, c = oracle.ids.resolve("B"), oracle.ids.resolve("C")
@@ -147,9 +145,9 @@ def test_ro_uniform_over_outsiders(rng):
 
 def test_staged_strategies_condition_on_insider(rng):
     # two insiders with disjoint frontiers: stage-1 picks the insider uniformly
-    events = [EngagementEvent("t1", "A", "x", 0b1000),
-              EngagementEvent("t2", "B", "y", 0b1000),
-              EngagementEvent("t3", "B", "z", 0b1000)]
+    events = EventTable.from_rows([("t1", "A", "x", 0b1000),
+                                   ("t2", "B", "y", 0b1000),
+                                   ("t3", "B", "z", 0b1000)])
     oracle = GraphOracle.from_events(events)
     state = sampler.init(["A", "B"], oracle)
     x = oracle.ids.resolve("x")
@@ -159,9 +157,9 @@ def test_staged_strategies_condition_on_insider(rng):
 
 
 def test_ri_mas_max_within_insider(rng):
-    events = [EngagementEvent("t1", "A", "B", 0b1000),
-              EngagementEvent("t2", "A", "B", 0b1000),
-              EngagementEvent("t3", "A", "C", 0b1000)]
+    events = EventTable.from_rows([("t1", "A", "B", 0b1000),
+                                   ("t2", "A", "B", 0b1000),
+                                   ("t3", "A", "C", 0b1000)])
     oracle = GraphOracle.from_events(events)
     state = sampler.init(["A"], oracle)
     b = oracle.ids.resolve("B")
@@ -313,7 +311,7 @@ def test_audit_stays_tiny_for_every_strategy():
     weights = ia.load_reference_tables()["nested"].weights
     for strategy in sampler.STRATEGIES:
         oracle = GraphOracle.from_events(corpus)
-        seeds = sorted({e.author for e in corpus})[:3]
+        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
         state = sampler.init(seeds, oracle, weights)
         rng = np.random.default_rng(21)
         for _ in range(15):
@@ -328,15 +326,15 @@ def test_edge_weights_recomputable_from_events():
     corpus = synthetic_corpus(np.random.default_rng(9), n_events=200)
     weights = ia.load_reference_tables()["distinct"].weights
     oracle = GraphOracle.from_events(corpus)
-    seeds = sorted({e.author for e in corpus})
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})
     state = sampler.init(seeds, oracle, weights)
     sampler.run(state, "MAS", steps=25, rng_seed=4)
     # an edge interactor -> author carries every event of that pair
     rebuilt: dict = {}
     counts: dict = {}
-    for e in corpus:
-        key = (oracle.ids.resolve(e.interactor), oracle.ids.resolve(e.author))
-        rebuilt[key] = rebuilt.get(key, 0.0) + weights.of(e.pattern)
+    for _tweet, author, interactor, pattern in event_rows(corpus):
+        key = (oracle.ids.resolve(interactor), oracle.ids.resolve(author))
+        rebuilt[key] = rebuilt.get(key, 0.0) + weights.of(pattern)
         counts[key] = counts.get(key, 0) + 1
     g = state.discovered
     assert g.n_edges()
@@ -391,7 +389,7 @@ def test_each_discovered_edge_is_appended_once(backing, strategy):
         corpus = synthetic_corpus(np.random.default_rng(14), n_authors=6,
                                   n_interactors=50, n_tweets=60, n_events=400)
         oracle = GraphOracle.from_events(corpus)
-        seeds = sorted({e.author for e in corpus})[:3]
+        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
         weights = ia.load_reference_tables()["distinct"].weights
     state = sampler.init(seeds, oracle, weights)
     sampler.run(state, strategy, steps=40, rng_seed=3)
@@ -530,12 +528,11 @@ def test_tree_and_bucket_picks_match_the_reference(graph_seed, unit):
 def calibrated_corpus_state(n, n_events, corpus_seed):
     """A distinct-weight state over a synthetic corpus whose interactors are
     renamed into the authors' id space, so engagement forms one graph."""
-    corpus = [dataclasses.replace(e, interactor="a" + e.interactor[1:])
-              for e in synthetic_corpus(np.random.default_rng(corpus_seed), n_authors=n,
-                                        n_interactors=n, n_tweets=2 * n,
-                                        n_events=n_events)]
+    corpus = synthetic_corpus(np.random.default_rng(corpus_seed), n_authors=n,
+                              n_interactors=n, n_tweets=2 * n, n_events=n_events)
+    corpus = EventTable.from_rows((t, a, "a" + j[1:], p) for t, a, j, p in event_rows(corpus))
     oracle = GraphOracle.from_events(corpus)
-    seeds = sorted({e.author for e in corpus})[:3]
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
     return sampler.init(seeds, oracle, ia.load_reference_tables()["distinct"].weights)
 
 
