@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import os
 import sys
@@ -21,16 +20,28 @@ import numpy as np
 
 from . import __version__, graph, ingest, interactions, metrics, sampler, sbm
 from .oracle import GraphOracle
-from .util import ConfigError, DataError, read_csv, read_lines
+from .util import ConfigError, DataError, read_lines, write_csv
 
 WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
 SHIPPED_SCHEMES = ("distinct", "nested", "af")   # the shipped weight table's sections
+SWEEP_COLUMNS = ("r", "strategy", "repeat", "run_seed", "steps", "insiders",
+                 "final_boundary", "max_window_purity")
 
 
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_table(stem: Path, rows: list[dict], fmt: str, columns) -> Path:
+    """``stem.json`` holding ``rows``, or ``stem.csv`` with ``columns``; returns the path."""
+    path = stem.with_suffix(f".{fmt}")
+    if fmt == "json":
+        path.write_text(json.dumps(rows, indent=2))
+    else:
+        write_csv(path, columns, ([row[c] for c in columns] for row in rows))
+    return path
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -274,6 +285,11 @@ def _read_manifest(path: Path) -> dict:
         raise DataError(f"{path}: manifest seeds must be strings or integers")
     if manifest["rng_seed"] < 0:
         raise DataError(f"{path}: manifest rng_seed is {manifest['rng_seed']}, expected >= 0")
+    for key, allowed in (("strategy", sampler.STRATEGIES), ("tie_break", sampler.TIE_BREAKS)):
+        value = manifest.get(key, allowed[0])
+        if value not in allowed:
+            raise DataError(f"{path}: manifest {key} is {json.dumps(value)}, "
+                            f"expected one of {', '.join(allowed)}")
     return manifest
 
 
@@ -373,25 +389,12 @@ def _load_run(run_dir: Path):
         if summary_path.exists() else {}
     g, ids = graph.read_edge_tsv(edges_path)
     seeds = [ids.intern(str(s)) for s in manifest.get("seeds", [])]
-    rows = []
-    lines = read_csv(trace_path, "trace")
-    _lineno, header = next(lines, (0, []))
-    for lineno, fields in lines:
-        row = dict(zip(header, fields))
-        try:
-            rows.append(sampler.TraceRow(
-                int(row["timestep"]), ids.intern(row["node_ext_id"]),
-                float(row["priority"]), float(row["boundary"]),
-                int(row["new_nodes"]), int(row["new_edges"])))
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{trace_path}:{lineno}: malformed trace row "
-                            f"({type(exc).__name__}: {exc})") from None
     try:
         init_boundary = float(summary.get("init_boundary", 0.0))
     except (TypeError, ValueError):
         raise DataError(f"{summary_path}: init_boundary is not a number") from None
-    trace = sampler.SampleTrace(manifest.get("strategy", run_dir.name),
-                                tuple(seeds), init_boundary, rows)
+    trace = sampler.SampleTrace(manifest.get("strategy", run_dir.name), tuple(seeds),
+                                init_boundary, sampler.SampleTrace.read_rows(trace_path, ids))
     return trace, g, ids
 
 
@@ -410,19 +413,11 @@ def cmd_metrics(args) -> int:
     comparison = []
     for (trace, _g, _ids), sub, run_dir in zip(runs, snapshots, run_dirs):
         report = metrics.metrics_report(sub)
-        (out / f"report_{run_dir.name}.json").write_text(
-            json.dumps(report, indent=2))
+        (out / f"report_{run_dir.name}.json").write_text(json.dumps(report, indent=2))
         comparison.append({"run": run_dir.name, "strategy": trace.strategy,
                            "common_size": common_size, **report})
-    if args.format == "json":
-        comparison_path = out / "comparison.json"
-        comparison_path.write_text(json.dumps(comparison, indent=2))
-    else:
-        comparison_path = out / "comparison.csv"
-        with open(comparison_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(comparison[0]))
-            writer.writeheader()
-            writer.writerows(comparison)
+    comparison_path = _write_table(out / "comparison", comparison, args.format,
+                                   list(comparison[0]))
 
     if args.labels:
         raw_labels = graph.read_labels_csv(args.labels)
@@ -467,7 +462,7 @@ def _sweep_cell(payload: dict) -> dict:
         "r": payload["r"], "strategy": payload["strategy"],
         "repeat": payload["repeat"], "run_seed": payload["run_seed"],
         "steps": len(trace.rows), "insiders": trace.final_size(),
-        "final_boundary": trace.rows[-1].boundary if trace.rows else state.boundary,
+        "final_boundary": state.boundary,
         "max_window_purity": purity,
     }
 
@@ -516,20 +511,7 @@ def cmd_sweep(args) -> int:
         results = [_sweep_cell(cell) for cell in cells]
 
     results.sort(key=lambda row: (row["r"], row["strategy"], row["repeat"]))
-    if args.format == "json":
-        agg_path = out / "sweep.json"
-        agg_path.write_text(json.dumps(results, indent=2))
-    else:
-        agg_path = out / "sweep.csv"
-        with open(agg_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "strategy", "repeat", "run_seed", "steps",
-                             "insiders", "final_boundary", "max_window_purity"])
-            for row in results:
-                writer.writerow([row["r"], row["strategy"], row["repeat"],
-                                 row["run_seed"], row["steps"], row["insiders"],
-                                 repr(row["final_boundary"]),
-                                 repr(row["max_window_purity"])])
+    agg_path = _write_table(out / "sweep", results, args.format, SWEEP_COLUMNS)
     print(f"swept {len(cells)} cells with {workers} worker(s) -> {agg_path}")
     return 0
 
@@ -593,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="max timesteps")
     p.add_argument("--target-size", type=int, default=None)
     p.add_argument("--seed", type=_parse_seed, default=0, help="rng seed")
-    p.add_argument("--tie-break", choices=["ordered", "random"],
-                   default="ordered",
+    p.add_argument("--tie-break", choices=sampler.TIE_BREAKS, default="ordered",
                    help="argmax tie handling for MAS/RI_MAS")
     p.add_argument("--from-manifest", default=None,
                    help="reproduce a run from its manifest.json")

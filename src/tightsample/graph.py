@@ -6,12 +6,11 @@ external ids (strings or ints) appear only at I/O boundaries.
 
 from __future__ import annotations
 
-import csv
 from array import array
 
 import numpy as np
 
-from .util import ConfigError, DataError, read_csv, read_lines
+from .util import ConfigError, DataError, read_csv, read_lines, write_csv
 
 EDGE_SELECTORS = ("all", "boundary", "internal")
 WRITE_CHUNK = 8192   # lines per write in write_edge_tsv
@@ -148,30 +147,29 @@ def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
 def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
     """TSV export ``source target weight n_events``, ordered by (target, source).
 
-    Lines are formatted and written :data:`WRITE_CHUNK` at a time.
+    Lines are gathered, formatted and written :data:`WRITE_CHUNK` at a time.
     """
-    sources = np.frombuffer(g.sources, dtype=np.int64)
-    targets = np.frombuffer(g.targets, dtype=np.int64)
-    order, _edges = in_edge_runs(targets, sources)
-    columns = (sources[order], targets[order],
-               np.frombuffer(g.weights, dtype=np.float64)[order],
-               np.frombuffer(g.event_counts, dtype=np.int64)[order])
+    columns = (np.frombuffer(g.sources, dtype=np.int64),
+               np.frombuffer(g.targets, dtype=np.int64),
+               np.frombuffer(g.weights, dtype=np.float64),
+               np.frombuffer(g.event_counts, dtype=np.int64))
+    order = np.lexsort(columns[:2])
     ext = ids.external
     with open(path, "w", newline="") as fh:
         for start in range(0, len(order), WRITE_CHUNK):
-            chunk = (col[start:start + WRITE_CHUNK].tolist() for col in columns)
+            rows = order[start:start + WRITE_CHUNK]
+            chunk = (col[rows].tolist() for col in columns)
             fh.write("".join(f"{ext(s)}\t{ext(t)}\t{weight!r}\t{n_events}\n"
                              for s, t, weight, n_events in zip(*chunk)))
 
 
-def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMap]:
+def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
     """Rebuild a graph from :func:`write_edge_tsv` output (roles left unset).
 
     A self-loop or a repeated (source, target) pair is a :class:`DataError`
     naming its line.
     """
-    if ids is None:
-        ids = IdMap()
+    ids = IdMap()
     g = DiscoveredGraph()
     for lineno, line in read_lines(path, "edge list"):
         try:
@@ -196,11 +194,8 @@ def read_edge_tsv(path, ids: IdMap | None = None) -> tuple[DiscoveredGraph, IdMa
 
 def write_labels_csv(path, labels: dict) -> None:
     """``node,block`` CSV, node order sorted by external id string."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "block"])
-        for node in sorted(labels, key=str):
-            writer.writerow([node, labels[node]])
+    write_csv(path, ["node", "block"],
+              ((node, labels[node]) for node in sorted(labels, key=str)))
 
 
 def read_labels_csv(path) -> dict[str, int]:

@@ -133,19 +133,13 @@ def parse_events(path, fmt: str | None = None, malformed_cap: float = 0.01) -> E
     return parse_events_with_report(path, fmt, malformed_cap)[0]
 
 
-def parse_events_with_report(path, fmt: str | None = None,
-                             malformed_cap: float = 0.01) -> tuple[EventTable, ParseReport]:
-    if fmt is None:
-        fmt = "csv" if str(path).endswith(".csv") else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise DataError(f"unknown event-log format {fmt!r}")
-    rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
-    report = ParseReport()
-    tweets: dict[str, int] = {}
-    users: dict[str, int] = {}
+def _usable_rows(rows, path, report: ParseReport):
+    """Yield ``(tweet_id, author, interactor, pattern)`` of each usable row, ids as strings.
+
+    Malformed rows, counted in ``report``, and self-engagement are skipped. An id
+    holding a tab or a line break is malformed: ``discovered.tsv`` could not hold it.
+    """
     patterns: dict = {}   # types field (a list as a tuple) -> pattern
-    columns = tuple(array("q") for _ in range(4))
-    add_tweet, add_author, add_interactor, add_pattern = (c.append for c in columns)
     for lineno, row in rows:
         report.rows += 1
         try:
@@ -163,36 +157,44 @@ def parse_events_with_report(path, fmt: str | None = None,
             except TypeError:   # unhashable: names holding a list or an object
                 pattern = _types_pattern(names)
             tweet, author, interactor = str(tweet), str(author), str(interactor)
+            joined = tweet + author + interactor
+            if "\t" in joined or "\n" in joined or "\r" in joined:
+                raise ValueError("id with a tab or line break")
         except (ValueError, AttributeError, TypeError) as exc:
             report.malformed += 1
             if len(report.samples) < 5:
                 report.samples.append(f"{path}:{lineno}: {exc}")
             continue
-        if author == interactor:
-            continue
-        add_tweet(tweets.setdefault(tweet, len(tweets)))
-        add_author(users.setdefault(author, len(users)))
-        add_interactor(users.setdefault(interactor, len(users)))
-        add_pattern(pattern)
+        if author != interactor:
+            yield tweet, author, interactor, pattern
 
+
+def parse_events_with_report(path, fmt: str | None = None,
+                             malformed_cap: float = 0.01) -> tuple[EventTable, ParseReport]:
+    if fmt is None:
+        fmt = "csv" if str(path).endswith(".csv") else "jsonl"
+    if fmt not in ("jsonl", "csv"):
+        raise DataError(f"unknown event-log format {fmt!r}")
+    rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
+    report = ParseReport()
+    table = EventTable.from_rows(_usable_rows(rows, path, report))
     if report.rows and report.malformed / report.rows > malformed_cap:
         raise DataError(
             f"{path}: {report.malformed}/{report.rows} malformed rows exceeds "
             f"the {malformed_cap:.0%} cap (e.g. {report.samples[:3]})")
-    tweet, author, interactor, pattern = (np.frombuffer(c, dtype=np.int64)
-                                          for c in columns)
     # one event per (tweet, interactor) pair: its first row, with all rows' patterns OR-ed;
     # codes are below twice the row count, so a key fits int64 below 2e9 rows
-    pair = tweet * len(users) + interactor
+    pair = table.tweet * len(table.users) + table.interactor
     pairs, first_row, row_pair = np.unique(pair, return_index=True, return_inverse=True)
     if len(pairs) < len(pair):
         merged = np.zeros(len(pairs), dtype=np.int64)
-        np.bitwise_or.at(merged, row_pair, pattern)
+        np.bitwise_or.at(merged, row_pair, table.pattern)
         by_first_row = np.argsort(first_row)
         rows_kept = first_row[by_first_row]
-        tweet, author, interactor = tweet[rows_kept], author[rows_kept], interactor[rows_kept]
-        pattern = merged[by_first_row]
-    return EventTable(list(tweets), list(users), tweet, author, interactor, pattern), report
+        table = EventTable(table.tweets, table.users, table.tweet[rows_kept],
+                           table.author[rows_kept], table.interactor[rows_kept],
+                           merged[by_first_row])
+    return table, report
 
 
 @dataclass

@@ -9,7 +9,6 @@ least squares, and inverts the balanced frequencies into importance weights.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import warnings
@@ -18,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .util import ConfigError, DataError, read_csv, round_half_up
+from .util import ConfigError, DataError, read_csv, round_half_up, write_csv
 
 TYPES = ("like", "retweet", "reply", "quote")
 
@@ -358,18 +357,12 @@ def write_weight_csv(path, calibrations) -> None:
     """Write one or more calibrations to the standard weight-table CSV."""
     if isinstance(calibrations, Calibration):
         calibrations = [calibrations]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHT_CSV_HEADER)
-        for cal in calibrations:
-            width = cal.scheme.width
-            for x in sorted(cal.eta_star.values):
-                writer.writerow([
-                    cal.scheme.value, pattern_str(x, width),
-                    f"{cal.eta_global.get(x):.6g}", f"{cal.eta_source.get(x):.6g}",
-                    f"{cal.eta_target.get(x):.6g}", f"{cal.eta_star.get(x):.6g}",
-                    f"{cal.weights.omega[x]:.6g}", f"{cal.weights.omega_star[x]:.6g}",
-                ])
+    write_csv(path, WEIGHT_CSV_HEADER, (
+        [cal.scheme.value, pattern_str(x, cal.scheme.width),
+         f"{cal.eta_global.get(x):.6g}", f"{cal.eta_source.get(x):.6g}",
+         f"{cal.eta_target.get(x):.6g}", f"{cal.eta_star.get(x):.6g}",
+         f"{cal.weights.omega[x]:.6g}", f"{cal.weights.omega_star[x]:.6g}"]
+        for cal in calibrations for x in sorted(cal.eta_star.values)))
 
 
 def read_weight_csv(path) -> dict[str, Calibration]:

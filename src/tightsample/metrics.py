@@ -23,16 +23,15 @@ nodes exceed it).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 
-from .graph import DiscoveredGraph, in_edge_runs, induced_subgraph
+from .graph import DiscoveredGraph, induced_subgraph
 from .sampler import SampleTrace
-from .util import ConfigError, DataError
+from .util import ConfigError, DataError, write_csv
 
 
 def _undirected_neighbors(g: DiscoveredGraph) -> dict[int, set[int]]:
@@ -119,7 +118,7 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
     sources = np.searchsorted(nodes, np.frombuffer(g.sources, dtype=np.int64))
     targets = np.searchsorted(nodes, np.frombuffer(g.targets, dtype=np.int64))
     # in-edge CSR: edge sources grouped by target, one segment per target
-    order, _edges = in_edge_runs(targets, sources)
+    order = np.lexsort((sources, targets))
     sources, targets = sources[order], targets[order]
     starts = np.flatnonzero(np.diff(targets, prepend=-1))
     heads = targets[starts]
@@ -201,13 +200,10 @@ class EvolutionSeries:
                 for t in range(len(self.timesteps))]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestep", "community", "count", "boundary"])
-            for idx, t in enumerate(self.timesteps):
-                for comm in sorted(self.counts, key=str):
-                    writer.writerow([t, comm, self.counts[comm][idx],
-                                     repr(self.boundary[idx])])
+        communities = sorted(self.counts, key=str)
+        write_csv(path, ["timestep", "community", "count", "boundary"],
+                  ([t, comm, self.counts[comm][idx], self.boundary[idx]]
+                   for idx, t in enumerate(self.timesteps) for comm in communities))
 
 
 def community_evolution(trace: SampleTrace, labels) -> EvolutionSeries:

@@ -8,7 +8,6 @@ access log so tests can audit exactly what a sampling run touched.
 
 from __future__ import annotations
 
-import csv
 import threading
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .graph import IdMap, in_edge_runs
 from .ingest import EventTable
 from .interactions import PLAIN_EDGE
-from .util import DataError, read_lines
+from .util import DataError, read_lines, write_csv
 
 
 class UnknownNodeError(DataError):
@@ -154,8 +153,8 @@ class GraphOracle:
 
         ``patterns`` is a tuple of interaction-pattern ints, one per event on
         the edge ``u -> v``; a plain edge answers ``(PLAIN_EDGE,)``. Strictly
-        ascending internal id, which the sampler's frontiers rely on. ``v``
-        must be discoverable.
+        ascending internal id, which the sampler's frontiers rely on, and never
+        ``v`` itself: self-loops are dropped at build. ``v`` must be discoverable.
         """
         if v not in self._discoverable:
             ext = self.ids.external(v) if 0 <= v < len(self.ids) else v
@@ -178,8 +177,5 @@ class GraphOracle:
         return len(self._log)
 
     def write_access_log(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "node_ext_id"])
-            for step, v in enumerate(self._log, 1):
-                writer.writerow([step, self.ids.external(v)])
+        write_csv(path, ["step", "node_ext_id"],
+                  ((step, self.ids.external(v)) for step, v in enumerate(self._log, 1)))

@@ -13,7 +13,6 @@ takes the first key of the top tie set, the random pick draws one.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -22,9 +21,11 @@ import numpy as np
 
 from .graph import DiscoveredGraph, IdMap
 from .interactions import UnitWeights
-from .util import ConfigError, IndexedSet
+from .util import ConfigError, DataError, IndexedSet, read_csv, write_csv
 
 STRATEGIES = ("MAS", "RI_MAS", "RO", "RI_RO", "RS_DU", "RS_DW", "RS_SU", "RS_SW")
+TIE_BREAKS = ("ordered", "random")   # the first is the default
+TRACE_COLUMNS = ("timestep", "node_ext_id", "priority", "boundary", "new_nodes", "new_edges")
 
 
 class FrontierExhausted(RuntimeError):
@@ -68,13 +69,27 @@ class SampleTrace:
         return list(self.seeds) + [r.node for r in self.rows[:size - len(self.seeds)]]
 
     def write_csv(self, path, ids: IdMap) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestep", "node_ext_id", "priority", "boundary",
-                             "new_nodes", "new_edges"])
-            for r in self.rows:
-                writer.writerow([r.timestep, ids.external(r.node), repr(r.priority),
-                                 repr(r.boundary), r.new_nodes, r.new_edges])
+        write_csv(path, TRACE_COLUMNS,
+                  ([r.timestep, ids.external(r.node), r.priority, r.boundary,
+                    r.new_nodes, r.new_edges] for r in self.rows))
+
+    @staticmethod
+    def read_rows(path, ids: IdMap) -> list[TraceRow]:
+        """The rows of a :meth:`write_csv` file, nodes interned into ``ids``; DataError if bad."""
+        lines = read_csv(path, "trace")
+        _lineno, header = next(lines, (0, []))
+        rows = []
+        for lineno, fields in lines:
+            row = dict(zip(header, fields))
+            try:
+                rows.append(TraceRow(
+                    int(row["timestep"]), ids.intern(row["node_ext_id"]),
+                    float(row["priority"]), float(row["boundary"]),
+                    int(row["new_nodes"]), int(row["new_edges"])))
+            except (KeyError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed trace row "
+                                f"({type(exc).__name__}: {exc})") from None
+        return rows
 
 
 class _Staged:
@@ -297,8 +312,6 @@ class SampleState:
         boundary = self.boundary
         frontier: dict[int, None] = {}
         for u, events in self.oracle.in_neighbors(v):
-            if u == v:
-                continue
             w = event_weight(events)
             add_events(u, v, w, len(events))
             new_edges += 1
@@ -369,7 +382,7 @@ class SampleState:
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}; "
                               f"expected one of {STRATEGIES}")
-        if tie_break not in ("ordered", "random"):
+        if tie_break not in TIE_BREAKS:
             raise ConfigError(f"unknown tie_break {tie_break!r}")
         if not self.outsiders:
             raise FrontierExhausted("no outsiders to select")

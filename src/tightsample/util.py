@@ -1,4 +1,4 @@
-"""Small shared helpers: error types, input readers, rounding, an O(1)-pick set."""
+"""Shared helpers: error types, input readers, the CSV writer, rounding, an O(1)-pick set."""
 
 from __future__ import annotations
 
@@ -46,6 +46,14 @@ def read_csv(path, what: str):
                 yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows``, as CSV records; floats are written as repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def round_half_up(x: float, ndigits: int = 2) -> float:

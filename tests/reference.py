@@ -170,6 +170,8 @@ def reference_parse_events(path, fmt=None, malformed_cap=0.01):
                 names = names.split("|")
             pattern = pattern_of(t.strip() for t in names if t and t.strip())
             tweet, author, interactor = str(tweet), str(author), str(interactor)
+            if any(c in x for x in (tweet, author, interactor) for c in "\t\n\r"):
+                raise ValueError("id with a tab or line break")
         except (ValueError, AttributeError, TypeError) as exc:
             report.malformed += 1
             if len(report.samples) < 5:

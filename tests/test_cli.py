@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tightsample
-from tightsample import cli, ingest, sbm
+from tightsample import cli, graph, ingest, sampler, sbm
+from tightsample.graph import IdMap
 from tightsample.interactions import Scheme, calibrate_records, read_weight_csv
+from tightsample.util import read_csv
 
 
 def run_cli(*argv):
@@ -375,6 +378,7 @@ def test_bad_input_exits_cleanly(small_run, tmp_path, case):
 MISTYPED_MANIFEST_FIELDS = [
     ("weights", 5), ("budget", "x"), ("target_size", "x"), ("seeds", 5),
     ("seeds", ["0", [0]]), ("rng_seed", "x"), ("oracle.path", 5), ("oracle.n_nodes", "x"),
+    ("strategy", "XYZ"), ("strategy", 5), ("strategy", ["MAS"]), ("tie_break", 5),
 ]
 
 
@@ -544,6 +548,14 @@ def test_sweep_json_format(tmp_path, monkeypatch):
     assert len(rows) == 1 and rows[0]["strategy"] == "RO"
 
 
+def test_sweep_of_no_cells_writes_the_header_line(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--sizes", "30x2", "--r-list", "2", "--repeats", "0",
+                   "--budget", "5", "--out", out) == 0
+    assert (out / "sweep.csv").read_bytes() == (
+        b"r,strategy,repeat,run_seed,steps,insiders,final_boundary,max_window_purity\r\n")
+
+
 def test_metrics_json_format(net_dir, tmp_path):
     run_cli("sample", "--undirected", net_dir / "edges.tsv",
             "--seeds", seed_args(net_dir), "--strategy", "MAS",
@@ -597,6 +609,59 @@ def test_sample_events_backing_with_calibrated_weights(tmp_path, monkeypatch):
     assert run_cli("sample", "--from-manifest", out1 / "manifest.json",
                    "--out", out2) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+def test_metrics_reads_back_event_runs_whose_ids_hold_commas_and_quotes(tmp_path):
+    rng = np.random.default_rng(17)
+    corpus = ingest.synthetic_corpus(rng, n_authors=4, n_interactors=40,
+                                     n_tweets=50, n_events=300)
+    odd = {u: f'{u},"{u}"' for u in corpus.users}   # each id holds a comma and quotes
+    corpus = dataclasses.replace(corpus, users=[odd[u] for u in corpus.users])
+    events_path, seeds_path = tmp_path / "events.jsonl", tmp_path / "seeds.txt"
+    ingest.write_events_jsonl(events_path, corpus)
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:2]
+    seeds_path.write_text("".join(f"{s}\n" for s in seeds))
+    labels = tmp_path / "labels.csv"
+    graph.write_labels_csv(labels, {u: i % 3 for i, u in enumerate(odd.values())})
+    for strategy in ("MAS", "RO"):
+        assert run_cli("sample", "--events", events_path, "--seeds-file", seeds_path,
+                       "--strategy", strategy, "--budget", "20",
+                       "--out", tmp_path / strategy) == 0
+        run = tmp_path / strategy
+        trace_ids = IdMap()
+        rows = sampler.SampleTrace.read_rows(run / "trace.csv", trace_ids)
+        assert len(rows) == 20
+        assert {trace_ids.external(r.node) for r in rows} <= set(odd.values())
+        log = [row for _lineno, row in read_csv(run / "access_log.csv", "access log")]
+        assert log[1:] == [[str(step), s] for step, s in
+                           enumerate(seeds + [trace_ids.external(r.node) for r in rows], 1)]
+        _g, edge_ids = graph.read_edge_tsv(run / "discovered.tsv")
+        assert set(seeds) <= {edge_ids.external(v) for v in range(len(edge_ids))}
+    out = tmp_path / "eval"
+    assert run_cli("metrics", tmp_path / "MAS", tmp_path / "RO", "--labels", labels,
+                   "--out", out) == 0
+    comparison = list(csv.DictReader(open(out / "comparison.csv", newline="")))
+    assert [r["strategy"] for r in comparison] == ["MAS", "RO"]
+    evolution = list(csv.DictReader(open(out / "evolution_MAS.csv", newline="")))
+    assert {int(r["timestep"]) for r in evolution} == set(range(21))
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_an_event_id_with_a_tab_or_line_break_is_a_malformed_row(tmp_path, char):
+    rows = [{"tweet_id": f"t{i}", "author": f"a{i % 3}", "interactor": f"u{i % 40}",
+             "types": ["like"]} for i in range(200)]
+    rows.insert(50, {"tweet_id": "t1", "author": "a1", "interactor": f"b{char}x",
+                     "types": ["like"]})
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    events, report = ingest.parse_events_with_report(events_path)
+    assert (report.rows, report.malformed) == (201, 1)
+    assert report.samples == [f"{events_path}:51: id with a tab or line break"]
+    assert f"b{char}x" not in events.users
+    run = tmp_path / "run"
+    assert run_cli("sample", "--events", events_path, "--seeds", "a0,a1,a2",
+                   "--budget", "3", "--out", run) == 0
+    assert run_cli("metrics", run, "--out", tmp_path / "eval") == 0
 
 
 def test_calibrate_fixture_corpus(tmp_path):

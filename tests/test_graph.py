@@ -1,3 +1,6 @@
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,27 @@ def test_edge_tsv_matches_reference_writer(tmp_path, monkeypatch, seed):
     assert path.read_text() == _reference_edge_tsv(edges, n_events, ids)
     g2, ids2 = read_edge_tsv(path)
     assert g2.n_edges() == len(pairs)
+
+
+def test_edge_tsv_writer_makes_no_reordered_column_copies(tmp_path):
+    # the four columns take 32 bytes an edge; sorted copies of them would double that
+    rng = np.random.default_rng(3)
+    m, n = 300_000, 30_000
+    ids = IdMap()
+    for v in range(n):
+        ids.intern(v)
+    g = DiscoveredGraph()
+    g.sources = array("q", rng.integers(n, size=m).tobytes())
+    g.targets = array("q", rng.integers(n, size=m).tobytes())
+    g.weights = array("d", rng.random(m).tobytes())
+    g.event_counts = array("q", rng.integers(1, 4, size=m).tobytes())
+    tracemalloc.start()
+    try:
+        write_edge_tsv(g, tmp_path / "edges.tsv", ids)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * m
 
 
 def test_edge_tsv_empty_graph(tmp_path):
