@@ -292,3 +292,60 @@ def test_gen_sbm_outputs_pinned(model, tmp_path):
 @pytest.mark.parametrize("scheme", sorted(CALIBRATE_PINNED))
 def test_cli_calibrate_outputs_pinned(scheme, tmp_path):
     assert calibrate_digests(scheme, tmp_path) == CALIBRATE_PINNED[scheme]
+
+
+# source -> digests of RUN_FILES and run_summary.json of a CLI ``sample --budget 1``:
+# the discovered graph is almost all seed answers
+BUDGET1_FILES = RUN_FILES + ("run_summary.json",)
+BUDGET1_PINNED = {
+    "events": (
+        "f6161335dd9dbd31d9cf8843bbae203c79d182e67ad2e30569c24e927ab862e4",
+        "cca05b7067468a694c776f53ddf443f2f2e3cc101312a4f1a3a09dc9fa3866ff",
+        "a095592e55d7da6ddacce61d1f65439109e990ec79067fbcc0e597158d6e54e6",
+        "740947d196517b9c8e11b53c8373c58440ce82bddda4b2f865635a94479c7015",
+    ),
+    "undirected": (
+        "5f02b723ece5bf1292be751cdc7aaff5b92bd65d2024e9d24fb512b8b589be46",
+        "db4ed6c9c71bc7707f023bf09010ed56420e3d7d502678e217db81d98e413b41",
+        "5377dbde9db27a6a814fa9d86928965f791a4f7b0140e6c3cb71d37ca764b79a",
+        "bffa12c0cd6a31de7487567da77d7fdd9fa9142ba6b897b204b6a66c6f74e92f",
+    ),
+}
+
+# digests of sweep.csv and of one --keep-runs cell's trace.csv and discovered.tsv,
+# for a staged strategy, whose frontiers are built from the discovered edges
+SWEEP_CELL_PINNED = (
+    "bfa89eb29937767ac64cdf3b3869db8ac32ec54988b0eab81cb20eccc86b48f5",
+    "a5eddf61e4dc4222ffe906333f321677bb5b637d6dc4b539cc54ecc6a9753e74",
+    "7e8c7828047f7b8f74b2ceff88ec39d07a1847ea69feacb255a7944069940fca",
+)
+
+
+@pytest.mark.parametrize("source", sorted(BUDGET1_PINNED))
+def test_cli_budget_one_outputs_pinned(source, tmp_path):
+    if source == "events":
+        corpus = graph_corpus()
+        write_split_log(corpus, tmp_path / "events.jsonl")
+        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
+        args = ["--events", str(tmp_path / "events.jsonl"), "--weights", "distinct"]
+    else:
+        assert cli.main(["gen-sbm", "--sizes", "30x3", "--k-intra", "6", "--seed", "7",
+                         "--out", str(tmp_path / "net")]) == 0
+        seeds = ["0", "31", "62"]
+        args = ["--undirected", str(tmp_path / "net" / "edges.tsv")]
+    out = tmp_path / "run"
+    assert cli.main(["sample", *args, "--seeds", ",".join(seeds), "--budget", "1",
+                     "--seed", "11", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in BUDGET1_FILES)
+    assert digests == BUDGET1_PINNED[source]
+
+
+def test_sweep_kept_staged_cell_pinned(tmp_path):
+    assert cli.main(["sweep", "--sizes", "40x3", "--k-intra", "5", "--r-list", "2",
+                     "--strategies", "RS_SW", "--repeats", "1", "--budget", "60",
+                     "--seed", "3", "--keep-runs", "--out", str(tmp_path)]) == 0
+    cell = tmp_path / "r2_rep0_RS_SW"
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in
+                    (tmp_path / "sweep.csv", cell / "trace.csv", cell / "discovered.tsv"))
+    assert digests == SWEEP_CELL_PINNED
