@@ -45,16 +45,18 @@ def _write_table(stem: Path, rows: list[dict], fmt: str, columns) -> Path:
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    """Block sizes as '400,800,1200' or the shorthand '200x8'."""
+    """Block sizes as '400,800,1200' or the shorthand '200x8'; at least one block."""
     text = text.strip()
+    size, x, count = text.partition("x")
     try:
-        if "x" in text and "," not in text:
-            size, _, count = text.partition("x")
-            return (int(size),) * int(count)
-        return tuple(int(s) for s in text.split(","))
+        sizes = (int(size),) * int(count) if x and "," not in text \
+            else tuple(int(s) for s in text.split(","))
     except ValueError:
+        sizes = ()
+    if not sizes:
         raise argparse.ArgumentTypeError(
-            f"expected integers as '400,800' or '200x8', got {text!r}") from None
+            f"expected integers as '400,800' or '200x8' (1 block or more), got {text!r}")
+    return sizes
 
 
 def _parse_seed(text: str) -> int:
@@ -267,6 +269,16 @@ _MANIFEST_TYPES = {
 }
 
 
+def _check_types(path: Path, manifest: dict, types: dict) -> None:
+    """DataError naming ``path`` and the key unless each field holds an allowed JSON type."""
+    for key, allowed in types.items():
+        section, _, name = key.rpartition(".")
+        found = _JSON_TYPES[type((manifest[section] if section else manifest).get(name))]
+        if found not in allowed:
+            raise DataError(f"{path}: manifest {key} is {found}, "
+                            f"expected {' or '.join(allowed)}")
+
+
 def _read_manifest(path: Path) -> dict:
     manifest = _read_json_object(path, "sample manifest")
     if not isinstance(manifest.get("oracle"), dict):
@@ -275,12 +287,7 @@ def _read_manifest(path: Path) -> dict:
                if key not in manifest]
     if missing:
         raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
-    for key, allowed in _MANIFEST_TYPES.items():
-        section, _, name = key.rpartition(".")
-        found = _JSON_TYPES[type((manifest[section] if section else manifest).get(name))]
-        if found not in allowed:
-            raise DataError(f"{path}: manifest {key} is {found}, "
-                            f"expected {' or '.join(allowed)}")
+    _check_types(path, manifest, _MANIFEST_TYPES)
     if any(_JSON_TYPES[type(s)] not in ("string", "integer") for s in manifest["seeds"]):
         raise DataError(f"{path}: manifest seeds must be strings or integers")
     if manifest["rng_seed"] < 0:
@@ -316,13 +323,14 @@ def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle,
                         rng_seed=manifest["rng_seed"],
                         tie_break=manifest.get("tie_break", "ordered"))
     trace.write_csv(out / "trace.csv", oracle.ids)
-    graph.write_edge_tsv(state.discovered, out / "discovered.tsv", oracle.ids)
+    discovered = state.discovered
+    graph.write_edge_tsv(discovered, out / "discovered.tsv", oracle.ids)
     oracle.write_access_log(out / "access_log.csv")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     summary = {
         "insiders": len(state.insiders),
         "discovered_nodes": len(state.insiders) + len(state.outsiders),
-        "discovered_edges": state.discovered.n_edges(),
+        "discovered_edges": discovered.n_edges(),
         "init_boundary": trace.init_boundary,
         "final_boundary": state.boundary,
         "stop_reason": trace.reason,
@@ -385,15 +393,17 @@ def _load_run(run_dir: Path):
                         f"(need trace.csv and discovered.tsv)")
     manifest = _read_json_object(manifest_path, "manifest") \
         if manifest_path.exists() else {}
+    _check_types(manifest_path, manifest, {"seeds": ("array", "null"),
+                                           "strategy": ("string", "null")})
     summary = _read_json_object(summary_path, "run summary") \
         if summary_path.exists() else {}
     g, ids = graph.read_edge_tsv(edges_path)
-    seeds = [ids.intern(str(s)) for s in manifest.get("seeds", [])]
+    seeds = [ids.intern(str(s)) for s in manifest.get("seeds") or ()]
     try:
         init_boundary = float(summary.get("init_boundary", 0.0))
     except (TypeError, ValueError):
         raise DataError(f"{summary_path}: init_boundary is not a number") from None
-    trace = sampler.SampleTrace(manifest.get("strategy", run_dir.name), tuple(seeds),
+    trace = sampler.SampleTrace(manifest.get("strategy") or run_dir.name, tuple(seeds),
                                 init_boundary, sampler.SampleTrace.read_rows(trace_path, ids))
     return trace, g, ids
 

@@ -49,57 +49,61 @@ class IdMap:
 class DiscoveredGraph:
     """The portion of the unbounded network revealed so far.
 
-    Edges are append-only columns, one row per ``(source, target)`` pair:
+    Edges are numpy columns, one row per ``(source, target)`` pair:
     ``sources`` and ``targets`` hold internal ids, ``weights`` the summed
     weight of the edge's engagement events and ``event_counts`` their count;
-    the events themselves are not kept. Rows are never merged or removed, so
-    callers add each pair once: the sampler queries every insider once and an
-    oracle answer names each in-neighbour once, and :func:`read_edge_tsv`
+    the events themselves are not kept. Rows enter only through
+    :meth:`add_events`, whole columns at a time, and are never merged or
+    removed, so callers add each pair once: a sampler's graph is the oracle's
+    answers to the nodes it queried once each, and :func:`read_edge_tsv`
     rejects a repeated pair. ``insiders`` is the one record of the sample:
     every edge's target is an insider because edges are only discovered by
     querying insiders' in-neighborhoods. Single-writer: callers serialize
-    mutations; reads are safe once a mutation completes. A numpy view of a
-    column (``np.frombuffer``) blocks appends while it is alive.
+    mutations.
     """
 
-    def __init__(self):
-        self.insiders: set[int] = set()
+    def __init__(self, insiders: set[int] | None = None):
+        self.insiders: set[int] = set() if insiders is None else insiders
         self._extra: set[int] = set()   # nodes added on their own, outside the sample
-        self.sources = array("q")
-        self.targets = array("q")
-        self.weights = array("d")
-        self.event_counts = array("q")
+        self.sources = np.empty(0, dtype=np.int64)
+        self.targets = np.empty(0, dtype=np.int64)
+        self.weights = np.empty(0, dtype=np.float64)
+        self.event_counts = np.empty(0, dtype=np.int64)
 
     @classmethod
     def from_edge_pairs(cls, pairs, weight: float = 1.0) -> "DiscoveredGraph":
         """Build an all-insider graph from distinct (source, target) pairs (test/metrics aid)."""
-        g = cls()
-        for s, t in pairs:
-            g.insiders.update((s, t))
-            g.add_events(s, t, weight, 1)
+        pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        g = cls(set(pairs.ravel().tolist()))
+        g.add_events(pairs[:, 0], pairs[:, 1], [weight] * len(pairs), [1] * len(pairs))
         return g
 
     @property
     def nodes(self) -> set[int]:
         """Every node: the insiders, the edge endpoints and nodes added on their own."""
-        return self.insiders | self._extra | set(self.sources) | set(self.targets)
+        return self.insiders | self._extra | set(self.sources.tolist() + self.targets.tolist())
 
     def add_node(self, v: int, insider: bool = False) -> None:
         """Add a node with no edge needed; ``insider`` puts it in the sample."""
         (self.insiders if insider else self._extra).add(v)
 
-    def add_events(self, source: int, target: int, weight: float, n_events: int) -> None:
-        """Append the (source, target) edge: ``n_events`` events of total ``weight``."""
-        if source == target:
-            raise DataError(f"self-loop rejected: {source}")
-        self.sources.append(source)
-        self.targets.append(target)
-        self.weights.append(weight)
-        self.event_counts.append(n_events)
+    def add_events(self, sources, targets, weights, event_counts) -> None:
+        """Append the rows ``sources[i] -> targets[i]``, ``event_counts[i]`` events of
+        total ``weights[i]``; an edgeless graph keeps the columns where dtypes match."""
+        old = (self.sources, self.targets, self.weights, self.event_counts)
+        new = [np.asarray(col, dtype=have.dtype)
+               for col, have in zip((sources, targets, weights, event_counts), old)]
+        if len({len(col) for col in new}) != 1:
+            raise ValueError("edge columns differ in length")
+        if (new[0] == new[1]).any():
+            raise DataError(f"self-loop rejected: {new[0][new[0] == new[1]][0]}")
+        if self.n_edges():
+            new = [np.concatenate(pair) for pair in zip(old, new)]
+        self.sources, self.targets, self.weights, self.event_counts = new
 
     def pairs(self):
         """``(source, target)`` of every edge, in append order."""
-        return zip(self.sources, self.targets)
+        return zip(self.sources.tolist(), self.targets.tolist())
 
     def n_edges(self) -> int:
         return len(self.sources)
@@ -107,11 +111,10 @@ class DiscoveredGraph:
 
 def induced_subgraph(g: DiscoveredGraph, keep: set[int]) -> DiscoveredGraph:
     """Subgraph on ``keep`` (all marked insider), edges with both endpoints kept."""
-    sub = DiscoveredGraph()
-    sub.insiders.update(keep)
-    for s, t, weight, n_events in zip(g.sources, g.targets, g.weights, g.event_counts):
-        if s in keep and t in keep:
-            sub.add_events(s, t, weight, n_events)
+    sub = DiscoveredGraph(set(keep))
+    kept = np.fromiter(keep, dtype=np.int64, count=len(keep))
+    rows = np.isin(g.sources, kept) & np.isin(g.targets, kept)
+    sub.add_events(g.sources[rows], g.targets[rows], g.weights[rows], g.event_counts[rows])
     return sub
 
 
@@ -123,14 +126,9 @@ def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
     """
     if selector not in EDGE_SELECTORS:
         raise ConfigError(f"unknown edge selector {selector!r}; use one of {EDGE_SELECTORS}")
-    total = 0.0
-    for s, weight in zip(g.sources, g.weights):
-        if selector == "boundary" and s in g.insiders:
-            continue
-        if selector == "internal" and s not in g.insiders:
-            continue
-        total += weight
-    return total
+    inside = np.isin(g.sources, np.fromiter(g.insiders, np.int64, len(g.insiders)))
+    rows = {"all": slice(None), "boundary": ~inside, "internal": inside}[selector]
+    return sum(g.weights[rows].tolist(), 0.0)
 
 
 def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
@@ -149,10 +147,7 @@ def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
 
     Lines are gathered, formatted and written :data:`WRITE_CHUNK` at a time.
     """
-    columns = (np.frombuffer(g.sources, dtype=np.int64),
-               np.frombuffer(g.targets, dtype=np.int64),
-               np.frombuffer(g.weights, dtype=np.float64),
-               np.frombuffer(g.event_counts, dtype=np.int64))
+    columns = (g.sources, g.targets, g.weights, g.event_counts)
     order = np.lexsort(columns[:2])
     ext = ids.external
     with open(path, "w", newline="") as fh:
@@ -170,7 +165,7 @@ def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
     naming its line.
     """
     ids = IdMap()
-    g = DiscoveredGraph()
+    sources, targets, weights, counts = array("q"), array("q"), array("d"), array("q")
     for lineno, line in read_lines(path, "edge list"):
         try:
             source, target, weight, n_events = line.rstrip("\n").split("\t")
@@ -180,15 +175,18 @@ def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
                             f"source, target, weight, event count") from None
         if source == target:
             raise DataError(f"{path}:{lineno}: self-loop on {source} rejected")
-        g.add_events(ids.intern(source), ids.intern(target), weight, n_events)
-    sources = np.frombuffer(g.sources, dtype=np.int64)
-    targets = np.frombuffer(g.targets, dtype=np.int64)
-    order, edges = in_edge_runs(targets, sources)
+        sources.append(ids.intern(source))
+        targets.append(ids.intern(target))
+        weights.append(weight)
+        counts.append(n_events)
+    g = DiscoveredGraph()
+    g.add_events(sources, targets, weights, counts)
+    order, edges = in_edge_runs(g.targets, g.sources)
     repeats = np.delete(order, edges)   # every row of a pair but its first
     if repeats.size:
         row = int(repeats.min())   # every line is one row
         raise DataError(f"{path}:{row + 1}: repeats the edge "
-                        f"{ids.external(g.sources[row])} -> {ids.external(g.targets[row])}")
+                        f"{ids.external(sources[row])} -> {ids.external(targets[row])}")
     return g, ids
 
 

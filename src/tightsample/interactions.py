@@ -72,14 +72,12 @@ def pattern_of(events) -> int:
     Duplicate instances of a type collapse to one bit; only presence counts.
     """
     bits = 0
-    empty = True
     for ev in events:
-        empty = False
         try:
             bits |= _TYPE_BIT[ev]
         except KeyError:
             raise DataError(f"unknown interaction type {ev!r}") from None
-    if empty:
+    if not bits:   # every type sets a bit
         raise DataError("no engagement: empty event set has no pattern")
     return bits
 
@@ -105,24 +103,13 @@ def parse_pattern(text: str) -> int:
 
 def collapse_af(pattern: int) -> int:
     """Collapse a 4-bit pattern to 3 bits: (like, reply, retweet-or-quote)."""
-    out = 0
-    if pattern & _TYPE_BIT["like"]:
-        out |= _AF_LIKE
-    if pattern & _TYPE_BIT["reply"]:
-        out |= _AF_REPLY
-    if pattern & (_TYPE_BIT["retweet"] | _TYPE_BIT["quote"]):
-        out |= _AF_RTQ
-    return out
+    like, retweet, reply, quote = (bool(pattern & _TYPE_BIT[t]) for t in TYPES)
+    return like * _AF_LIKE | reply * _AF_REPLY | (retweet or quote) * _AF_RTQ
 
 
 def subpatterns(pattern: int):
     """All non-zero bitwise subsets of ``pattern``, ascending."""
-    subs = []
-    s = pattern
-    while s:
-        subs.append(s)
-        s = (s - 1) & pattern
-    return sorted(subs)
+    return [s for s in range(1, pattern + 1) if s & pattern == s]
 
 
 @dataclass

@@ -24,6 +24,7 @@ nodes exceed it).
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 
@@ -115,8 +116,8 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
         raise DataError("empty graph")
     n = len(nodes)
     m = g.n_edges()
-    sources = np.searchsorted(nodes, np.frombuffer(g.sources, dtype=np.int64))
-    targets = np.searchsorted(nodes, np.frombuffer(g.targets, dtype=np.int64))
+    sources = np.searchsorted(nodes, g.sources)
+    targets = np.searchsorted(nodes, g.targets)
     # in-edge CSR: edge sources grouped by target, one segment per target
     order = np.lexsort((sources, targets))
     sources, targets = sources[order], targets[order]
@@ -157,7 +158,7 @@ def degree_stats(g: DiscoveredGraph) -> dict:
     if n == 0:
         raise DataError("empty graph")
     m = g.n_edges()
-    weight = sum(g.weights)
+    weight = sum(g.weights.tolist())
     return {"n": n, "m": m, "avg_degree": m / n, "avg_weighted_degree": weight / n}
 
 
@@ -237,18 +238,12 @@ def inflection_candidates(boundary, window: int, z_threshold: float) -> list[int
         raise ConfigError("window must be >= 2")
     if hasattr(boundary, "boundary"):
         boundary = boundary.boundary
-    b = np.asarray(boundary, dtype=float)
-    diffs = np.diff(b)
+    diffs = np.diff(np.asarray(boundary, dtype=float))
     flagged = []
     for t in range(window, diffs.size):
         trail = diffs[t - window:t]
-        mu = trail.mean()
-        sigma = trail.std()
-        d = diffs[t]
-        if sigma > 0.0:
-            if d - mu > z_threshold * sigma:
-                flagged.append(t)
-        elif d > mu:
+        mu, sigma = trail.mean(), trail.std()
+        if diffs[t] - mu > z_threshold * sigma if sigma > 0.0 else diffs[t] > mu:
             flagged.append(t)
     return flagged
 
@@ -261,14 +256,8 @@ def window_purity(block_sequence, window: int) -> list[tuple[int, float]]:
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    out = []
-    for t in range(window, len(block_sequence) + 1):
-        recent = block_sequence[t - window:t]
-        counts: dict = {}
-        for b in recent:
-            counts[b] = counts.get(b, 0) + 1
-        out.append((t, max(counts.values()) / window))
-    return out
+    return [(t, max(Counter(block_sequence[t - window:t]).values()) / window)
+            for t in range(window, len(block_sequence) + 1)]
 
 
 def max_window_purity(block_sequence, window: int) -> float:

@@ -9,6 +9,7 @@ access log so tests can audit exactly what a sampling run touched.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -165,6 +166,17 @@ class GraphOracle:
         sources = self._sources[i:k]
         self._discoverable.update(sources)
         return tuple(zip(sources, self._patterns[i:k]))
+
+    def in_edges(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``sources, targets, event_counts`` of the answers to ``nodes``, one after
+        another, as int64 columns; unlike :meth:`in_neighbors`, logs and reveals nothing."""
+        spans = [slice(self._indptr[v], self._indptr[v + 1]) for v in nodes]
+        sizes = [span.stop - span.start for span in spans]
+        sources = chain.from_iterable(self._sources[span] for span in spans)
+        counts = chain.from_iterable(map(len, self._patterns[span]) for span in spans)
+        return (np.fromiter(sources, np.int64, sum(sizes)),
+                np.repeat(np.array(nodes, dtype=np.int64), sizes),
+                np.fromiter(counts, np.int64, sum(sizes)))
 
     # -- audit ----------------------------------------------------------
 

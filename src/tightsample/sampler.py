@@ -2,9 +2,11 @@
 
 The state tracks insiders (the sample), outsiders (discovered in-neighbors
 not yet sampled) with their priorities, and the weighted directed boundary:
-the total weight of discovered outsider->insider edges. Maximum-adjacency
-search picks the outsider with the largest priority; the other strategies
-are random baselines sharing the same incremental bookkeeping.
+the total weight of discovered outsider->insider edges. The discovered edges
+are the oracle's answers to the queried nodes, so the state keeps only the
+query order and the answers' weights. Maximum-adjacency search picks the
+outsider with the largest priority; the other strategies are random
+baselines sharing the same incremental bookkeeping.
 
 Both MAS tie-breaks read one structure, the outsiders grouped by exact
 priority with each tie set sorted by ``(disc_time, node)``: the ordered pick
@@ -14,6 +16,7 @@ takes the first key of the top tie set, the random pick draws one.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -95,7 +98,7 @@ class SampleTrace:
 class _Staged:
     """Selector state of the staged strategies (RI_MAS, RI_RO, RS_SU, RS_SW).
 
-    Built from the edge columns in append order: every set and frontier gets
+    Built from the edge columns in query order: every set and frontier gets
     its elements in the order that upkeep since ``init`` would have added
     them, and so does ``eligible`` until a node is promoted (a promotion
     swap-removes from it).
@@ -238,11 +241,13 @@ class _TieBuckets:
 class SampleState:
     """Mutable sampling state; confine one instance to one thread.
 
-    The core, read by every strategy: the insiders (shared with
-    ``discovered``), the outsiders' priorities in discovery order, their
-    discovery timesteps, the boundary and the discovered edges. Each
-    strategy family's selector state is built from the core on the first
-    ``select`` that needs it, then kept up to date step by step:
+    The core, read by every strategy: the insiders, the outsiders'
+    priorities in discovery order, their discovery timesteps, the boundary,
+    the queried nodes in query order and their answers' edge weights. The
+    discovered graph is built from the last two on each read of
+    ``discovered``, sharing the insider set. Each strategy family's selector
+    state is built from the core on the first ``select`` that needs it, then
+    kept up to date step by step:
 
     - ``MAS``: :class:`_TieBuckets`, the outsiders' keys per exact priority;
       the top bucket is the tie set in ``(disc_time, node)`` order, whose
@@ -264,8 +269,9 @@ class SampleState:
     def __init__(self, oracle, weights):
         self.oracle = oracle
         self.weights = weights
-        self.discovered = DiscoveredGraph()
-        self.insiders = self.discovered.insiders  # the sample, shared with the graph
+        self.insiders: set[int] = set()           # the sample
+        self.queried: list[int] = []              # nodes asked, in query order
+        self._edge_weights = array("d")           # their answers' edge weights, in order
         self.outsiders: dict[int, float] = {}     # node -> priority
         self.disc_time: dict[int, int] = {}       # outsider -> discovery timestep
         self.boundary = 0.0
@@ -275,6 +281,14 @@ class SampleState:
         self._pool: IndexedSet | None = None
         self._tree: _Fenwick | None = None
         self._staged: _Staged | None = None
+
+    @property
+    def discovered(self) -> DiscoveredGraph:
+        """The answers to ``queried``, in query order, as a new graph."""
+        g = DiscoveredGraph(self.insiders)
+        sources, targets, event_counts = self.oracle.in_edges(self.queried)
+        g.add_events(sources, targets, np.array(self._edge_weights), event_counts)
+        return g
 
     # -- selector state, built on first use --------------------------------
 
@@ -303,18 +317,18 @@ class SampleState:
 
     def _absorb_neighbors(self, v: int) -> tuple[int, int]:
         """Query the oracle for ``v`` and fold the answer into the state."""
-        new_nodes = new_edges = 0
-        add_events = self.discovered.add_events
+        new_nodes = 0
         event_weight = self.weights.event_weight
         insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
         buckets, pool, tree = self._buckets, self._pool, self._tree
         staged = self._staged
         boundary = self.boundary
         frontier: dict[int, None] = {}
-        for u, events in self.oracle.in_neighbors(v):
-            w = event_weight(events)
-            add_events(u, v, w, len(events))
-            new_edges += 1
+        answer = self.oracle.in_neighbors(v)
+        self.queried.append(v)
+        edge_weights = [event_weight(events) for _u, events in answer]
+        self._edge_weights.extend(edge_weights)
+        for (u, _events), w in zip(answer, edge_weights):
             if u in insiders:
                 continue
             old = outsiders.get(u)
@@ -339,7 +353,7 @@ class SampleState:
         if frontier:
             staged.frontier_of[v] = frontier
             staged.eligible.add(v)
-        return new_nodes, new_edges
+        return new_nodes, len(answer)
 
     def _promote(self, node: int) -> float:
         """Move an outsider into the insider set; returns its final priority."""
@@ -358,25 +372,6 @@ class SampleState:
         return priority
 
     # -- selection -------------------------------------------------------
-
-    @staticmethod
-    def _argmax_of(candidates, priorities, disc_time) -> int:
-        return min(candidates, key=lambda o: (-priorities[o], disc_time[o], o))
-
-    @staticmethod
-    def _argmax_random_tie(candidates, priorities, rng) -> int:
-        top = max(priorities[o] for o in candidates)
-        tied = [o for o in candidates if priorities[o] == top]
-        return tied[int(rng.integers(len(tied)))]
-
-    @staticmethod
-    def _weighted_pick(candidates, priorities, rng) -> int:
-        weights = np.fromiter((priorities[o] for o in candidates), dtype=float,
-                              count=len(candidates))
-        cumulative = np.cumsum(weights)
-        total = cumulative[-1]
-        idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-        return candidates[min(idx, len(candidates) - 1)]
 
     def select(self, strategy: str, rng, tie_break: str = "ordered") -> int:
         if strategy not in STRATEGIES:
@@ -398,13 +393,18 @@ class SampleState:
         staged = self._staged_state()
         insider = staged.eligible.pick(rng)
         candidates = list(staged.frontier_of[insider])  # ascending id, as the oracle answered
-        if strategy == "RI_MAS":
-            if tie_break == "random":
-                return self._argmax_random_tie(candidates, self.outsiders, rng)
-            return self._argmax_of(candidates, self.outsiders, self.disc_time)
         if strategy in ("RI_RO", "RS_SU"):
             return candidates[int(rng.integers(len(candidates)))]
-        return self._weighted_pick(candidates, self.outsiders, rng)  # RS_SW
+        priorities = [self.outsiders[o] for o in candidates]
+        if strategy == "RS_SW":
+            cumulative = np.cumsum(priorities)
+            idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+            return candidates[min(idx, len(candidates) - 1)]
+        if tie_break == "random":   # RI_MAS
+            top = max(priorities)
+            tied = [o for o, p in zip(candidates, priorities) if p == top]
+            return tied[int(rng.integers(len(tied)))]
+        return min(candidates, key=lambda o: (-self.outsiders[o], self.disc_time[o], o))
 
 
 def init(seeds, oracle, weights=None) -> SampleState:
@@ -489,7 +489,7 @@ def audit(state: SampleState) -> float:
     """
     recomputed: dict[int, float] = {}
     g = state.discovered
-    for s, t, weight in zip(g.sources, g.targets, g.weights):
+    for s, t, weight in zip(g.sources.tolist(), g.targets.tolist(), g.weights.tolist()):
         if t in state.insiders and s not in state.insiders:
             recomputed[s] = recomputed.get(s, 0.0) + weight
     if set(recomputed) != set(state.outsiders):

@@ -105,10 +105,45 @@ def brute_priorities(state):
     """Outsider priorities and boundary by a full scan of the discovered graph."""
     prio = {}
     g = state.discovered
-    for s, t, weight in zip(g.sources, g.targets, g.weights):
+    for s, t, weight in zip(g.sources.tolist(), g.targets.tolist(), g.weights.tolist()):
         if t in state.insiders and s not in state.insiders:
             prio[s] = prio.get(s, 0.0) + weight
     return prio, sum(prio.values())
+
+
+class AppendedEdges:
+    """The discovered graph as the sampler once kept it: one appended row per edge.
+
+    :func:`record_appends` fills the four columns while a sampler runs.
+    """
+
+    def __init__(self):
+        self.sources, self.targets, self.weights, self.event_counts = [], [], [], []
+
+    def append(self, source, target, weight, n_events):
+        self.sources.append(source)
+        self.targets.append(target)
+        self.weights.append(weight)
+        self.event_counts.append(n_events)
+
+
+def record_appends(oracle, weights) -> AppendedEdges:
+    """Append every edge of every answer ``oracle`` gives from now on, in answer order.
+
+    Each edge ``u -> v`` of an answer to ``v`` gets ``weights.event_weight`` of its
+    patterns and their count, as the sampler's per-edge loop once appended them.
+    """
+    edges = AppendedEdges()
+    ask = oracle.in_neighbors
+
+    def in_neighbors(v):
+        answer = ask(v)
+        for u, events in answer:
+            edges.append(u, v, weights.event_weight(events), len(events))
+        return answer
+
+    oracle.in_neighbors = in_neighbors
+    return edges
 
 
 def random_digraph(rng, n, p):

@@ -217,6 +217,9 @@ def test_crlf_edge_list_samples_as_lf(net_dir, tmp_path, backing):
     ["sweep", "--sizes", "50x2", "--budget", "5", "--r-list", "1,x"],
     ["sweep", "--sizes", "50x2", "--r-list", "1", "--budget", "5",
      "--seeds-per-block", "1,q"],
+    ["gen-sbm", "--sizes", "30x0"],
+    ["sweep", "--sizes", "50x2", "--r-list", "1", "--budget", "5",
+     "--seeds-per-block", "1x0"],
 ])
 def test_bad_list_argument_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -327,6 +330,10 @@ BAD_INPUTS = {
     "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,
                      "manifest.json"),
     "manifest-depth": ("manifest.json", b"[" * 100_000, 3, "manifest.json"),
+    "manifest-seeds": ("manifest.json", b'{"seeds": 5}', 3,
+                       "manifest.json: manifest seeds is integer"),
+    "manifest-strategy": ("manifest.json", b'{"seeds": [0], "strategy": ["MAS"]}', 3,
+                          "manifest.json: manifest strategy is array"),
     "summary-json": ("run_summary.json", b"{init_boundary", 3, "run_summary.json:1:"),
     "summary-number": ("run_summary.json", b'{"init_boundary": "x"}', 3,
                        "run_summary.json"),

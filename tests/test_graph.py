@@ -1,5 +1,4 @@
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
@@ -34,7 +33,8 @@ def _graph(insiders, edges):
     for s, t in edges:
         g.add_node(s)
         g.add_node(t)
-        g.add_events(s, t, 1.0, 1)
+    g.add_events([s for s, _t in edges], [t for _s, t in edges],
+                 [1.0] * len(edges), [1] * len(edges))
     return g
 
 
@@ -77,8 +77,7 @@ def test_total_edge_weight_sums_weights():
     g.add_node(0, insider=True)
     g.add_node(1)
     g.add_node(2)
-    g.add_events(1, 0, 0.52, 1)
-    g.add_events(2, 0, 0.15, 1)
+    g.add_events([1, 2], [0, 0], [0.52, 0.15], [1, 1])
     assert total_edge_weight(g, "boundary") == pytest.approx(0.67)
 
 
@@ -92,7 +91,7 @@ def test_edge_classes_partition_total(rng):
         s, t = (int(x) for x in rng.integers(30, size=2))
         if s != t and t in insiders:
             g.add_node(s)
-            g.add_events(s, t, float(rng.random()), 1)
+            g.add_events([s], [t], [float(rng.random())], [1])
     full = total_edge_weight(g, "all")
     parts = total_edge_weight(g, "boundary") + total_edge_weight(g, "internal")
     assert full == pytest.approx(parts, rel=1e-12)
@@ -108,19 +107,22 @@ def test_unknown_selector_rejected():
 def test_self_loops_rejected():
     g = DiscoveredGraph()
     g.add_node(0, insider=True)
-    with pytest.raises(DataError):
-        g.add_events(0, 0, 1.0, 1)
+    with pytest.raises(DataError, match="self-loop rejected: 0"):
+        g.add_events([1, 0], [0, 0], [1.0, 1.0], [1, 1])
+    assert g.n_edges() == 0
 
 
 def test_add_events_appends_one_row_per_call():
     # the store appends and never merges: callers add each pair once
     g = _graph([0], [(1, 0)])
-    g.add_events(2, 0, 0.5, 3)
-    assert g.n_edges() == 2
-    assert list(g.pairs()) == [(1, 0), (2, 0)]
-    assert list(g.weights) == [1.0, 0.5]
-    assert list(g.event_counts) == [1, 3]
-    assert g.nodes == {0, 1, 2}
+    g.add_events([2, 3], [0, 0], [0.5, 2.0], [3, 1])
+    assert g.n_edges() == 3
+    assert list(g.pairs()) == [(1, 0), (2, 0), (3, 0)]
+    assert g.weights.tolist() == [1.0, 0.5, 2.0]
+    assert g.event_counts.tolist() == [1, 3, 1]
+    assert g.nodes == {0, 1, 2, 3}
+    with pytest.raises(ValueError, match="differ in length"):
+        g.add_events([4], [0], [1.0, 2.0], [1])
 
 
 def test_edge_tsv_round_trip(tmp_path):
@@ -144,7 +146,7 @@ def test_nodes_are_insiders_endpoints_and_added_nodes():
     g = DiscoveredGraph()
     g.add_node(0, insider=True)
     g.add_node(7)
-    g.add_events(3, 0, 1.0, 1)
+    g.add_events([3], [0], [1.0], [1])
     assert g.nodes == {0, 3, 7}
     assert g.insiders == {0}
 
@@ -169,12 +171,13 @@ def test_edge_tsv_matches_reference_writer(tmp_path, monkeypatch, seed):
     np.fill_diagonal(mask, False)
     pairs = [(int(s), int(t)) for s, t in zip(*np.nonzero(mask))]
     edges, n_events = {}, {}
-    g = DiscoveredGraph()
     for i in rng.permutation(len(pairs)):  # scrambled append order
         key = pairs[i]
         edges[key] = float(rng.random() * 10.0 ** rng.integers(-3, 4))
         n_events[key] = int(rng.integers(1, 6))
-        g.add_events(*key, edges[key], n_events[key])
+    g = DiscoveredGraph()
+    g.add_events([s for s, _t in edges], [t for _s, t in edges],
+                 list(edges.values()), list(n_events.values()))
     monkeypatch.setattr(graph, "WRITE_CHUNK", 5)  # several chunks and a partial one
     path = tmp_path / "edges.tsv"
     write_edge_tsv(g, path, ids)
@@ -191,10 +194,9 @@ def test_edge_tsv_writer_makes_no_reordered_column_copies(tmp_path):
     for v in range(n):
         ids.intern(v)
     g = DiscoveredGraph()
-    g.sources = array("q", rng.integers(n, size=m).tobytes())
-    g.targets = array("q", rng.integers(n, size=m).tobytes())
-    g.weights = array("d", rng.random(m).tobytes())
-    g.event_counts = array("q", rng.integers(1, 4, size=m).tobytes())
+    sources = rng.integers(n, size=m)
+    g.add_events(sources, (sources + rng.integers(1, n, size=m)) % n, rng.random(m),
+                 rng.integers(1, 4, size=m))
     tracemalloc.start()
     try:
         write_edge_tsv(g, tmp_path / "edges.tsv", ids)

@@ -66,9 +66,8 @@ def test_local_clustering_mean_independent_of_node_insertion_order():
             pairs.add((ids[a], ids[b]))
         forward = digraph([], nodes=ids)
         backward = digraph([], nodes=ids[::-1])
-        for s, t in sorted(pairs):
-            forward.add_events(s, t, 1.0, 1)
-            backward.add_events(s, t, 1.0, 1)
+        for g in (forward, backward):
+            g.add_events(*zip(*sorted(pairs)), [1.0] * len(pairs), [1] * len(pairs))
         assert metrics.clustering_local(forward)[1] == metrics.clustering_local(backward)[1]
 
 

@@ -19,7 +19,8 @@ def test_traced_functions_exist(monkeypatch):
 
 
 def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
-    # the traced mode times discovery through this leaf, so the sampler must call it
+    # the traced mode times graph builds through this leaf: a sampled state's graph
+    # enters through one call whose columns hold every discovered edge once
     import numpy as np
 
     from tightsample import graph, sampler, sbm
@@ -28,9 +29,9 @@ def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
     calls = []
     add_events = graph.DiscoveredGraph.add_events
 
-    def counted(self, *args):
-        calls.append(args[:2])
-        return add_events(self, *args)
+    def counted(self, *columns):
+        calls.append([np.asarray(column).tolist() for column in columns])
+        return add_events(self, *columns)
 
     monkeypatch.setattr(graph.DiscoveredGraph, "add_events", counted)
     cfg = sbm.BlockModelConfig((40,) * 4, 6, 4.0, 5)
@@ -39,8 +40,13 @@ def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
     seeds = sbm.select_seeds(labels, sbm.SeedConfig((1,) * 4, rng_seed=2))
     state = sampler.init(seeds, oracle)
     sampler.run(state, "MAS", steps=100, rng=np.random.default_rng(0))
-    assert state.discovered.n_edges() > 0
-    assert calls == list(state.discovered.pairs())
+    assert calls == []   # sampling appends no edge
+    g = state.discovered
+    [(sources, targets, weights, counts)] = calls
+    answered = [(u, v) for v in oracle.access_log for u, _events in oracle.in_neighbors(v)]
+    assert list(zip(sources, targets)) == answered == list(g.pairs())
+    assert len(set(answered)) == len(answered) > 0
+    assert weights == [1.0] * len(answered) and counts == [1] * len(answered)
 
 
 def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypatch):

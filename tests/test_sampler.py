@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import brute_priorities, event_rows, make_sbm_oracle
+from reference import brute_priorities, event_rows, make_sbm_oracle, record_appends
 from tightsample import interactions as ia
 from tightsample import sampler
 from tightsample.ingest import EventTable, synthetic_corpus
@@ -379,18 +379,22 @@ def test_trace_insider_count_invariant():
 # edge store and selector state
 
 
+def _backing(name):
+    """An oracle, seeds and weights: a unit blockmodel, or a weighted engagement corpus."""
+    if name == "blockmodel":
+        oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 29)
+        return oracle, seeds, ia.UnitWeights()
+    corpus = synthetic_corpus(np.random.default_rng(14), n_authors=6,
+                              n_interactors=50, n_tweets=60, n_events=400)
+    oracle = GraphOracle.from_events(corpus)
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
+    return oracle, seeds, ia.load_reference_tables()["distinct"].weights
+
+
 @pytest.mark.parametrize("backing", ["blockmodel", "events"])
 @pytest.mark.parametrize("strategy", sampler.STRATEGIES)
 def test_each_discovered_edge_is_appended_once(backing, strategy):
-    if backing == "blockmodel":
-        oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 29)
-        weights = None
-    else:
-        corpus = synthetic_corpus(np.random.default_rng(14), n_authors=6,
-                                  n_interactors=50, n_tweets=60, n_events=400)
-        oracle = GraphOracle.from_events(corpus)
-        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
-        weights = ia.load_reference_tables()["distinct"].weights
+    oracle, seeds, weights = _backing(backing)
     state = sampler.init(seeds, oracle, weights)
     sampler.run(state, strategy, steps=40, rng_seed=3)
     pairs = list(state.discovered.pairs())
@@ -398,6 +402,49 @@ def test_each_discovered_edge_is_appended_once(backing, strategy):
     queried = oracle.access_log
     answered = sum(1 for v in queried for u, _events in oracle.in_neighbors(v) if u != v)
     assert state.discovered.n_edges() == answered
+
+
+def _assert_columns_equal_appends(state, appended):
+    g = state.discovered
+    assert g.n_edges() > 0
+    assert g.sources.tolist() == appended.sources
+    assert g.targets.tolist() == appended.targets
+    assert g.weights.tolist() == appended.weights
+    assert g.event_counts.tolist() == appended.event_counts
+
+
+@pytest.mark.parametrize("backing", ["blockmodel", "graph-corpus"])
+@pytest.mark.parametrize("tie_break", sampler.TIE_BREAKS)
+@pytest.mark.parametrize("strategy", sampler.STRATEGIES)
+def test_discovered_columns_equal_the_per_edge_appends(backing, strategy, tie_break):
+    # the graph built from the query list holds, row for row, what appending each
+    # answered edge would have: same order, same float weights, same counts
+    if backing == "blockmodel":
+        oracle, seeds, weights = _backing(backing)
+    else:
+        corpus = synthetic_corpus(np.random.default_rng(4), n_authors=30, n_interactors=30,
+                                  n_tweets=120, n_events=600)
+        corpus = EventTable.from_rows((t, a, "a" + j[1:], p)
+                                      for t, a, j, p in event_rows(corpus))
+        oracle = GraphOracle.from_events(corpus)
+        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:2]
+        weights = ia.load_reference_tables()["distinct"].weights
+    appended = record_appends(oracle, weights)
+    state = sampler.init(seeds, oracle, weights)
+    trace = sampler.run(state, strategy, steps=40, rng_seed=3, tie_break=tie_break)
+    assert len(trace.rows) > 20
+    if backing != "blockmodel":
+        assert max(appended.event_counts) > 1
+    _assert_columns_equal_appends(state, appended)
+
+
+@pytest.mark.parametrize("backing", ["blockmodel", "events"])
+def test_init_only_columns_equal_the_per_edge_appends(backing):
+    oracle, seeds, weights = _backing(backing)
+    appended = record_appends(oracle, weights)
+    state = sampler.init(seeds, oracle, weights)
+    assert state.queried == list(state.seeds)
+    _assert_columns_equal_appends(state, appended)
 
 
 def _outsider_in_neighbours(state):
