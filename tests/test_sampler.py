@@ -380,14 +380,23 @@ def test_trace_insider_count_invariant():
 
 
 def _backing(name):
-    """An oracle, seeds and weights: a unit blockmodel, or a weighted engagement corpus."""
+    """An oracle, seeds and weights: a unit blockmodel or a weighted engagement corpus,
+    whose interactors are its authors in "graph-corpus", so that engagement forms a graph."""
     if name == "blockmodel":
         oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 29)
         return oracle, seeds, ia.UnitWeights()
-    corpus = synthetic_corpus(np.random.default_rng(14), n_authors=6,
-                              n_interactors=50, n_tweets=60, n_events=400)
+    if name == "graph-corpus":
+        corpus = synthetic_corpus(np.random.default_rng(4), n_authors=30, n_interactors=30,
+                                  n_tweets=120, n_events=600)
+        corpus = EventTable.from_rows((t, a, "a" + j[1:], p)
+                                      for t, a, j, p in event_rows(corpus))
+        n_seeds = 2
+    else:
+        corpus = synthetic_corpus(np.random.default_rng(14), n_authors=6,
+                                  n_interactors=50, n_tweets=60, n_events=400)
+        n_seeds = 3
     oracle = GraphOracle.from_events(corpus)
-    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:n_seeds]
     return oracle, seeds, ia.load_reference_tables()["distinct"].weights
 
 
@@ -419,16 +428,7 @@ def _assert_columns_equal_appends(state, appended):
 def test_discovered_columns_equal_the_per_edge_appends(backing, strategy, tie_break):
     # the graph built from the query list holds, row for row, what appending each
     # answered edge would have: same order, same float weights, same counts
-    if backing == "blockmodel":
-        oracle, seeds, weights = _backing(backing)
-    else:
-        corpus = synthetic_corpus(np.random.default_rng(4), n_authors=30, n_interactors=30,
-                                  n_tweets=120, n_events=600)
-        corpus = EventTable.from_rows((t, a, "a" + j[1:], p)
-                                      for t, a, j, p in event_rows(corpus))
-        oracle = GraphOracle.from_events(corpus)
-        seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:2]
-        weights = ia.load_reference_tables()["distinct"].weights
+    oracle, seeds, weights = _backing(backing)
     appended = record_appends(oracle, weights)
     state = sampler.init(seeds, oracle, weights)
     trace = sampler.run(state, strategy, steps=40, rng_seed=3, tie_break=tie_break)
