@@ -26,12 +26,20 @@ WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
 SHIPPED_SCHEMES = ("distinct", "nested", "af")   # the shipped weight table's sections
 SWEEP_COLUMNS = ("r", "strategy", "repeat", "run_seed", "steps", "insiders",
                  "final_boundary", "max_window_purity")
+ORACLE_KINDS = ("undirected", "edgelist", "events")   # a manifest's oracle.kind
 
 
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _refuse_duplicates(names: list[str], what: str, clash: str) -> None:
+    """ConfigError naming the first of ``names`` that occurs twice."""
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"two {what} are named {name!r}; {clash}")
 
 
 def _write_table(stem: Path, rows: list[dict], fmt: str, columns) -> Path:
@@ -205,9 +213,7 @@ def _oracle_from_descriptor(desc: dict, base: Path) -> GraphOracle:
         return GraphOracle.from_undirected_edges(edges, n_nodes=desc.get("n_nodes"))
     if kind == "edgelist":
         return GraphOracle.from_edgelist(path)
-    if kind == "events":
-        return GraphOracle.from_events(ingest.parse_events(path, fmt=desc.get("format")))
-    raise ConfigError(f"unknown oracle kind {kind!r}")
+    return GraphOracle.from_events(ingest.parse_events(path, fmt=desc.get("format")))
 
 
 def _build_oracle(args) -> tuple[GraphOracle, dict]:
@@ -265,17 +271,21 @@ _JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "numb
 _MANIFEST_TYPES = {
     "rng_seed": ("integer",), "weights": ("string",), "seeds": ("array",),
     "budget": ("integer", "null"), "target_size": ("integer", "null"),
-    "oracle.path": ("string",), "oracle.n_nodes": ("integer", "null"),
+    "oracle.kind": ("string",), "oracle.path": ("string",), "oracle.n_nodes": ("integer", "null"),
 }
 
 
-def _check_types(path: Path, manifest: dict, types: dict) -> None:
+def _field(manifest: dict, key: str, default=None):
+    section, _, name = key.rpartition(".")
+    return (manifest[section] if section else manifest).get(name, default)
+
+
+def _check_types(path: Path, manifest: dict, types: dict, what: str = "manifest") -> None:
     """DataError naming ``path`` and the key unless each field holds an allowed JSON type."""
     for key, allowed in types.items():
-        section, _, name = key.rpartition(".")
-        found = _JSON_TYPES[type((manifest[section] if section else manifest).get(name))]
+        found = _JSON_TYPES[type(_field(manifest, key))]
         if found not in allowed:
-            raise DataError(f"{path}: manifest {key} is {found}, "
+            raise DataError(f"{path}: {what} {key} is {found}, "
                             f"expected {' or '.join(allowed)}")
 
 
@@ -292,8 +302,9 @@ def _read_manifest(path: Path) -> dict:
         raise DataError(f"{path}: manifest seeds must be strings or integers")
     if manifest["rng_seed"] < 0:
         raise DataError(f"{path}: manifest rng_seed is {manifest['rng_seed']}, expected >= 0")
-    for key, allowed in (("strategy", sampler.STRATEGIES), ("tie_break", sampler.TIE_BREAKS)):
-        value = manifest.get(key, allowed[0])
+    for key, allowed in (("strategy", sampler.STRATEGIES), ("tie_break", sampler.TIE_BREAKS),
+                         ("oracle.kind", ORACLE_KINDS)):
+        value = _field(manifest, key, allowed[0])
         if value not in allowed:
             raise DataError(f"{path}: manifest {key} is {json.dumps(value)}, "
                             f"expected one of {', '.join(allowed)}")
@@ -314,14 +325,8 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
     return coerced
 
 
-def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle,
-                    weights) -> sampler.SampleTrace:
-    seeds = _coerce_seed_ids(manifest["seeds"], oracle)
-    state = sampler.init(seeds, oracle, weights)
-    trace = sampler.run(state, manifest["strategy"], steps=manifest["budget"],
-                        target_size=manifest.get("target_size"),
-                        rng_seed=manifest["rng_seed"],
-                        tie_break=manifest.get("tie_break", "ordered"))
+def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) -> None:
+    """Write the run directory ``out``: the five files that ``metrics`` and a replay read."""
     trace.write_csv(out / "trace.csv", oracle.ids)
     discovered = state.discovered
     graph.write_edge_tsv(discovered, out / "discovered.tsv", oracle.ids)
@@ -336,7 +341,22 @@ def _execute_sample(manifest: dict, out: Path, oracle: GraphOracle,
         "stop_reason": trace.reason,
     }
     (out / "run_summary.json").write_text(json.dumps(summary, indent=2))
-    return trace
+
+
+def _execute_sample(manifest: dict, oracle: GraphOracle, weights, out: Path | None):
+    """Run the manifest's sample on ``oracle``; unless ``out`` is None, record it there.
+
+    ``sample`` runs and kept ``sweep`` cells both run and record here. Returns (state, trace).
+    """
+    seeds = _coerce_seed_ids(manifest["seeds"], oracle)
+    state = sampler.init(seeds, oracle, weights)
+    trace = sampler.run(state, manifest["strategy"], steps=manifest["budget"],
+                        target_size=manifest.get("target_size"),
+                        rng_seed=manifest["rng_seed"],
+                        tie_break=manifest.get("tie_break", "ordered"))
+    if out is not None:
+        _record_run(out, manifest, oracle, state, trace)
+    return state, trace
 
 
 def cmd_sample(args) -> int:
@@ -346,7 +366,7 @@ def cmd_sample(args) -> int:
         manifest = _read_manifest(manifest_path)
         _check_inputs(manifest, manifest_path)
         oracle = _oracle_from_descriptor(manifest["oracle"], manifest_path.parent)
-        trace = _execute_sample(manifest, out, oracle, _load_weights(manifest["weights"]))
+        weights = _load_weights(manifest["weights"])
     else:
         if args.strategy not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {args.strategy!r}; "
@@ -373,7 +393,7 @@ def cmd_sample(args) -> int:
             "numpy": np.__version__,
             "inputs": {path: _fingerprint(path) for path in input_paths},
         }
-        trace = _execute_sample(manifest, out, oracle, weights)
+    _state, trace = _execute_sample(manifest, oracle, weights, out)
     print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
           f"({trace.reason}) -> {out}/trace.csv")
     return 0
@@ -384,37 +404,22 @@ def cmd_sample(args) -> int:
 
 
 def _load_run(run_dir: Path):
-    trace_path = run_dir / "trace.csv"
-    edges_path = run_dir / "discovered.tsv"
-    manifest_path = run_dir / "manifest.json"
-    summary_path = run_dir / "run_summary.json"
-    if not trace_path.exists() or not edges_path.exists():
-        raise DataError(f"{run_dir} is not a run directory "
-                        f"(need trace.csv and discovered.tsv)")
-    manifest = _read_json_object(manifest_path, "manifest") \
-        if manifest_path.exists() else {}
-    _check_types(manifest_path, manifest, {"seeds": ("array", "null"),
-                                           "strategy": ("string", "null")})
-    summary = _read_json_object(summary_path, "run summary") \
-        if summary_path.exists() else {}
-    g, ids = graph.read_edge_tsv(edges_path)
-    seeds = [ids.intern(str(s)) for s in manifest.get("seeds") or ()]
-    try:
-        init_boundary = float(summary.get("init_boundary", 0.0))
-    except (TypeError, ValueError):
-        raise DataError(f"{summary_path}: init_boundary is not a number") from None
-    trace = sampler.SampleTrace(manifest.get("strategy") or run_dir.name, tuple(seeds),
-                                init_boundary, sampler.SampleTrace.read_rows(trace_path, ids))
+    manifest_path, summary_path = run_dir / "manifest.json", run_dir / "run_summary.json"
+    manifest = _read_json_object(manifest_path, "manifest")
+    _check_types(manifest_path, manifest, {"seeds": ("array",), "strategy": ("string",)})
+    summary = _read_json_object(summary_path, "run summary")
+    _check_types(summary_path, summary, {"init_boundary": ("integer", "number")}, "run summary")
+    g, ids = graph.read_edge_tsv(run_dir / "discovered.tsv")
+    seeds = [ids.intern(str(s)) for s in manifest["seeds"]]
+    trace = sampler.SampleTrace(manifest["strategy"], tuple(seeds), summary["init_boundary"],
+                                sampler.SampleTrace.read_rows(run_dir / "trace.csv", ids))
     return trace, g, ids
 
 
 def cmd_metrics(args) -> int:
     run_dirs = [Path(d) for d in args.runs]
-    names = [d.name for d in run_dirs]
-    for name in names:
-        if names.count(name) > 1:
-            raise ConfigError(f"two run directories are named {name!r}; their reports "
-                              f"would overwrite each other")
+    _refuse_duplicates([d.name for d in run_dirs], "run directories",
+                       "their reports would overwrite each other")
     runs = [_load_run(d) for d in run_dirs]
     out = _out_dir(args.out)
     snapshots = metrics.min_common_snapshot([(t, g) for t, g, _ids in runs])
@@ -446,31 +451,27 @@ def cmd_metrics(args) -> int:
 
 
 def _sweep_cell(payload: dict) -> dict:
-    """One (r, strategy, repeat) cell; module-level for process pools."""
-    cfg = sbm.BlockModelConfig(
-        block_sizes=tuple(payload["sizes"]), k_intra=payload["k_intra"],
-        r=payload["r"], rng_seed=payload["graph_seed"])
+    """One (r, strategy, repeat) cell; module-level for process pools.
+
+    A kept cell's manifest names a blockmodel, not an oracle file, so it does not replay.
+    """
+    model = payload["manifest"]["blockmodel"]
+    cfg = sbm.BlockModelConfig(block_sizes=tuple(model["sizes"]), k_intra=model["k_intra"],
+                               r=model["r"], rng_seed=model["graph_seed"])
     matrix = sbm.derive_block_matrix(cfg)
     edges, labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
     seed_cfg = sbm.SeedConfig(per_block=tuple(payload["seeds_per_block"]),
                               rng_seed=payload["seed_rng"])
-    seeds = sbm.select_seeds(labels, seed_cfg)
+    manifest = {**payload["manifest"], "seeds": sbm.select_seeds(labels, seed_cfg)}
     oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
-    state = sampler.init(seeds, oracle)
-    trace = sampler.run(state, payload["strategy"], steps=payload["budget"],
-                        rng_seed=payload["run_seed"])
+    run_dir = payload["out_dir"] and _out_dir(Path(payload["out_dir"], payload["name"]))
+    state, trace = _execute_sample(manifest, oracle, interactions.UnitWeights(), run_dir)
     blocks = [int(labels[v]) for v in trace.selected()]
     window = min(payload["purity_window"], max(len(blocks), 1))
     purity = metrics.max_window_purity(blocks, window) if blocks else 0.0
-    out_dir = payload.get("out_dir")
-    if out_dir:
-        cell_dir = _out_dir(Path(out_dir) /
-                            f"r{payload['r']:g}_rep{payload['repeat']}_{payload['strategy']}")
-        trace.write_csv(cell_dir / "trace.csv", oracle.ids)
-        graph.write_edge_tsv(state.discovered, cell_dir / "discovered.tsv", oracle.ids)
     return {
-        "r": payload["r"], "strategy": payload["strategy"],
-        "repeat": payload["repeat"], "run_seed": payload["run_seed"],
+        "r": model["r"], "strategy": manifest["strategy"],
+        "repeat": payload["repeat"], "run_seed": manifest["rng_seed"],
         "steps": len(trace.rows), "insiders": trace.final_size(),
         "final_boundary": state.boundary,
         "max_window_purity": purity,
@@ -496,7 +497,6 @@ def cmd_sweep(args) -> int:
         if s not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
     seeds_per_block = args.seeds_per_block or (1,) * len(args.sizes)
-    out = _out_dir(args.out)
 
     cells = []
     for ri, r in enumerate(args.r_list):
@@ -504,14 +504,21 @@ def cmd_sweep(args) -> int:
             graph_seed = args.seed * 1_000_003 + ri * 1_009 + rep
             for si, strategy in enumerate(strategies):
                 cells.append({
-                    "sizes": list(args.sizes), "k_intra": args.k_intra, "r": r,
-                    "graph_seed": graph_seed, "seed_rng": graph_seed + 777,
-                    "run_seed": graph_seed * 31 + si,
-                    "seeds_per_block": list(seeds_per_block),
-                    "strategy": strategy, "repeat": rep,
-                    "budget": args.budget, "purity_window": args.purity_window,
-                    "out_dir": str(out) if args.keep_runs else None,
+                    "manifest": {
+                        "strategy": strategy, "rng_seed": graph_seed * 31 + si,
+                        "weights": "unit", "budget": args.budget, "tie_break": "ordered",
+                        "blockmodel": {"sizes": list(args.sizes), "k_intra": args.k_intra,
+                                       "r": r, "graph_seed": graph_seed},
+                        "version": __version__, "numpy": np.__version__},
+                    "seeds_per_block": list(seeds_per_block), "seed_rng": graph_seed + 777,
+                    "repeat": rep, "purity_window": args.purity_window,
+                    "name": f"r{r:g}_rep{rep}_{strategy}",
+                    "out_dir": args.out if args.keep_runs else None,
                 })
+    _refuse_duplicates([cell["name"] for cell in cells], "sweep cells",
+                       "give each strategy once, and r values that differ "
+                       "to 6 significant digits")
+    out = _out_dir(args.out)
 
     workers = _worker_count(len(cells))
     if workers > 1:
@@ -613,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--purity-window", type=int, default=180)
     p.add_argument("--keep-runs", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="write a run directory (trace, edges) per cell")
+                   help="write each cell's run directory, as 'sample' does")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="aggregate table format")
     p.add_argument("--seed", type=_parse_seed, default=0)

@@ -94,13 +94,6 @@ class PathStats:
 # Byte cap of each per-chunk BFS array; sets how many sources share a sweep.
 BFS_BLOCK_BYTES = 8 << 20
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount(words: np.ndarray) -> int:
-    """Set bits in a C-contiguous ``uint64`` array."""
-    return int(_POPCOUNT8[words.view(np.uint8)].sum(dtype=np.int64))
-
 
 def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
     """Directed BFS from every node; averages over reachable ordered pairs.
@@ -138,7 +131,7 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
         for level in count(1):
             reached = np.bitwise_or.reduceat(frontier[sources], starts, axis=0)
             reached &= ~seen[heads]
-            new = _popcount(reached)
+            new = int(np.bitwise_count(reached).sum(dtype=np.int64))
             if not new:
                 break
             total += level * new
@@ -236,8 +229,6 @@ def inflection_candidates(boundary, window: int, z_threshold: float) -> list[int
     """
     if window < 2:
         raise ConfigError("window must be >= 2")
-    if hasattr(boundary, "boundary"):
-        boundary = boundary.boundary
     diffs = np.diff(np.asarray(boundary, dtype=float))
     flagged = []
     for t in range(window, diffs.size):

@@ -291,7 +291,10 @@ def feed_input(name, content, small_run, tmp):
     if name in RUN_FILES:
         run = tmp / "run"
         shutil.copytree(small_run, run)
-        (run / name).write_bytes(content)
+        if content is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_bytes(content)
         return ["metrics", run, "--out", out]
     path = tmp / name
     if content is not None:
@@ -326,6 +329,7 @@ BAD_INPUTS = {
                      "discovered.tsv:3:"),
     "edges-self-loop": ("discovered.tsv", b"1\t0\t1.0\t1\nu7\tu7\t1.0\t1\n", 3,
                         "discovered.tsv:2: self-loop on u7"),
+    "manifest-missing": ("manifest.json", None, 3, f"run{os.sep}manifest.json"),
     "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
     "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,
                      "manifest.json"),
@@ -334,6 +338,7 @@ BAD_INPUTS = {
                        "manifest.json: manifest seeds is integer"),
     "manifest-strategy": ("manifest.json", b'{"seeds": [0], "strategy": ["MAS"]}', 3,
                           "manifest.json: manifest strategy is array"),
+    "summary-missing": ("run_summary.json", None, 3, f"run{os.sep}run_summary.json"),
     "summary-json": ("run_summary.json", b"{init_boundary", 3, "run_summary.json:1:"),
     "summary-number": ("run_summary.json", b'{"init_boundary": "x"}', 3,
                        "run_summary.json"),
@@ -386,6 +391,7 @@ MISTYPED_MANIFEST_FIELDS = [
     ("weights", 5), ("budget", "x"), ("target_size", "x"), ("seeds", 5),
     ("seeds", ["0", [0]]), ("rng_seed", "x"), ("oracle.path", 5), ("oracle.n_nodes", "x"),
     ("strategy", "XYZ"), ("strategy", 5), ("strategy", ["MAS"]), ("tie_break", 5),
+    ("oracle.kind", "nope"), ("oracle.kind", ["x"]),
 ]
 
 
@@ -542,6 +548,64 @@ def test_sweep_twelve_cells_make_twelve_run_dirs(tmp_path, monkeypatch):
                    "--out", out) == 0
     run_dirs = [d for d in out.iterdir() if d.is_dir()]
     assert len(run_dirs) == 12
+
+
+@pytest.mark.parametrize("strategies,r_list,cell", [
+    ("MAS,RO,MAS", "4", "r4_rep0_MAS"),
+    ("RO", "4,4.0", "r4_rep0_RO"),
+    ("RO", "0.1,0.1000001", "r0.1_rep0_RO"),
+])
+def test_sweep_refuses_cells_that_share_a_run_directory(tmp_path, capsys, strategies,
+                                                        r_list, cell):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--sizes", "30x2", "--r-list", r_list, "--strategies", strategies,
+                   "--repeats", "1", "--budget", "5", "--out", out) == 2
+    assert f"two sweep cells are named '{cell}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def kept_cells(tmp_path_factory):
+    """Two kept sweep cells, MAS and RO, on 4x50 nodes: 4 seeds and 60 steps each."""
+    base = tmp_path_factory.mktemp("cells")
+    assert run_cli("sweep", "--sizes", "50x4", "--r-list", "4", "--strategies", "MAS,RO",
+                   "--repeats", "1", "--budget", "60", "--out", base / "sweep") == 0
+    assert run_cli("gen-sbm", "--sizes", "50x4", "--out", base / "net") == 0  # labels only
+    return [base / "sweep" / f"r4_rep0_{s}" for s in ("MAS", "RO")]
+
+
+def test_kept_sweep_cell_is_a_whole_run_directory(kept_cells):
+    cell = kept_cells[0]
+    assert sorted(p.name for p in cell.iterdir()) == sorted(
+        ("trace.csv", "discovered.tsv", "access_log.csv", "manifest.json", "run_summary.json"))
+    manifest = json.loads((cell / "manifest.json").read_text())
+    assert manifest["strategy"] == "MAS" and manifest["weights"] == "unit"
+    assert manifest["blockmodel"]["sizes"] == [50] * 4 and "oracle" not in manifest
+    assert len(manifest["seeds"]) == 4 and all(isinstance(s, int) for s in manifest["seeds"])
+    queried = [row[1] for _lineno, row in list(read_csv(cell / "access_log.csv", "log"))[1:]]
+    selected = [row[1] for _lineno, row in list(read_csv(cell / "trace.csv", "trace"))[1:]]
+    assert queried == [str(s) for s in manifest["seeds"]] + selected
+    summary = json.loads((cell / "run_summary.json").read_text())
+    assert summary["insiders"] == 64 and summary["stop_reason"] == "budget"
+
+
+def test_metrics_over_kept_sweep_cells_counts_the_seeds(kept_cells, tmp_path):
+    out = tmp_path / "eval"
+    assert run_cli("metrics", *kept_cells, "--labels",
+                   kept_cells[0].parent.parent / "net" / "labels.csv", "--out", out) == 0
+    rows = list(csv.DictReader(open(out / "comparison.csv")))
+    assert [r["strategy"] for r in rows] == ["MAS", "RO"]
+    assert all(int(r["common_size"]) == 64 and int(r["n"]) == 64 for r in rows)  # 4 + 60
+    evolution = list(csv.DictReader(open(out / "evolution_r4_rep0_MAS.csv")))
+    assert sum(int(r["count"]) for r in evolution if r["timestep"] == "0") == 4
+
+
+def test_replay_refuses_a_kept_sweep_cell_manifest(kept_cells, tmp_path):
+    manifest = kept_cells[0] / "manifest.json"
+    code, err = run_cli_process("sample", "--from-manifest", manifest,
+                                "--out", tmp_path / "out")
+    assert code == 3, err
+    assert f"{manifest}: not a sample manifest" in err
 
 
 def test_sweep_json_format(tmp_path, monkeypatch):
