@@ -326,7 +326,11 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
 
 
 def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) -> None:
-    """Write the run directory ``out``: the five files that ``metrics`` and a replay read."""
+    """Write the run directory ``out``: the five files that ``metrics`` and a replay read.
+
+    The directory is made here, so a run that fails or is refused leaves none.
+    """
+    out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv", oracle.ids)
     discovered = state.discovered
     graph.write_edge_tsv(discovered, out / "discovered.tsv", oracle.ids)
@@ -360,7 +364,7 @@ def _execute_sample(manifest: dict, oracle: GraphOracle, weights, out: Path | No
 
 
 def cmd_sample(args) -> int:
-    out = _out_dir(args.out)
+    out = Path(args.out)
     if args.from_manifest:
         manifest_path = Path(args.from_manifest)
         manifest = _read_manifest(manifest_path)
@@ -464,11 +468,11 @@ def _sweep_cell(payload: dict) -> dict:
                               rng_seed=payload["seed_rng"])
     manifest = {**payload["manifest"], "seeds": sbm.select_seeds(labels, seed_cfg)}
     oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
-    run_dir = payload["out_dir"] and _out_dir(Path(payload["out_dir"], payload["name"]))
+    run_dir = payload["out_dir"] and Path(payload["out_dir"], payload["name"])
     state, trace = _execute_sample(manifest, oracle, interactions.UnitWeights(), run_dir)
     blocks = [int(labels[v]) for v in trace.selected()]
-    window = min(payload["purity_window"], max(len(blocks), 1))
-    purity = metrics.max_window_purity(blocks, window) if blocks else 0.0
+    # a run shorter than the window reports its whole sequence; an empty one reports 0
+    purity = metrics.max_window_purity(blocks, min(payload["purity_window"], max(len(blocks), 1)))
     return {
         "r": model["r"], "strategy": manifest["strategy"],
         "repeat": payload["repeat"], "run_seed": manifest["rng_seed"],
@@ -497,6 +501,10 @@ def cmd_sweep(args) -> int:
         if s not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
     seeds_per_block = args.seeds_per_block or (1,) * len(args.sizes)
+    for option, value, least in (("--budget", args.budget, 1), ("--repeats", args.repeats, 0),
+                                 ("--purity-window", args.purity_window, 1)):
+        if value < least:
+            raise ConfigError(f"{option} must be >= {least}, got {value}")
 
     cells = []
     for ri, r in enumerate(args.r_list):
@@ -518,7 +526,11 @@ def cmd_sweep(args) -> int:
     _refuse_duplicates([cell["name"] for cell in cells], "sweep cells",
                        "give each strategy once, and r values that differ "
                        "to 6 significant digits")
-    out = _out_dir(args.out)
+    for r in args.r_list:
+        sbm.derive_block_matrix(sbm.BlockModelConfig(args.sizes, args.k_intra, r, args.seed))
+    # the seed counts against the block layout that every cell's graph has
+    sbm.select_seeds(np.repeat(np.arange(len(args.sizes)), args.sizes),
+                     sbm.SeedConfig(seeds_per_block))
 
     workers = _worker_count(len(cells))
     if workers > 1:
@@ -528,7 +540,7 @@ def cmd_sweep(args) -> int:
         results = [_sweep_cell(cell) for cell in cells]
 
     results.sort(key=lambda row: (row["r"], row["strategy"], row["repeat"]))
-    agg_path = _write_table(out / "sweep", results, args.format, SWEEP_COLUMNS)
+    agg_path = _write_table(_out_dir(args.out) / "sweep", results, args.format, SWEEP_COLUMNS)
     print(f"swept {len(cells)} cells with {workers} worker(s) -> {agg_path}")
     return 0
 

@@ -24,7 +24,6 @@ nodes exceed it).
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 
@@ -200,23 +199,30 @@ class EvolutionSeries:
                    for idx, t in enumerate(self.timesteps) for comm in communities))
 
 
+def _running_counts(sequence, columns) -> np.ndarray:
+    """Row t counts each of ``columns`` among the first t labels of ``sequence``.
+
+    The ``(len(sequence) + 1) x len(columns)`` int64 cumulative sum of the
+    sequence's one-hot rows; every label of ``sequence`` must be a column.
+    """
+    column = {label: j for j, label in enumerate(columns)}
+    onehot = np.zeros((len(sequence) + 1, len(columns)), dtype=np.int64)
+    onehot[np.arange(1, len(sequence) + 1), [column[label] for label in sequence]] = 1
+    return onehot.cumsum(axis=0)
+
+
 def community_evolution(trace: SampleTrace, labels) -> EvolutionSeries:
     """Per-timestep cumulative community membership of the insider set.
 
     ``labels`` maps internal node id -> community; unlabeled nodes fall into
     the "unknown" community.
     """
-    communities = sorted({labels.get(v, "unknown")
-                          for v in list(trace.seeds) + trace.selected()}, key=str)
-    length = len(trace.rows) + 1
-    counts = {c: [0] * length for c in communities}
-    for v in trace.seeds:
-        counts[labels.get(v, "unknown")][0] += 1
-    for idx, row in enumerate(trace.rows, start=1):
-        for c in communities:
-            counts[c][idx] = counts[c][idx - 1]
-        counts[labels.get(row.node, "unknown")][idx] += 1
-    return EvolutionSeries(list(range(length)), counts, trace.boundary_series())
+    seeds = [labels.get(v, "unknown") for v in trace.seeds]
+    selected = [labels.get(v, "unknown") for v in trace.selected()]
+    communities = sorted({*seeds, *selected}, key=str)
+    running = _running_counts(selected, communities) + _running_counts(seeds, communities)[-1]
+    return EvolutionSeries(list(range(len(running))), dict(zip(communities, running.T.tolist())),
+                           trace.boundary_series())
 
 
 def inflection_candidates(boundary, window: int, z_threshold: float) -> list[int]:
@@ -243,12 +249,14 @@ def window_purity(block_sequence, window: int) -> list[tuple[int, float]]:
     """Majority-share of the most recent ``window`` selections, per timestep.
 
     ``block_sequence`` is the block/community label of each selected node in
-    order; entries start at timestep == window.
+    order; entries start at timestep == window. A window's label counts are
+    differences of the sequence's running counts.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    return [(t, max(Counter(block_sequence[t - window:t]).values()) / window)
-            for t in range(window, len(block_sequence) + 1)]
+    running = _running_counts(block_sequence, dict.fromkeys(block_sequence))
+    shares = (running[window:] - running[:-window]).max(axis=1, initial=0) / window
+    return list(zip(range(window, len(block_sequence) + 1), shares.tolist()))
 
 
 def max_window_purity(block_sequence, window: int) -> float:

@@ -98,10 +98,11 @@ class SampleTrace:
 class _Staged:
     """Selector state of the staged strategies (RI_MAS, RI_RO, RS_SU, RS_SW).
 
-    Built from the edge columns in query order: every set and frontier gets
-    its elements in the order that upkeep since ``init`` would have added
-    them, and so does ``eligible`` until a node is promoted (a promotion
-    swap-removes from it).
+    Built from the oracle's answers to the queried nodes in query order
+    (``GraphOracle.in_edges``; no ``discovered`` graph is built): every set and
+    frontier gets its elements in the order that upkeep since ``init`` would
+    have added them, and so does ``eligible`` until a node is promoted (a
+    promotion swap-removes from it).
     """
 
     __slots__ = ("out_targets", "frontier_of", "eligible")
@@ -111,7 +112,8 @@ class _Staged:
         # insider -> its outsider in-neighbors, ascending id; empty frontiers are dropped
         self.frontier_of: dict[int, dict[int, None]] = {}
         self.eligible = IndexedSet()                  # insiders with outsider in-neighbors
-        for s, t in state.discovered.pairs():
+        sources, targets, _counts = state.oracle.in_edges(state.queried)
+        for s, t in zip(sources.tolist(), targets.tolist()):
             if s in state.outsiders:
                 self.out_targets.setdefault(s, set()).add(t)
                 self.frontier_of.setdefault(t, {})[s] = None

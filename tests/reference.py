@@ -17,6 +17,7 @@ from tightsample import interactions as ia
 from tightsample import sbm
 from tightsample.ingest import ParseReport
 from tightsample.interactions import PLAIN_EDGE, pattern_of
+from tightsample.metrics import EvolutionSeries
 from tightsample.oracle import GraphOracle
 from tightsample.util import DataError, read_csv, read_lines
 
@@ -303,6 +304,27 @@ def reference_calibrate_records(events, scheme):
     t = ia.FrequencyTable(scheme, "target", mean_shares(by_target, raw_by_target))
     star = ia.balance(g, s, t)
     return ia.Calibration(scheme, g, s, t, star, ia.weights_from(star))
+
+
+def reference_community_evolution(trace, labels) -> EvolutionSeries:
+    """``metrics.community_evolution`` as a per-step copy of every community's count."""
+    communities = sorted({labels.get(v, "unknown")
+                          for v in list(trace.seeds) + trace.selected()}, key=str)
+    length = len(trace.rows) + 1
+    counts = {c: [0] * length for c in communities}
+    for v in trace.seeds:
+        counts[labels.get(v, "unknown")][0] += 1
+    for idx, row in enumerate(trace.rows, start=1):
+        for c in communities:
+            counts[c][idx] = counts[c][idx - 1]
+        counts[labels.get(row.node, "unknown")][idx] += 1
+    return EvolutionSeries(list(range(length)), counts, trace.boundary_series())
+
+
+def reference_window_purity(block_sequence, window):
+    """``metrics.window_purity`` as one ``Counter`` per window."""
+    return [(t, max(Counter(block_sequence[t - window:t]).values()) / window)
+            for t in range(window, len(block_sequence) + 1)]
 
 
 def reference_in_adjacency(events):

@@ -564,6 +564,40 @@ def test_sweep_refuses_cells_that_share_a_run_directory(tmp_path, capsys, strate
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--purity-window", "0"),
+    ("--r-list", "4,nan"),        # the r=4 cells are valid and come first
+    ("--r-list", "4,0.01"),       # r=0.01: an off-block probability over 1 at these sizes
+    ("--budget", "0"),
+    ("--repeats", "-2"),
+    ("--seeds-per-block", "1,1"),
+    ("--seeds-per-block", "31x3"),
+    ("--seeds-per-block", "0,0,0"),
+    ("--k-intra", "30"),
+])
+def test_sweep_checks_its_configuration_before_writing(tmp_path, capsys, option, value):
+    argv = {"--sizes": "30x3", "--r-list": "2", "--budget": "20", "--repeats": "1",
+            "--strategies": "MAS", option: value}
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", *(x for item in argv.items() for x in item), "--out", out) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--strategy", "BFS", "--budget", "5"], 2),
+    (["--budget", "0"], 2),
+    (["--budget", "5", "--seeds", "no-such-node"], 3),
+])
+def test_a_refused_sample_makes_no_run_directory(small_run, tmp_path, argv, expected):
+    out = tmp_path / "run"
+    assert run_cli("sample", "--undirected", small_run.parent / "net" / "edges.tsv",
+                   "--seeds", "0", *argv, "--out", out) == expected
+    assert not out.exists()
+    assert run_cli("sample", "--from-manifest", tmp_path / "nope.json", "--out", out) == 3
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def kept_cells(tmp_path_factory):
     """Two kept sweep cells, MAS and RO, on 4x50 nodes: 4 seeds and 60 steps each."""
@@ -587,6 +621,18 @@ def test_kept_sweep_cell_is_a_whole_run_directory(kept_cells):
     assert queried == [str(s) for s in manifest["seeds"]] + selected
     summary = json.loads((cell / "run_summary.json").read_text())
     assert summary["insiders"] == 64 and summary["stop_reason"] == "budget"
+
+
+def test_a_sweep_shorter_than_its_purity_window_reports_the_whole_sequence(kept_cells):
+    # 60 steps under the default 180-step window: the window shrinks to the run's length
+    with open(kept_cells[0].parent / "sweep.csv") as fh:
+        purity = {row["strategy"]: float(row["max_window_purity"]) for row in csv.DictReader(fh)}
+    for cell in kept_cells:
+        strategy = json.loads((cell / "manifest.json").read_text())["strategy"]
+        with open(cell / "trace.csv") as fh:
+            blocks = [int(row["node_ext_id"]) // 50 for row in csv.DictReader(fh)]  # 4x50 nodes
+        assert len(blocks) == 60
+        assert purity[strategy] == max(blocks.count(b) for b in blocks) / 60 > 0
 
 
 def test_metrics_over_kept_sweep_cells_counts_the_seeds(kept_cells, tmp_path):

@@ -7,6 +7,8 @@ from reference import (
     brute_local_clustering,
     make_sbm_oracle,
     random_digraph,
+    reference_community_evolution,
+    reference_window_purity,
 )
 from tightsample import metrics, sampler
 from tightsample.graph import DiscoveredGraph
@@ -320,6 +322,43 @@ def test_window_purity_basics():
     assert series[10] == 1.0
     assert series[15] == 0.5
     assert metrics.max_window_purity(blocks, 10) == 1.0
+
+
+def random_label_cases(seed, n_cases):
+    """``(labels, window)`` pairs: lengths 0-400, 1-9 distinct int, "x" or "unknown" labels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        pool = [0, 1, 2, 3, 4, 5, 6, "x", "unknown"][:int(rng.integers(1, 10))]
+        rng.shuffle(pool)
+        labels = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 401)))]
+        yield labels, int(rng.integers(1, 51))
+
+
+def test_window_purity_equals_one_counter_per_window():
+    cases = list(random_label_cases(19, 300)) + [
+        ([], 1), ([], 5), ([3], 1), ([3], 2), ([1, 1, 2], 3), ([1, 1, 2], 4),
+        ([7] * 40, 9), ([0, "unknown", 0, "unknown", "unknown"], 2)]
+    assert any(window > len(labels) for labels, window in cases)
+    for labels, window in cases:
+        expected = reference_window_purity(labels, window)
+        assert metrics.window_purity(labels, window) == expected
+        assert metrics.max_window_purity(labels, window) == \
+            max((p for _t, p in expected), default=0.0)
+
+
+def test_community_evolution_equals_the_per_step_copy():
+    rng = np.random.default_rng(23)
+    for labels, _window in random_label_cases(29, 300):
+        # nodes 0-29 take labels[node] when it is not "unknown", the rest go unlabelled
+        node_labels = {v: label for v, label in enumerate(labels[:30]) if label != "unknown"}
+        order = rng.permutation(60).tolist()
+        n_seeds = int(rng.integers(1, 4))
+        rows = [sampler.TraceRow(t, v, 1.0, float(t), 0, 0)
+                for t, v in enumerate(order[n_seeds:n_seeds + len(labels) % 57], 1)]
+        trace = sampler.SampleTrace("MAS", tuple(order[:n_seeds]), 0.5, rows)
+        series = metrics.community_evolution(trace, node_labels)
+        expected = reference_community_evolution(trace, node_labels)
+        assert series == expected and list(series.counts) == list(expected.counts)
 
 
 def test_min_common_snapshot_truncates_to_shortest():

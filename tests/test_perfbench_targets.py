@@ -20,7 +20,8 @@ def test_traced_functions_exist(monkeypatch):
 
 def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
     # the traced mode times graph builds through this leaf: a sampled state's graph
-    # enters through one call whose columns hold every discovered edge once
+    # enters through one call whose columns hold every discovered edge once, and
+    # sampling itself, a staged strategy's selector build included, makes none
     import numpy as np
 
     from tightsample import graph, sampler, sbm
@@ -36,17 +37,19 @@ def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
     monkeypatch.setattr(graph.DiscoveredGraph, "add_events", counted)
     cfg = sbm.BlockModelConfig((40,) * 4, 6, 4.0, 5)
     edges, labels = sbm.generate(sbm.derive_block_matrix(cfg), cfg.block_sizes, 5)
-    oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
     seeds = sbm.select_seeds(labels, sbm.SeedConfig((1,) * 4, rng_seed=2))
-    state = sampler.init(seeds, oracle)
-    sampler.run(state, "MAS", steps=100, rng=np.random.default_rng(0))
-    assert calls == []   # sampling appends no edge
-    g = state.discovered
-    [(sources, targets, weights, counts)] = calls
-    answered = [(u, v) for v in oracle.access_log for u, _events in oracle.in_neighbors(v)]
-    assert list(zip(sources, targets)) == answered == list(g.pairs())
-    assert len(set(answered)) == len(answered) > 0
-    assert weights == [1.0] * len(answered) and counts == [1] * len(answered)
+    for strategy in ("MAS", "RS_SW"):
+        calls.clear()
+        oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
+        state = sampler.init(seeds, oracle)
+        sampler.run(state, strategy, steps=100, rng=np.random.default_rng(0))
+        assert calls == [], strategy   # sampling appends no edge
+        g = state.discovered
+        [(sources, targets, weights, counts)] = calls
+        answered = [(u, v) for v in oracle.access_log for u, _events in oracle.in_neighbors(v)]
+        assert list(zip(sources, targets)) == answered == list(g.pairs())
+        assert len(set(answered)) == len(answered) > 0
+        assert weights == [1.0] * len(answered) and counts == [1] * len(answered)
 
 
 def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypatch):
