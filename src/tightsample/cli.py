@@ -425,6 +425,7 @@ def cmd_metrics(args) -> int:
     _refuse_duplicates([d.name for d in run_dirs], "run directories",
                        "their reports would overwrite each other")
     runs = [_load_run(d) for d in run_dirs]
+    raw_labels = graph.read_labels_csv(args.labels) if args.labels else None
     out = _out_dir(args.out)
     snapshots = metrics.min_common_snapshot([(t, g) for t, g, _ids in runs])
     common_size = min(t.final_size() for t, _g, _ids in runs)
@@ -438,8 +439,7 @@ def cmd_metrics(args) -> int:
     comparison_path = _write_table(out / "comparison", comparison, args.format,
                                    list(comparison[0]))
 
-    if args.labels:
-        raw_labels = graph.read_labels_csv(args.labels)
+    if raw_labels is not None:
         for (trace, _g, ids), run_dir in zip(runs, run_dirs):
             labels = {ids.resolve(ext): comm for ext, comm in raw_labels.items()
                       if ext in ids}
@@ -459,14 +459,12 @@ def _sweep_cell(payload: dict) -> dict:
 
     A kept cell's manifest names a blockmodel, not an oracle file, so it does not replay.
     """
-    model = payload["manifest"]["blockmodel"]
+    manifest = payload["manifest"]
+    model = manifest["blockmodel"]
     cfg = sbm.BlockModelConfig(block_sizes=tuple(model["sizes"]), k_intra=model["k_intra"],
                                r=model["r"], rng_seed=model["graph_seed"])
     matrix = sbm.derive_block_matrix(cfg)
     edges, labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
-    seed_cfg = sbm.SeedConfig(per_block=tuple(payload["seeds_per_block"]),
-                              rng_seed=payload["seed_rng"])
-    manifest = {**payload["manifest"], "seeds": sbm.select_seeds(labels, seed_cfg)}
     oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
     run_dir = payload["out_dir"] and Path(payload["out_dir"], payload["name"])
     state, trace = _execute_sample(manifest, oracle, interactions.UnitWeights(), run_dir)
@@ -506,10 +504,13 @@ def cmd_sweep(args) -> int:
         if value < least:
             raise ConfigError(f"{option} must be >= {least}, got {value}")
 
+    layout = np.repeat(np.arange(len(args.sizes)), args.sizes)   # every cell's block labels
     cells = []
     for ri, r in enumerate(args.r_list):
         for rep in range(args.repeats):
             graph_seed = args.seed * 1_000_003 + ri * 1_009 + rep
+            seeds = sbm.select_seeds(layout, sbm.SeedConfig(seeds_per_block,
+                                                            rng_seed=graph_seed + 777))
             for si, strategy in enumerate(strategies):
                 cells.append({
                     "manifest": {
@@ -517,8 +518,7 @@ def cmd_sweep(args) -> int:
                         "weights": "unit", "budget": args.budget, "tie_break": "ordered",
                         "blockmodel": {"sizes": list(args.sizes), "k_intra": args.k_intra,
                                        "r": r, "graph_seed": graph_seed},
-                        "version": __version__, "numpy": np.__version__},
-                    "seeds_per_block": list(seeds_per_block), "seed_rng": graph_seed + 777,
+                        "version": __version__, "numpy": np.__version__, "seeds": seeds},
                     "repeat": rep, "purity_window": args.purity_window,
                     "name": f"r{r:g}_rep{rep}_{strategy}",
                     "out_dir": args.out if args.keep_runs else None,
@@ -528,9 +528,6 @@ def cmd_sweep(args) -> int:
                        "to 6 significant digits")
     for r in args.r_list:
         sbm.derive_block_matrix(sbm.BlockModelConfig(args.sizes, args.k_intra, r, args.seed))
-    # the seed counts against the block layout that every cell's graph has
-    sbm.select_seeds(np.repeat(np.arange(len(args.sizes)), args.sizes),
-                     sbm.SeedConfig(seeds_per_block))
 
     workers = _worker_count(len(cells))
     if workers > 1:

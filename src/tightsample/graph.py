@@ -19,9 +19,12 @@ WRITE_CHUNK = 8192   # lines per write in write_edge_tsv
 class IdMap:
     """Bijection between external ids and dense internal integers 0..n-1."""
 
-    def __init__(self):
+    def __init__(self, exts=()):
+        """Intern each of ``exts`` in turn."""
         self._ext2int: dict = {}
         self._int2ext: list = []
+        for ext in exts:
+            self.intern(ext)
 
     def intern(self, ext) -> int:
         """Return the internal id for ``ext``, assigning a new one if needed."""

@@ -21,7 +21,7 @@ from json.scanner import make_scanner
 import numpy as np
 
 from .interactions import pattern_of, pattern_types
-from .util import ConfigError, DataError, read_csv, read_lines
+from .util import ConfigError, DataError, first_seen, read_csv, read_lines
 
 
 _FIELDS = ("tweet_id", "author", "interactor", "types")   # a missing one is named in this order
@@ -185,15 +185,12 @@ def parse_events_with_report(path, fmt: str | None = None,
     # one event per (tweet, interactor) pair: its first row, with all rows' patterns OR-ed;
     # codes are below twice the row count, so a key fits int64 below 2e9 rows
     pair = table.tweet * len(table.users) + table.interactor
-    pairs, first_row, row_pair = np.unique(pair, return_index=True, return_inverse=True)
+    row_pair, pairs, first_row = first_seen(pair)
     if len(pairs) < len(pair):
         merged = np.zeros(len(pairs), dtype=np.int64)
         np.bitwise_or.at(merged, row_pair, table.pattern)
-        by_first_row = np.argsort(first_row)
-        rows_kept = first_row[by_first_row]
-        table = EventTable(table.tweets, table.users, table.tweet[rows_kept],
-                           table.author[rows_kept], table.interactor[rows_kept],
-                           merged[by_first_row])
+        table = EventTable(table.tweets, table.users, table.tweet[first_row],
+                           table.author[first_row], table.interactor[first_row], merged)
     return table, report
 
 

@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .util import ConfigError, DataError, read_csv, round_half_up, write_csv
+from .util import ConfigError, DataError, first_seen, read_csv, round_half_up, write_csv
 
 TYPES = ("like", "retweet", "reply", "quote")
 
@@ -142,11 +142,8 @@ def _scheme_matrix(scheme: Scheme) -> np.ndarray:
 
 def _node_counts(codes: np.ndarray, patterns: np.ndarray, matrix: np.ndarray):
     """Scheme counts (node x 16) and event counts per node, nodes in first-seen order."""
-    _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    raw = np.bincount(rank[inverse] * 16 + patterns,
-                      minlength=len(first) * 16).reshape(-1, 16)
+    numbers, distinct, _first = first_seen(codes)
+    raw = np.bincount(numbers * 16 + patterns, minlength=len(distinct) * 16).reshape(-1, 16)
     return raw @ matrix, raw.sum(axis=1)   # int64 throughout, so exact
 
 

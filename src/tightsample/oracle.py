@@ -16,7 +16,7 @@ import numpy as np
 from .graph import IdMap, in_edge_runs
 from .ingest import EventTable
 from .interactions import PLAIN_EDGE
-from .util import DataError, read_lines, write_csv
+from .util import DataError, first_seen, read_lines, write_csv
 
 
 class UnknownNodeError(DataError):
@@ -80,15 +80,11 @@ class GraphOracle:
         edge, after 0..n_nodes-1 when ``n_nodes`` is given, so node ``i`` of a
         generated graph has internal id ``i``. Repeats and self-loops are dropped.
         """
-        ids = IdMap()
-        for v in range(n_nodes or 0):
-            ids.intern(v)
-        nodes, first, codes = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                                        return_index=True, return_inverse=True)
-        by_first = np.argsort(first)
-        internal = np.empty(len(nodes), dtype=np.int64)
-        internal[by_first] = [ids.intern(x) for x in nodes[by_first].tolist()]
-        u, v = internal[codes.reshape(-1, 2)].T
+        prefix = np.arange(n_nodes or 0, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1)
+        internal, nodes, _first = first_seen(np.concatenate((prefix, edges)))
+        ids = IdMap(nodes.tolist())
+        u, v = internal[len(prefix):].reshape(-1, 2).T
         return cls(ids, np.concatenate((v, u)), np.concatenate((u, v)))
 
     @classmethod
@@ -124,16 +120,10 @@ class GraphOracle:
         themselves are not kept. Internal ids go to users in order of
         appearance, author before interactor, event by event.
         """
-        # user codes in order of first appearance in the interleaved (author, interactor)
-        codes, first = np.unique(np.column_stack((events.author, events.interactor)),
-                                 return_index=True)
-        codes = codes[np.argsort(first)]
-        ids = IdMap()
-        for code in codes.tolist():
-            ids.intern(events.users[code])
-        internal = np.empty(len(events.users), dtype=np.int64)
-        internal[codes] = np.arange(len(codes))
-        return cls(ids, internal[events.author], internal[events.interactor],
+        # users numbered by first appearance in the interleaved (author, interactor)
+        internal, codes, _first = first_seen(np.column_stack((events.author, events.interactor)))
+        ids = IdMap(events.users[code] for code in codes.tolist())
+        return cls(ids, internal[:, 0], internal[:, 1],
                    events.pattern, _string_ranks(events.tweets)[events.tweet])
 
     # -- seed declaration and queries -----------------------------------

@@ -98,8 +98,9 @@ class SampleTrace:
 class _Staged:
     """Selector state of the staged strategies (RI_MAS, RI_RO, RS_SU, RS_SW).
 
-    Built from the oracle's answers to the queried nodes in query order
-    (``GraphOracle.in_edges``; no ``discovered`` graph is built): every set and
+    Built by replaying :meth:`link`, its per-edge upkeep, over the oracle's
+    answers to the queried nodes in query order (``GraphOracle.in_edges``; no
+    ``discovered`` graph is built), skipping the promoted: every set and
     frontier gets its elements in the order that upkeep since ``init`` would
     have added them, and so does ``eligible`` until a node is promoted (a
     promotion swap-removes from it).
@@ -115,9 +116,13 @@ class _Staged:
         sources, targets, _counts = state.oracle.in_edges(state.queried)
         for s, t in zip(sources.tolist(), targets.tolist()):
             if s in state.outsiders:
-                self.out_targets.setdefault(s, set()).add(t)
-                self.frontier_of.setdefault(t, {})[s] = None
-                self.eligible.add(t)
+                self.link(s, t)
+
+    def link(self, outsider: int, insider: int) -> None:
+        """Record the discovered edge ``outsider -> insider``."""
+        self.out_targets.setdefault(outsider, set()).add(insider)
+        self.frontier_of.setdefault(insider, {})[outsider] = None
+        self.eligible.add(insider)
 
     def promote(self, node: int) -> None:
         for tgt in self.out_targets.pop(node):
@@ -205,19 +210,16 @@ class _TieBuckets:
     priority ``p``, sorted; ``heap`` holds each priority of ``buckets`` once,
     negated. A bucket that empties stays until it reaches the top of the heap,
     where both are dropped, so a priority is in the heap exactly when it is a
-    key of ``buckets``.
+    key of ``buckets``. Built by one :meth:`move` per outsider, its upkeep.
     """
 
     __slots__ = ("buckets", "heap")
 
     def __init__(self, outsiders: dict[int, float], disc_time: dict[int, int]):
         self.buckets: dict[float, list[tuple[int, int]]] = {}
+        self.heap: list[float] = []
         for u, p in outsiders.items():
-            self.buckets.setdefault(p, []).append((disc_time[u], u))
-        for bucket in self.buckets.values():
-            bucket.sort()
-        self.heap = [-p for p in self.buckets]
-        heapq.heapify(self.heap)
+            self.move((disc_time[u], u), None, p)
 
     def move(self, key: tuple[int, int], old: float | None, new: float | None) -> None:
         """Move ``key`` from priority ``old`` to ``new``; None is no bucket."""
@@ -325,7 +327,6 @@ class SampleState:
         buckets, pool, tree = self._buckets, self._pool, self._tree
         staged = self._staged
         boundary = self.boundary
-        frontier: dict[int, None] = {}
         answer = self.oracle.in_neighbors(v)
         self.queried.append(v)
         edge_weights = [event_weight(events) for _u, events in answer]
@@ -339,8 +340,6 @@ class SampleState:
                 new_nodes += 1
                 if pool is not None:
                     pool.add(u)
-                if staged is not None:
-                    staged.out_targets[u] = set()
             priority = (0.0 if old is None else old) + w
             outsiders[u] = priority
             boundary += w
@@ -349,12 +348,8 @@ class SampleState:
             if tree is not None:
                 tree.add(pool.index(u), w)
             if staged is not None:
-                staged.out_targets[u].add(v)
-                frontier[u] = None
+                staged.link(u, v)
         self.boundary = boundary
-        if frontier:
-            staged.frontier_of[v] = frontier
-            staged.eligible.add(v)
         return new_nodes, len(answer)
 
     def _promote(self, node: int) -> float:
@@ -453,13 +448,17 @@ def run(state: SampleState, strategy: str, *, steps: int | None = None,
     """Repeat :func:`step` until the budget is spent or the frontier empties.
 
     Exactly one of ``steps`` / ``target_size`` bounds the run (``steps`` may
-    also cap a ``target_size`` run). Deterministic given ``rng_seed``.
+    also cap a ``target_size`` run). A budget below 1, or a target size the
+    sample already meets, is a ConfigError. Deterministic given ``rng_seed``.
     ``on_step(state, row)`` is called after every timestep when provided.
     """
     if steps is None and target_size is None:
         raise ConfigError("need a budget: steps or target_size")
     if steps is not None and steps < 1:
         raise ConfigError("budget must be >= 1")
+    if target_size is not None and target_size <= len(state.insiders):
+        raise ConfigError(f"target size {target_size} is already met: "
+                          f"the sample holds {len(state.insiders)} nodes")
     if rng is None:
         rng = np.random.default_rng(rng_seed)
     trace = SampleTrace(strategy, state.seeds, state.boundary)
@@ -486,8 +485,11 @@ def audit(state: SampleState) -> float:
 
     Returns the largest absolute deviation from the incrementally maintained
     values, counting the RS_DW tree's total against the boundary when the tree
-    exists; raises if the outsider sets themselves disagree, or if the tree's
-    leaves or the MAS tie buckets do not hold the outsiders' priorities.
+    exists. Raises AssertionError if the outsider sets themselves disagree, if
+    the tree's leaves do not hold the pool's priorities, or if a built MAS or
+    staged selector differs from a fresh build from the core: the non-empty
+    tie buckets must be equal; the staged ``out_targets`` and each insider's
+    frontier, in order, must be equal, and ``eligible`` as a set.
     """
     recomputed: dict[int, float] = {}
     g = state.discovered
@@ -505,9 +507,15 @@ def audit(state: SampleState) -> float:
         worst = max(worst, abs(state._tree.total - state.boundary))
     if state._buckets is not None:
         buckets = state._buckets.buckets
-        held = sorted((key, p) for p, bucket in buckets.items() for key in bucket)
-        expected = sorted(((state.disc_time[u], u), p) for u, p in state.outsiders.items())
-        if held != expected or any(b != sorted(b) for b in buckets.values()) \
+        fresh = _TieBuckets(state.outsiders, state.disc_time).buckets
+        if {p: bucket for p, bucket in buckets.items() if bucket} != fresh \
                 or sorted(state._buckets.heap) != sorted(-p for p in buckets):
             raise AssertionError("tie buckets disagree with the outsiders")
+    if state._staged is not None:
+        held, fresh = state._staged, _Staged(state)
+        if held.out_targets != fresh.out_targets \
+                or {t: list(f) for t, f in held.frontier_of.items()} \
+                != {t: list(f) for t, f in fresh.frontier_of.items()} \
+                or set(held.eligible) != set(fresh.eligible):
+            raise AssertionError("staged selector disagrees with the outsiders")
     return worst

@@ -1,9 +1,12 @@
-"""Shared helpers: error types, input readers, the CSV writer, rounding, an O(1)-pick set."""
+"""Shared helpers: error types, input readers, the CSV writer, rounding,
+first-appearance numbering, an O(1)-pick set."""
 
 from __future__ import annotations
 
 import csv
 from decimal import ROUND_HALF_UP, Decimal
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -60,6 +63,22 @@ def round_half_up(x: float, ndigits: int = 2) -> float:
     """Round half away from zero; builtin round() is banker's rounding."""
     q = Decimal(1).scaleb(-ndigits)
     return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+
+
+def first_seen(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number ``values`` in order of first appearance, row-major for a 2-D array.
+
+    Returns ``(numbers, distinct, first)``: each value's number, shaped like
+    ``values``; the distinct values in order of first appearance, so
+    ``distinct[numbers] == values``; and each one's first index into the
+    flattened ``values``, ascending.
+    """
+    values = np.asarray(values)
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[inverse].reshape(values.shape), distinct[order], first[order]
 
 
 class IndexedSet:

@@ -428,6 +428,22 @@ def reference_read_edges_tsv(path):
     return edges
 
 
+def reference_first_seen(values):
+    """First-appearance numbering by a dict over the row-major values: each value's
+    number (shaped like ``values``), the distinct values and their first indices."""
+    values = np.asarray(values)
+    number: dict = {}
+    distinct, first = [], []
+    for i, x in enumerate(values.ravel().tolist()):
+        if x not in number:
+            number[x] = len(distinct)
+            distinct.append(x)
+            first.append(i)
+    numbers = [number[x] for x in values.ravel().tolist()]
+    return (np.array(numbers, dtype=np.int64).reshape(values.shape),
+            np.array(distinct, dtype=values.dtype), np.array(first, dtype=np.int64))
+
+
 def make_sbm_oracle(sizes, k_intra, r, graph_seed, seeds_per_block=1, seed_rng=0):
     """Generate an SBM, pick per-block seeds, and wrap it in an oracle."""
     cfg = sbm.BlockModelConfig(tuple(sizes), k_intra, r, graph_seed)

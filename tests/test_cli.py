@@ -476,6 +476,17 @@ def test_metrics_refuses_two_runs_of_one_name(small_run, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels", [None, b"node,block\n1,x\n"], ids=["missing", "not-int"])
+def test_metrics_checks_the_labels_before_writing(small_run, tmp_path, capsys, labels):
+    path = tmp_path / "labels.csv"
+    if labels is not None:
+        path.write_bytes(labels)
+    out = tmp_path / "eval"
+    assert run_cli("metrics", small_run, "--labels", path, "--out", out) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_of_a_target_size_run(small_run, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run_cli("sample", "--undirected", small_run.parent / "net" / "edges.tsv",
@@ -588,6 +599,8 @@ def test_sweep_checks_its_configuration_before_writing(tmp_path, capsys, option,
     (["--strategy", "BFS", "--budget", "5"], 2),
     (["--budget", "0"], 2),
     (["--budget", "5", "--seeds", "no-such-node"], 3),
+    (["--target-size", "0"], 2),
+    (["--target-size", "1"], 2),   # the one seed already meets it
 ])
 def test_a_refused_sample_makes_no_run_directory(small_run, tmp_path, argv, expected):
     out = tmp_path / "run"

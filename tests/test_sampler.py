@@ -257,6 +257,15 @@ def test_run_budget_and_target_size():
         sampler.run(state, "RO", steps=0)
     with pytest.raises(ConfigError):
         sampler.run(state, "RO")
+    # a target the sample already meets is refused, as a budget below 1 is
+    state3 = sampler.init(seeds, make_sbm_oracle((40,) * 2, 5, 4.0, 3)[0])
+    assert len(state3.insiders) == 2
+    for target in (0, -5, 1, 2):
+        with pytest.raises(ConfigError, match=f"target size {target} .* holds 2 nodes"):
+            sampler.run(state3, "RO", target_size=target, rng_seed=5)
+    assert state3.timestep == 0
+    trace3 = sampler.run(state3, "RO", target_size=3, rng_seed=5)
+    assert len(trace3.rows) == 1 and trace3.reason == "target size"
 
 
 def test_identical_seeds_give_identical_traces():
@@ -506,6 +515,54 @@ def test_each_family_builds_only_its_own_structures(strategy, tie_break, built):
     assert {name for name in ("_buckets", "_pool", "_tree", "_staged")
             if getattr(state, name) is not None} == built
     assert sampler.audit(state) == 0.0
+
+
+def _audited_state(strategy, tie_break="ordered"):
+    """A state 30 steps into a run of ``strategy``, its selector built and audited clean."""
+    oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 37)
+    state = sampler.init(seeds, oracle)
+    sampler.run(state, strategy, steps=30, rng_seed=3, tie_break=tie_break)
+    assert sampler.audit(state) == 0.0
+    return state
+
+
+def _swap_two_frontier_keys(state):
+    frontier_of = state._staged.frontier_of
+    insider, frontier = next((t, f) for t, f in frontier_of.items() if len(f) >= 2)
+    keys = list(frontier)
+    keys[0], keys[1] = keys[1], keys[0]
+    frontier_of[insider] = dict.fromkeys(keys)
+
+
+def _drop_an_out_target(state):
+    out_targets = state._staged.out_targets
+    del out_targets[next(iter(out_targets))]
+
+
+def _leave_a_stale_insider_eligible(state):
+    # an insider without outsider in-neighbours, as if eligible had kept it past its last one
+    staged = state._staged
+    staged.eligible.add(next(v for v in state.insiders if v not in staged.frontier_of))
+
+
+@pytest.mark.parametrize("corrupt", [_swap_two_frontier_keys, _drop_an_out_target,
+                                     _leave_a_stale_insider_eligible],
+                         ids=["frontier-order", "out-target-dropped", "stale-eligible"])
+def test_audit_catches_a_corrupted_staged_selector(corrupt):
+    state = _audited_state("RI_RO")
+    corrupt(state)
+    with pytest.raises(AssertionError, match="staged selector"):
+        sampler.audit(state)
+
+
+def test_audit_catches_a_tie_bucket_key_at_a_wrong_priority():
+    state = _audited_state("MAS")
+    buckets = state._buckets.buckets
+    p = next(p for p, bucket in buckets.items() if bucket)
+    key = buckets[p][0]
+    state._buckets.move(key, p, p + 1.0)
+    with pytest.raises(AssertionError, match="tie buckets"):
+        sampler.audit(state)
 
 
 # ---------------------------------------------------------------------------
