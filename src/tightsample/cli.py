@@ -302,6 +302,10 @@ def _read_manifest(path: Path) -> dict:
         raise DataError(f"{path}: manifest seeds must be strings or integers")
     if manifest["rng_seed"] < 0:
         raise DataError(f"{path}: manifest rng_seed is {manifest['rng_seed']}, expected >= 0")
+    n_nodes = _field(manifest, "oracle.n_nodes")
+    if n_nodes is not None and not 0 <= n_nodes < 2 ** 63:   # the int64 range of node ids
+        raise DataError(f"{path}: manifest oracle.n_nodes is {n_nodes}, "
+                        f"expected 0 to 2**63 - 1")
     for key, allowed in (("strategy", sampler.STRATEGIES), ("tie_break", sampler.TIE_BREAKS),
                          ("oracle.kind", ORACLE_KINDS)):
         value = _field(manifest, key, allowed[0])

@@ -67,28 +67,15 @@ class DiscoveredGraph:
 
     def __init__(self, insiders: set[int] | None = None):
         self.insiders: set[int] = set() if insiders is None else insiders
-        self._extra: set[int] = set()   # nodes added on their own, outside the sample
         self.sources = np.empty(0, dtype=np.int64)
         self.targets = np.empty(0, dtype=np.int64)
         self.weights = np.empty(0, dtype=np.float64)
         self.event_counts = np.empty(0, dtype=np.int64)
 
-    @classmethod
-    def from_edge_pairs(cls, pairs, weight: float = 1.0) -> "DiscoveredGraph":
-        """Build an all-insider graph from distinct (source, target) pairs (test/metrics aid)."""
-        pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        g = cls(set(pairs.ravel().tolist()))
-        g.add_events(pairs[:, 0], pairs[:, 1], [weight] * len(pairs), [1] * len(pairs))
-        return g
-
     @property
     def nodes(self) -> set[int]:
-        """Every node: the insiders, the edge endpoints and nodes added on their own."""
-        return self.insiders | self._extra | set(self.sources.tolist() + self.targets.tolist())
-
-    def add_node(self, v: int, insider: bool = False) -> None:
-        """Add a node with no edge needed; ``insider`` puts it in the sample."""
-        (self.insiders if insider else self._extra).add(v)
+        """Every node: the insiders and the edge endpoints."""
+        return self.insiders | set(self.sources.tolist() + self.targets.tolist())
 
     def add_events(self, sources, targets, weights, event_counts) -> None:
         """Append the rows ``sources[i] -> targets[i]``, ``event_counts[i]`` events of

@@ -188,10 +188,6 @@ class EvolutionSeries:
     counts: dict
     boundary: list[float]
 
-    def totals(self) -> list[int]:
-        return [sum(series[t] for series in self.counts.values())
-                for t in range(len(self.timesteps))]
-
     def write_csv(self, path) -> None:
         communities = sorted(self.counts, key=str)
         write_csv(path, ["timestep", "community", "count", "boundary"],

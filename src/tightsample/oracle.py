@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import IdMap, in_edge_runs
 from .ingest import EventTable
-from .interactions import PLAIN_EDGE
+from .interactions import PLAIN_EDGE, UnitWeights
 from .util import DataError, first_seen, read_lines, write_csv
 
 
@@ -36,7 +36,9 @@ class GraphOracle:
 
     Backings: an in-memory generated graph (undirected edges served in both
     directions), a directed edge-list file, or an engagement-event index,
-    each held as one in-edge CSR. ``in_neighbors`` is read-only on the
+    each held as one in-edge CSR. A run's weight table is bound to it once,
+    by :meth:`declare_seeds`, as one float64 weight column in CSR order, beside
+    the int64 event-count column. ``in_neighbors`` is read-only on the
     backing and safe for concurrent callers; the access log append is
     lock-protected.
     """
@@ -49,19 +51,25 @@ class GraphOracle:
 
         Self-loops are dropped and the rows of one (target, source) pair make one
         edge: ``v``'s in-neighbours are ``_sources[_indptr[v]:_indptr[v + 1]]``,
-        ascending, and ``_patterns`` holds their pattern tuples: ``(PLAIN_EDGE,)``
-        when ``patterns`` is None, else the rows' patterns in ``tweet_rank`` order.
+        ascending. Edge ``i``'s pattern tuple is ``_tuples[_codes[i]]``, each
+        distinct tuple held once: ``(PLAIN_EDGE,)`` when ``patterns`` is None,
+        else the rows' patterns in ``tweet_rank`` order.
         """
         kept = targets != sources
         targets, sources = targets[kept], sources[kept]
         minor = () if tweet_rank is None else (tweet_rank[kept],)
         order, edges = in_edge_runs(targets, sources, *minor)
         if patterns is None:
-            self._patterns = [(PLAIN_EDGE,)] * len(edges)
+            self._tuples, self._codes = [(PLAIN_EDGE,)], np.zeros(len(edges), dtype=np.int64)
         else:
             patterns = patterns[kept][order].tolist()
             bounds = edges.tolist() + [len(patterns)]
-            self._patterns = [tuple(patterns[i:k]) for i, k in zip(bounds, bounds[1:])]
+            distinct: dict[tuple, int] = {}
+            codes = [distinct.setdefault(tuple(patterns[i:k]), len(distinct))
+                     for i, k in zip(bounds, bounds[1:])]
+            self._tuples, self._codes = list(distinct), np.array(codes, dtype=np.int64)
+        self._event_counts = np.array([len(t) for t in self._tuples], dtype=np.int64)[self._codes]
+        self._weights = np.empty(0)   # bound by declare_seeds
         edges = order[edges]
         self._indptr = np.searchsorted(targets[edges], np.arange(len(ids) + 1)).tolist()
         # one int object per node, shared by its edges: less memory, identity-hit lookups
@@ -114,10 +122,10 @@ class GraphOracle:
         """Engagement-event backing, pre-indexed by author at load time.
 
         ``in_neighbors(author)`` of the :class:`~tightsample.ingest.EventTable`
-        ``events`` lists every user who engaged with the author's tweets, with
-        one interaction pattern per tweet. The patterns are ordered by tweet id
-        (as strings), the order in which ``event_weight`` sums them; the ids
-        themselves are not kept. Internal ids go to users in order of
+        ``events`` lists every user who engaged with the author's tweets. An
+        edge's pattern tuple holds one interaction pattern per tweet, ordered by
+        tweet id (as strings), the order in which ``event_weight`` sums them;
+        the ids themselves are not kept. Internal ids go to users in order of
         appearance, author before interactor, event by event.
         """
         # users numbered by first appearance in the interleaved (author, interactor)
@@ -128,8 +136,15 @@ class GraphOracle:
 
     # -- seed declaration and queries -----------------------------------
 
-    def declare_seeds(self, seed_exts) -> list[int]:
-        """Mark seeds discoverable, returning their internal ids in order."""
+    def declare_seeds(self, seed_exts, weights=None) -> list[int]:
+        """Mark seeds discoverable and weigh every edge by ``weights``.
+
+        Returns the seeds' internal ids in order. ``weights`` (default
+        :class:`~tightsample.interactions.UnitWeights`) is bound for the run
+        that starts here: each edge weighs ``weights.event_weight`` of its
+        pattern tuple, called once per distinct tuple, so a pattern the table
+        lacks warns now, whether or not its edges are ever queried.
+        """
         internal = []
         for ext in seed_exts:
             if ext not in self.ids:
@@ -137,15 +152,18 @@ class GraphOracle:
             v = self.ids.resolve(ext)
             self._discoverable.add(v)
             internal.append(v)
+        weights = UnitWeights() if weights is None else weights
+        per_tuple = [weights.event_weight(patterns) for patterns in self._tuples]
+        self._weights = np.array(per_tuple, dtype=np.float64)[self._codes]
         return internal
 
     def in_neighbors(self, v: int):
-        """All known in-neighbors of ``v``, each as ``(u, patterns)``.
+        """All known in-neighbors of ``v``, each as ``(u, w)``.
 
-        ``patterns`` is a tuple of interaction-pattern ints, one per event on
-        the edge ``u -> v``; a plain edge answers ``(PLAIN_EDGE,)``. Strictly
-        ascending internal id, which the sampler's frontiers rely on, and never
-        ``v`` itself: self-loops are dropped at build. ``v`` must be discoverable.
+        ``w`` is the edge ``u -> v``'s entry in the bound weight column: its
+        events' weights, summed in tweet-id order. Strictly ascending internal id, which the
+        sampler's frontiers rely on, and never ``v`` itself: self-loops are
+        dropped at build. ``v`` must be discoverable.
         """
         if v not in self._discoverable:
             ext = self.ids.external(v) if 0 <= v < len(self.ids) else v
@@ -155,28 +173,25 @@ class GraphOracle:
         i, k = self._indptr[v], self._indptr[v + 1]
         sources = self._sources[i:k]
         self._discoverable.update(sources)
-        return tuple(zip(sources, self._patterns[i:k]))
+        return tuple(zip(sources, self._weights[i:k].tolist()))
 
-    def in_edges(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``sources, targets, event_counts`` of the answers to ``nodes``, one after
-        another, as int64 columns; unlike :meth:`in_neighbors`, logs and reveals nothing."""
-        spans = [slice(self._indptr[v], self._indptr[v + 1]) for v in nodes]
-        sizes = [span.stop - span.start for span in spans]
-        sources = chain.from_iterable(self._sources[span] for span in spans)
-        counts = chain.from_iterable(map(len, self._patterns[span]) for span in spans)
-        return (np.fromiter(sources, np.int64, sum(sizes)),
+    def in_edges(self, nodes):
+        """``sources, targets, weights, event_counts`` of the answers to ``nodes``, one
+        after another, as the columns ``DiscoveredGraph.add_events`` takes; unlike
+        :meth:`in_neighbors`, logs and reveals nothing."""
+        spans = [range(self._indptr[v], self._indptr[v + 1]) for v in nodes]
+        sizes = list(map(len, spans))
+        rows = np.fromiter(chain.from_iterable(spans), np.int64, sum(sizes))
+        sources = chain.from_iterable(self._sources[span.start:span.stop] for span in spans)
+        return (np.fromiter(sources, np.int64, len(rows)),
                 np.repeat(np.array(nodes, dtype=np.int64), sizes),
-                np.fromiter(counts, np.int64, sum(sizes)))
+                self._weights[rows], self._event_counts[rows])
 
     # -- audit ----------------------------------------------------------
 
     @property
     def access_log(self) -> tuple[int, ...]:
         return tuple(self._log)
-
-    @property
-    def query_count(self) -> int:
-        return len(self._log)
 
     def write_access_log(self, path) -> None:
         write_csv(path, ["step", "node_ext_id"],

@@ -4,9 +4,10 @@ The state tracks insiders (the sample), outsiders (discovered in-neighbors
 not yet sampled) with their priorities, and the weighted directed boundary:
 the total weight of discovered outsider->insider edges. The discovered edges
 are the oracle's answers to the queried nodes, so the state keeps only the
-query order and the answers' weights. Maximum-adjacency search picks the
-outsider with the largest priority; the other strategies are random
-baselines sharing the same incremental bookkeeping.
+query order; the edge weights are the oracle's, bound at ``init``.
+Maximum-adjacency search picks the outsider with the largest priority; the
+other strategies are random baselines sharing the same incremental
+bookkeeping.
 
 Both MAS tie-breaks read one structure, the outsiders grouped by exact
 priority with each tie set sorted by ``(disc_time, node)``: the ordered pick
@@ -16,14 +17,12 @@ takes the first key of the top tie set, the random pick draws one.
 from __future__ import annotations
 
 import heapq
-from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import DiscoveredGraph, IdMap
-from .interactions import UnitWeights
 from .util import ConfigError, DataError, IndexedSet, read_csv, write_csv
 
 STRATEGIES = ("MAS", "RI_MAS", "RO", "RI_RO", "RS_DU", "RS_DW", "RS_SU", "RS_SW")
@@ -113,7 +112,7 @@ class _Staged:
         # insider -> its outsider in-neighbors, ascending id; empty frontiers are dropped
         self.frontier_of: dict[int, dict[int, None]] = {}
         self.eligible = IndexedSet()                  # insiders with outsider in-neighbors
-        sources, targets, _counts = state.oracle.in_edges(state.queried)
+        sources, targets, _weights, _counts = state.oracle.in_edges(state.queried)
         for s, t in zip(sources.tolist(), targets.tolist()):
             if s in state.outsiders:
                 self.link(s, t)
@@ -246,10 +245,11 @@ class SampleState:
     """Mutable sampling state; confine one instance to one thread.
 
     The core, read by every strategy: the insiders, the outsiders'
-    priorities in discovery order, their discovery timesteps, the boundary,
-    the queried nodes in query order and their answers' edge weights. The
-    discovered graph is built from the last two on each read of
-    ``discovered``, sharing the insider set. Each strategy family's selector
+    priorities in discovery order, their discovery timesteps, the boundary and
+    the queried nodes in query order. The state keeps no edge and no weight:
+    each read of ``discovered`` builds the graph from the oracle's answers to
+    the queried nodes (``GraphOracle.in_edges``, weights as bound at ``init``),
+    sharing the insider set. Each strategy family's selector
     state is built from the core on the first ``select`` that needs it, then
     kept up to date step by step:
 
@@ -270,12 +270,10 @@ class SampleState:
     can differ only where ``x`` lies within rounding error of a slot boundary.
     """
 
-    def __init__(self, oracle, weights):
+    def __init__(self, oracle):
         self.oracle = oracle
-        self.weights = weights
         self.insiders: set[int] = set()           # the sample
         self.queried: list[int] = []              # nodes asked, in query order
-        self._edge_weights = array("d")           # their answers' edge weights, in order
         self.outsiders: dict[int, float] = {}     # node -> priority
         self.disc_time: dict[int, int] = {}       # outsider -> discovery timestep
         self.boundary = 0.0
@@ -290,8 +288,7 @@ class SampleState:
     def discovered(self) -> DiscoveredGraph:
         """The answers to ``queried``, in query order, as a new graph."""
         g = DiscoveredGraph(self.insiders)
-        sources, targets, event_counts = self.oracle.in_edges(self.queried)
-        g.add_events(sources, targets, np.array(self._edge_weights), event_counts)
+        g.add_events(*self.oracle.in_edges(self.queried))
         return g
 
     # -- selector state, built on first use --------------------------------
@@ -322,16 +319,13 @@ class SampleState:
     def _absorb_neighbors(self, v: int) -> tuple[int, int]:
         """Query the oracle for ``v`` and fold the answer into the state."""
         new_nodes = 0
-        event_weight = self.weights.event_weight
         insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
         buckets, pool, tree = self._buckets, self._pool, self._tree
         staged = self._staged
         boundary = self.boundary
         answer = self.oracle.in_neighbors(v)
         self.queried.append(v)
-        edge_weights = [event_weight(events) for _u, events in answer]
-        self._edge_weights.extend(edge_weights)
-        for (u, _events), w in zip(answer, edge_weights):
+        for u, w in answer:
             if u in insiders:
                 continue
             old = outsiders.get(u)
@@ -408,15 +402,16 @@ def init(seeds, oracle, weights=None) -> SampleState:
     """Seed a sampling state: every seed is queried exactly once.
 
     ``seeds`` are external ids; edges between seeds land inside the sample,
-    not on the boundary.
+    not on the boundary. ``weights`` (default unit weights) is bound to the
+    oracle for the run (``GraphOracle.declare_seeds``).
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("seed set is empty")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds")
-    state = SampleState(oracle, weights if weights is not None else UnitWeights())
-    internal = oracle.declare_seeds(seeds)
+    state = SampleState(oracle)
+    internal = oracle.declare_seeds(seeds, weights)
     state.seeds = tuple(internal)
     state.insiders.update(internal)
     for v in internal:

@@ -23,11 +23,6 @@ from .util import ConfigError, DataError, read_lines
 
 SEED_SELECTIONS = ("uniform-random", "low-degree", "high-degree")
 
-#: Default ratio sweep for a b-block configuration.
-def default_r_sweep(n_blocks: int) -> tuple[float, ...]:
-    return (1.0 / (n_blocks - 1), 0.5, 1.0, 2.0, 4.0, 8.0)
-
-
 @dataclass(frozen=True)
 class BlockModelConfig:
     block_sizes: tuple[int, ...]

@@ -15,6 +15,7 @@ import numpy as np
 
 from tightsample import interactions as ia
 from tightsample import sbm
+from tightsample.graph import DiscoveredGraph
 from tightsample.ingest import ParseReport
 from tightsample.interactions import PLAIN_EDGE, pattern_of
 from tightsample.metrics import EvolutionSeries
@@ -128,23 +129,61 @@ class AppendedEdges:
         self.event_counts.append(n_events)
 
 
-def record_appends(oracle, weights) -> AppendedEdges:
+def record_appends(oracle, weights, in_adj) -> AppendedEdges:
     """Append every edge of every answer ``oracle`` gives from now on, in answer order.
 
-    Each edge ``u -> v`` of an answer to ``v`` gets ``weights.event_weight`` of its
-    patterns and their count, as the sampler's per-edge loop once appended them.
+    ``in_adj`` is the oracle's reference adjacency (:func:`reference_in_adjacency`
+    or :func:`reference_plain_in_adjacency`). Each edge ``u -> v`` of an answer to
+    ``v`` gets ``weights.event_weight`` of its reference patterns and their count,
+    as the sampler's per-edge loop once appended them, so the recorded weights do
+    not depend on the oracle's own weight column.
     """
     edges = AppendedEdges()
     ask = oracle.in_neighbors
 
     def in_neighbors(v):
         answer = ask(v)
-        for u, events in answer:
-            edges.append(u, v, weights.event_weight(events), len(events))
+        expected = in_adj.get(v, ())
+        assert [u for u, _w in answer] == [u for u, _patterns in expected]
+        for u, patterns in expected:
+            edges.append(u, v, weights.event_weight(patterns), len(patterns))
         return answer
 
     oracle.in_neighbors = in_neighbors
     return edges
+
+
+class PatternTags:
+    """A weight table whose weights name pattern tuples, to read back what an oracle weighs.
+
+    Bound to an oracle, each edge weighs the index in ``tuples`` of the pattern
+    tuple the oracle passed for it, so :meth:`answer` turns an answer's ``(u, w)``
+    back into ``(u, patterns)``.
+    """
+
+    def __init__(self):
+        self.tuples = []
+
+    def event_weight(self, patterns):
+        self.tuples.append(patterns)
+        return float(len(self.tuples) - 1)
+
+    def answer(self, oracle, v):
+        return tuple((u, self.tuples[int(w)]) for u, w in oracle.in_neighbors(v))
+
+
+def graph_from_edge_pairs(pairs, weight=1.0, nodes=()):
+    """A graph of distinct (source, target) pairs, every endpoint and each of ``nodes``
+    an insider, each edge one event of ``weight``."""
+    pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    g = DiscoveredGraph(set(pairs.ravel().tolist()) | set(nodes))
+    g.add_events(pairs[:, 0], pairs[:, 1], [weight] * len(pairs), [1] * len(pairs))
+    return g
+
+
+def default_r_sweep(n_blocks):
+    """The ratio sweep of the paper's blockmodel experiments for ``n_blocks`` blocks."""
+    return (1.0 / (n_blocks - 1), 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def random_digraph(rng, n, p):

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from reference import brute_all_pairs, brute_nested_counts, make_sbm_oracle
+from reference import (
+    brute_all_pairs,
+    brute_nested_counts,
+    graph_from_edge_pairs,
+    make_sbm_oracle,
+)
 from tightsample import interactions as ia
 from tightsample import metrics, sampler, sbm
 from tightsample.ingest import EventTable, synthetic_corpus
@@ -288,7 +293,6 @@ def _matrix_global_clustering(n, pairs):
 
 
 def test_c09_metrics_match_independent_oracles():
-    from tightsample.graph import DiscoveredGraph
     rng = np.random.default_rng(424242)
     for trial in range(50):
         n = int(rng.integers(20, 101))
@@ -296,9 +300,7 @@ def test_c09_metrics_match_independent_oracles():
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
         pairs = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
-        g = DiscoveredGraph.from_edge_pairs(pairs)
-        for v in range(n):
-            g.add_node(v, insider=True)
+        g = graph_from_edge_pairs(pairs, nodes=range(n))
 
         per_node, mean = metrics.clustering_local(g)
         assert per_node == _matrix_local_clustering(n, pairs)

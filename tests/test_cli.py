@@ -395,6 +395,21 @@ MISTYPED_MANIFEST_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize("n_nodes", [-4, 10 ** 30])
+def test_replay_refuses_an_out_of_range_n_nodes(small_run, tmp_path, n_nodes):
+    # a negative count once replayed as if it were null, and one beyond int64 was a
+    # traceback from np.arange; both are refused before any graph is built
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    manifest["oracle"]["n_nodes"] = n_nodes
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, err = run_cli_process("sample", "--from-manifest", path, "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert str(path) in err and "oracle.n_nodes" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", MISTYPED_MANIFEST_FIELDS,
                          ids=[f"{k}={json.dumps(v)}" for k, v in MISTYPED_MANIFEST_FIELDS])
 def test_replay_refuses_a_mistyped_manifest_field(small_run, tmp_path, key, value):

@@ -27,12 +27,7 @@ def test_idmap_is_dense_bijection():
 
 
 def _graph(insiders, edges):
-    g = DiscoveredGraph()
-    for v in insiders:
-        g.add_node(v, insider=True)
-    for s, t in edges:
-        g.add_node(s)
-        g.add_node(t)
+    g = DiscoveredGraph(set(insiders))
     g.add_events([s for s, _t in edges], [t for _s, t in edges],
                  [1.0] * len(edges), [1] * len(edges))
     return g
@@ -73,10 +68,7 @@ def test_total_edge_weight_unit_counts():
 
 
 def test_total_edge_weight_sums_weights():
-    g = DiscoveredGraph()
-    g.add_node(0, insider=True)
-    g.add_node(1)
-    g.add_node(2)
+    g = DiscoveredGraph({0})
     g.add_events([1, 2], [0, 0], [0.52, 0.15], [1, 1])
     assert total_edge_weight(g, "boundary") == pytest.approx(0.67)
 
@@ -84,13 +76,10 @@ def test_total_edge_weight_sums_weights():
 def test_edge_classes_partition_total(rng):
     nodes = list(range(30))
     insiders = {v for v in nodes if rng.random() < 0.6}
-    g = DiscoveredGraph()
-    for v in insiders:
-        g.add_node(v, insider=True)
+    g = DiscoveredGraph(set(insiders))
     for _ in range(150):
         s, t = (int(x) for x in rng.integers(30, size=2))
         if s != t and t in insiders:
-            g.add_node(s)
             g.add_events([s], [t], [float(rng.random())], [1])
     full = total_edge_weight(g, "all")
     parts = total_edge_weight(g, "boundary") + total_edge_weight(g, "internal")
@@ -105,8 +94,7 @@ def test_unknown_selector_rejected():
 
 
 def test_self_loops_rejected():
-    g = DiscoveredGraph()
-    g.add_node(0, insider=True)
+    g = DiscoveredGraph({0})
     with pytest.raises(DataError, match="self-loop rejected: 0"):
         g.add_events([1, 0], [0, 0], [1.0, 1.0], [1, 1])
     assert g.n_edges() == 0
@@ -142,13 +130,11 @@ def test_edge_tsv_round_trip(tmp_path):
     assert g2.event_counts[row] == 1
 
 
-def test_nodes_are_insiders_endpoints_and_added_nodes():
-    g = DiscoveredGraph()
-    g.add_node(0, insider=True)
-    g.add_node(7)
+def test_nodes_are_insiders_and_edge_endpoints():
+    g = DiscoveredGraph({0, 7})
     g.add_events([3], [0], [1.0], [1])
     assert g.nodes == {0, 3, 7}
-    assert g.insiders == {0}
+    assert g.insiders == {0, 7}
 
 
 def _reference_edge_tsv(edges, n_events, ids):

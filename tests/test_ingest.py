@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    PatternTags,
     event_rows,
     reference_apply_filters,
     reference_in_adjacency,
@@ -263,8 +264,9 @@ def _compare_oracles(events, ref_events):
     oracle = GraphOracle.from_events(events)
     externals, in_adj = reference_in_adjacency(ref_events)
     assert [oracle.ids.external(v) for v in range(len(oracle.ids))] == externals
-    everyone = oracle.declare_seeds(externals)
-    assert {v: oracle.in_neighbors(v) for v in everyone} == \
+    tags = PatternTags()
+    everyone = oracle.declare_seeds(externals, tags)
+    assert {v: tags.answer(oracle, v) for v in everyone} == \
         {v: in_adj.get(v, ()) for v in everyone}
 
 

@@ -5,6 +5,7 @@ from reference import (
     brute_all_pairs,
     brute_global_clustering,
     brute_local_clustering,
+    graph_from_edge_pairs as digraph,
     make_sbm_oracle,
     random_digraph,
     reference_community_evolution,
@@ -13,13 +14,6 @@ from reference import (
 from tightsample import metrics, sampler
 from tightsample.graph import DiscoveredGraph
 from tightsample.util import ConfigError, DataError
-
-
-def digraph(pairs, nodes=None):
-    g = DiscoveredGraph.from_edge_pairs(pairs)
-    for v in nodes or ():
-        g.add_node(v, insider=True)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +109,7 @@ def test_avg_path_bidirected_k4():
 
 
 def test_avg_path_no_reachable_pairs_errors():
-    g = DiscoveredGraph()
-    g.add_node(0, insider=True)
-    g.add_node(1, insider=True)
+    g = DiscoveredGraph({0, 1})
     with pytest.raises(DataError):
         metrics.avg_shortest_path(g)
 
@@ -179,7 +171,7 @@ def test_avg_path_matches_scipy_csgraph(rng):
 
 
 def test_degree_stats_both_flavors():
-    g = DiscoveredGraph.from_edge_pairs([(0, 1), (2, 1)], weight=0.5)
+    g = digraph([(0, 1), (2, 1)], weight=0.5)
     d = metrics.degree_stats(g)
     assert d["n"] == 3 and d["m"] == 2
     assert d["avg_degree"] == pytest.approx(2 / 3)
@@ -220,7 +212,8 @@ def test_evolution_monotone_and_sums_to_insiders():
     state, trace, labels = run_mas((50,) * 3, 4.0, 7, steps=60)
     series = metrics.community_evolution(
         trace, {v: int(labels[v]) for v in range(150)})
-    totals = series.totals()
+    totals = [sum(counts[t] for counts in series.counts.values())
+              for t in range(len(series.timesteps))]
     assert totals == [len(trace.seeds) + t for t in range(61)]
     for comm, counts in series.counts.items():
         assert all(a <= b for a, b in zip(counts, counts[1:]))

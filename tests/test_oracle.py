@@ -1,5 +1,6 @@
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_plain_in_adjacency
+from reference import (
+    PatternTags,
+    event_rows,
+    reference_in_adjacency,
+    reference_plain_in_adjacency,
+)
 from tightsample import interactions as ia
-from tightsample.ingest import EventTable
+from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle, UnknownNodeError
 from tightsample.util import DataError
 
@@ -50,15 +56,17 @@ def test_plain_backings_match_reference(pairs, n_nodes, ending):
             (undirected, reference_plain_in_adjacency(both_ways, range(n_nodes or 0))),
             (directed, reference_plain_in_adjacency(named))):
         assert [oracle.ids.external(v) for v in range(len(oracle.ids))] == externals
-        everyone = oracle.declare_seeds(externals)
-        assert {v: oracle.in_neighbors(v) for v in everyone} == \
+        tags = PatternTags()
+        everyone = oracle.declare_seeds(externals, tags)
+        assert {v: tags.answer(oracle, v) for v in everyone} == \
             {v: in_adj.get(v, ()) for v in everyone}
 
 
 def test_event_backing_builds_patterns():
     oracle = GraphOracle.from_events(EventTable.from_rows([("t", "i", "j", 0b1100)]))
-    seed = oracle.declare_seeds(["i"])[0]
-    answer = oracle.in_neighbors(seed)
+    tags = PatternTags()
+    seed = oracle.declare_seeds(["i"], tags)[0]
+    answer = tags.answer(oracle, seed)
     assert len(answer) == 1
     u, patterns = answer[0]
     assert oracle.ids.external(u) == "j"
@@ -71,12 +79,14 @@ def test_event_patterns_answer_in_tweet_id_string_order():
                                    ("t10", "i", "j", 0b0001),
                                    ("t2", "i", "j", 0b0100)])
     oracle = GraphOracle.from_events(events)
-    ((_u, patterns),) = oracle.in_neighbors(oracle.declare_seeds(["i"])[0])
+    tags = PatternTags()
+    ((_u, patterns),) = tags.answer(oracle, oracle.declare_seeds(["i"], tags)[0])
     assert patterns == (0b0001, 0b0100, 0b1000)
     # t9, t10, t2 weigh 0.1, 0.2, 0.3: the row order, or numeric id order, would
     # add up to 0.6000000000000001
     wt = ia.WeightTable(ia.Scheme.DISTINCT, {0b1000: 0.1, 0b0001: 0.2, 0b0100: 0.3})
-    assert wt.event_weight(patterns) == 0.2 + 0.3 + 0.1 == 0.6
+    ((_u, w),) = oracle.in_neighbors(oracle.declare_seeds(["i"], wt)[0])
+    assert w == wt.event_weight(patterns) == 0.2 + 0.3 + 0.1 == 0.6
     assert 0.1 + 0.2 + 0.3 != 0.6
 
 
@@ -85,16 +95,71 @@ def test_plain_edges_answer_one_plain_pattern(tmp_path):
     path.write_text("a\tb\n")
     for oracle in (GraphOracle.from_undirected_edges([(0, 1)]),
                    GraphOracle.from_edgelist(path)):
-        seed = oracle.declare_seeds([oracle.ids.external(1)])[0]
-        ((_u, patterns),) = oracle.in_neighbors(seed)
+        tags = PatternTags()
+        seed = oracle.declare_seeds([oracle.ids.external(1)], tags)[0]
+        ((_u, patterns),) = tags.answer(oracle, seed)
         assert patterns == (ia.PLAIN_EDGE,)
+
+
+def _backings_with_reference(tmp_path):
+    """Each backing kind over one random graph, with its reference adjacency."""
+    rng = np.random.default_rng(5)
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 25, size=(150, 2))]
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"n{a}\tn{b}\n" for a, b in pairs))
+    named = [(f"n{a}", f"n{b}") for a, b in pairs]
+    # few authors and tweets per author, so many edges carry several events
+    corpus = synthetic_corpus(rng, n_authors=8, n_interactors=40, n_tweets=30, n_events=400)
+    both_ways = [p for u, v in pairs for p in ((u, v), (v, u))]
+    return {"undirected": (GraphOracle.from_undirected_edges(pairs),
+                           reference_plain_in_adjacency(both_ways)),
+            "edgelist": (GraphOracle.from_edgelist(path), reference_plain_in_adjacency(named)),
+            "events": (GraphOracle.from_events(corpus),
+                       reference_in_adjacency(event_rows(corpus)))}
+
+
+WEIGHT_TABLES = {"unit": ia.UnitWeights(), "unit/100": ia.UnitWeights().scaled(0.01),
+                 "distinct": ia.load_reference_tables()["distinct"].weights,
+                 "af": ia.load_reference_tables()["af"].weights}
+
+
+@pytest.mark.parametrize("table", WEIGHT_TABLES)
+def test_bound_weights_are_each_edges_event_weight(tmp_path, table):
+    # the column holds, edge by edge, the table's weight of the reference patterns
+    weights = WEIGHT_TABLES[table]
+    for kind, (oracle, (externals, in_adj)) in _backings_with_reference(tmp_path).items():
+        everyone = oracle.declare_seeds(externals, weights)
+        expected = {v: [(u, weights.event_weight(patterns), len(patterns))
+                        for u, patterns in in_adj.get(v, ())] for v in everyone}
+        assert {v: list(oracle.in_neighbors(v)) for v in everyone} == \
+            {v: [(u, w) for u, w, _n in rows] for v, rows in expected.items()}, kind
+        sources, targets, bound, counts = oracle.in_edges(everyone)
+        assert list(zip(sources.tolist(), targets.tolist(), bound.tolist(), counts.tolist())) \
+            == [(u, v, w, n) for v in everyone for u, w, n in expected[v]], kind
+        if kind == "events":
+            assert counts.max() > 1
+
+
+def test_a_missing_pattern_warns_once_at_bind():
+    # only the edge b -> a carries the uncalibrated 0010, and a is never queried
+    events = EventTable.from_rows([("t1", "a", "b", 0b1000), ("t2", "a", "b", 0b0010),
+                                   ("t3", "c", "b", 0b0001)])
+    oracle = GraphOracle.from_events(events)
+    wt = ia.WeightTable(ia.Scheme.DISTINCT, {0b1000: 0.25, 0b0001: 0.5})
+    with pytest.warns(UserWarning, match="0010 was never calibrated") as caught:
+        seed = oracle.declare_seeds(["c"], wt)[0]
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # neither a query nor a second bind warns again
+        assert oracle.in_neighbors(seed) == ((oracle.ids.resolve("b"), 0.5),)
+        oracle.declare_seeds(["a"], wt)
 
 
 def test_repeated_calls_identical():
     oracle = GraphOracle.from_undirected_edges([(0, 1), (2, 1), (3, 1)], n_nodes=4)
     oracle.declare_seeds([1])
     assert oracle.in_neighbors(1) == oracle.in_neighbors(1)
-    assert oracle.query_count == 2
+    assert len(oracle.access_log) == 2
 
 
 def test_undeclared_node_not_discoverable():
@@ -196,4 +261,4 @@ def test_concurrent_queries_keep_exact_counts():
         t.start()
     for t in threads:
         t.join()
-    assert oracle.query_count == 400
+    assert len(oracle.access_log) == 400

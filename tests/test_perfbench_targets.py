@@ -46,18 +46,19 @@ def test_sampling_calls_the_traced_add_events_once_per_edge(monkeypatch):
         assert calls == [], strategy   # sampling appends no edge
         g = state.discovered
         [(sources, targets, weights, counts)] = calls
-        answered = [(u, v) for v in oracle.access_log for u, _events in oracle.in_neighbors(v)]
+        answered = [(u, v) for v in oracle.access_log for u, _w in oracle.in_neighbors(v)]
         assert list(zip(sources, targets)) == answered == list(g.pairs())
         assert len(set(answered)) == len(answered) > 0
         assert weights == [1.0] * len(answered) and counts == [1] * len(answered)
 
 
-def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypatch):
-    # the traced mode times edge weighting through this leaf, so the sampler must
-    # call it rather than sum the patterns itself
+def test_weight_binding_calls_the_traced_event_weight_once_per_pattern_tuple(monkeypatch):
+    # the traced mode times edge weighting through this leaf: binding a table at init
+    # calls it through the class attribute, once per distinct pattern tuple of the
+    # backing, and every answered weight is that call's result for the edge's tuple
     import numpy as np
 
-    from reference import event_rows
+    from reference import event_rows, reference_in_adjacency
     from tightsample import interactions, sampler
     from tightsample.ingest import EventTable, synthetic_corpus
     from tightsample.oracle import GraphOracle
@@ -66,8 +67,8 @@ def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypat
     event_weight = interactions.WeightTable.event_weight
 
     def counted(self, patterns):
-        calls.append(patterns)
-        return event_weight(self, patterns)
+        calls.append((patterns, event_weight(self, patterns)))
+        return calls[-1][1]
 
     monkeypatch.setattr(interactions.WeightTable, "event_weight", counted)
     corpus = synthetic_corpus(np.random.default_rng(4), n_authors=30, n_interactors=30,
@@ -77,12 +78,17 @@ def test_weighted_sampling_calls_the_traced_event_weight_once_per_edge(monkeypat
     weights = interactions.load_reference_tables()["distinct"].weights
     state = sampler.init(sorted({corpus.users[a] for a in corpus.author.tolist()})[:2],
                          oracle, weights)
+    bound = dict(calls)
     sampler.run(state, "MAS", steps=20, rng=np.random.default_rng(0))
+    assert len(calls) == len(bound)   # once per distinct tuple, all at init
+    _externals, in_adj = reference_in_adjacency(event_rows(corpus))
+    assert set(bound) == {patterns for answer in in_adj.values() for _u, patterns in answer}
+    assert any(len(patterns) > 1 for patterns in bound)
+    assert all(type(p) is int for patterns in bound for p in patterns)
     assert state.discovered.n_edges() > 20
-    assert len(calls) == state.discovered.n_edges()
-    assert any(len(patterns) > 1 for patterns in calls)
-    assert all(type(patterns) is tuple and all(type(p) is int for p in patterns)
-               for patterns in calls)
+    for v in oracle.access_log:
+        assert oracle.in_neighbors(v) == \
+            tuple((u, bound[patterns]) for u, patterns in in_adj.get(v, ()))
 
 
 def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from reference import brute_priorities, event_rows, make_sbm_oracle, record_appends
+from reference import (
+    brute_priorities,
+    event_rows,
+    make_sbm_oracle,
+    record_appends,
+    reference_in_adjacency,
+    reference_plain_in_adjacency,
+)
 from tightsample import interactions as ia
 from tightsample import sampler
 from tightsample.ingest import EventTable, synthetic_corpus
@@ -389,11 +396,14 @@ def test_trace_insider_count_invariant():
 
 
 def _backing(name):
-    """An oracle, seeds and weights: a unit blockmodel or a weighted engagement corpus,
-    whose interactors are its authors in "graph-corpus", so that engagement forms a graph."""
+    """An oracle, seeds, weights and the oracle's reference adjacency: a unit blockmodel
+    or a weighted engagement corpus, whose interactors are its authors in "graph-corpus",
+    so that engagement forms a graph."""
     if name == "blockmodel":
-        oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 4, 4.0, 29)
-        return oracle, seeds, ia.UnitWeights()
+        oracle, seeds, _labels, edges = make_sbm_oracle((30,) * 3, 4, 4.0, 29)
+        both_ways = [p for u, v in edges.tolist() for p in ((u, v), (v, u))]
+        _externals, in_adj = reference_plain_in_adjacency(both_ways, range(90))
+        return oracle, seeds, ia.UnitWeights(), in_adj
     if name == "graph-corpus":
         corpus = synthetic_corpus(np.random.default_rng(4), n_authors=30, n_interactors=30,
                                   n_tweets=120, n_events=600)
@@ -406,19 +416,20 @@ def _backing(name):
         n_seeds = 3
     oracle = GraphOracle.from_events(corpus)
     seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:n_seeds]
-    return oracle, seeds, ia.load_reference_tables()["distinct"].weights
+    _externals, in_adj = reference_in_adjacency(event_rows(corpus))
+    return oracle, seeds, ia.load_reference_tables()["distinct"].weights, in_adj
 
 
 @pytest.mark.parametrize("backing", ["blockmodel", "events"])
 @pytest.mark.parametrize("strategy", sampler.STRATEGIES)
 def test_each_discovered_edge_is_appended_once(backing, strategy):
-    oracle, seeds, weights = _backing(backing)
+    oracle, seeds, weights, _in_adj = _backing(backing)
     state = sampler.init(seeds, oracle, weights)
     sampler.run(state, strategy, steps=40, rng_seed=3)
     pairs = list(state.discovered.pairs())
     assert len(pairs) == len(set(pairs))
     queried = oracle.access_log
-    answered = sum(1 for v in queried for u, _events in oracle.in_neighbors(v) if u != v)
+    answered = sum(1 for v in queried for u, _w in oracle.in_neighbors(v) if u != v)
     assert state.discovered.n_edges() == answered
 
 
@@ -437,8 +448,8 @@ def _assert_columns_equal_appends(state, appended):
 def test_discovered_columns_equal_the_per_edge_appends(backing, strategy, tie_break):
     # the graph built from the query list holds, row for row, what appending each
     # answered edge would have: same order, same float weights, same counts
-    oracle, seeds, weights = _backing(backing)
-    appended = record_appends(oracle, weights)
+    oracle, seeds, weights, in_adj = _backing(backing)
+    appended = record_appends(oracle, weights, in_adj)
     state = sampler.init(seeds, oracle, weights)
     trace = sampler.run(state, strategy, steps=40, rng_seed=3, tie_break=tie_break)
     assert len(trace.rows) > 20
@@ -449,8 +460,8 @@ def test_discovered_columns_equal_the_per_edge_appends(backing, strategy, tie_br
 
 @pytest.mark.parametrize("backing", ["blockmodel", "events"])
 def test_init_only_columns_equal_the_per_edge_appends(backing):
-    oracle, seeds, weights = _backing(backing)
-    appended = record_appends(oracle, weights)
+    oracle, seeds, weights, in_adj = _backing(backing)
+    appended = record_appends(oracle, weights, in_adj)
     state = sampler.init(seeds, oracle, weights)
     assert state.queried == list(state.seeds)
     _assert_columns_equal_appends(state, appended)

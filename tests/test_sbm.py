@@ -7,7 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from reference import reference_distinct_uniform, reference_generate, reference_read_edges_tsv
+from reference import (
+    default_r_sweep,
+    reference_distinct_uniform,
+    reference_generate,
+    reference_read_edges_tsv,
+)
 from tightsample import sbm
 from tightsample.util import ConfigError, DataError
 
@@ -166,8 +171,8 @@ def test_degree_distributions_exchangeable_across_equal_blocks():
 
 
 def test_default_r_sweep():
-    assert sbm.default_r_sweep(8)[0] == pytest.approx(1 / 7)
-    assert sbm.default_r_sweep(4) == (pytest.approx(1 / 3), 0.5, 1.0, 2.0, 4.0, 8.0)
+    assert default_r_sweep(8)[0] == pytest.approx(1 / 7)
+    assert default_r_sweep(4) == (pytest.approx(1 / 3), 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
