@@ -336,14 +336,16 @@ def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) ->
     """
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv", oracle.ids)
-    discovered = state.discovered
-    graph.write_edge_tsv(discovered, out / "discovered.tsv", oracle.ids)
+    # the answers to the queried nodes in ascending id are in (target, source) order
+    queried, step = sorted(state.queried), graph.WRITE_CHUNK
+    batches = (oracle.in_edges(queried[i:i + step]) for i in range(0, len(queried), step))
+    n_edges = graph.write_edge_tsv(batches, out / "discovered.tsv", oracle.ids)
     oracle.write_access_log(out / "access_log.csv")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     summary = {
         "insiders": len(state.insiders),
         "discovered_nodes": len(state.insiders) + len(state.outsiders),
-        "discovered_edges": discovered.n_edges(),
+        "discovered_edges": n_edges,
         "init_boundary": trace.init_boundary,
         "final_boundary": state.boundary,
         "stop_reason": trace.reason,

@@ -13,7 +13,7 @@ import numpy as np
 from .util import ConfigError, DataError, read_csv, read_lines, write_csv
 
 EDGE_SELECTORS = ("all", "boundary", "internal")
-WRITE_CHUNK = 8192   # lines per write in write_edge_tsv
+WRITE_CHUNK = 8192   # lines per write in write_edge_tsv, nodes per gather of a run record
 
 
 class IdMap:
@@ -125,27 +125,43 @@ def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
     """Sort edge rows by (target, source, *minor) and cut them into edges.
 
     Returns the stable row order and ``edges``, the positions in it where the
-    run of rows of each (target, source) pair begins. Ids must be non-negative.
+    run of rows of each (target, source) pair begins. Ids must be non-negative,
+    and dense enough (as internal ids are) that ``target * n + source`` fits in
+    int64, ``n`` being one past the largest source id.
     """
-    order = np.lexsort(minor[::-1] + (sources, targets))
-    changed = np.diff(targets[order], prepend=-1) | np.diff(sources[order], prepend=-1)
-    return order, np.flatnonzero(changed)
+    key = targets * (int(sources.max(initial=-1)) + 1) + sources   # one int64 per pair
+    order = np.lexsort((*minor[::-1], key))
+    key = key[order]
+    # the first row, if any (keys are >= 0), then each row whose key differs from the last
+    return order, np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
 
 
-def write_edge_tsv(g: DiscoveredGraph, path, ids: IdMap) -> None:
-    """TSV export ``source target weight n_events``, ordered by (target, source).
+def _format_distinct(column: np.ndarray, keys: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each entry of ``column``, called once per distinct entry of ``keys``."""
+    _distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([fmt(value) for value in column[first].tolist()], dtype=object)[inverse]
 
-    Lines are gathered, formatted and written :data:`WRITE_CHUNK` at a time.
+
+def write_edge_tsv(chunks, path, ids: IdMap) -> int:
+    """TSV export ``source target weight n_events``; returns the number of lines.
+
+    ``chunks`` yields ``(sources, targets, weights, event_counts)`` columns,
+    already in line order. Lines are formatted column by column and written
+    :data:`WRITE_CHUNK` at a time: one ``str`` per node id, built once, and per
+    chunk one ``repr`` per distinct weight (by bit pattern, so ``-0.0`` keeps
+    its sign) and one ``str`` per distinct event count.
     """
-    columns = (g.sources, g.targets, g.weights, g.event_counts)
-    order = np.lexsort(columns[:2])
-    ext = ids.external
+    names = np.fromiter(map(str, map(ids.external, range(len(ids)))), object, len(ids))
+    written = 0
     with open(path, "w", newline="") as fh:
-        for start in range(0, len(order), WRITE_CHUNK):
-            rows = order[start:start + WRITE_CHUNK]
-            chunk = (col[rows].tolist() for col in columns)
-            fh.write("".join(f"{ext(s)}\t{ext(t)}\t{weight!r}\t{n_events}\n"
-                             for s, t, weight, n_events in zip(*chunk)))
+        for chunk in chunks:
+            for start in range(0, len(chunk[0]), WRITE_CHUNK):
+                s, t, w, n = (column[start:start + WRITE_CHUNK] for column in chunk)
+                table = np.column_stack((names[s], names[t], _format_distinct(
+                    w, w.view(np.int64), repr), _format_distinct(n, n, str)))
+                fh.write("%s\t%s\t%s\t%s\n" * len(table) % tuple(table.ravel().tolist()))
+                written += len(table)
+    return written
 
 
 def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:

@@ -9,7 +9,6 @@ access log so tests can audit exactly what a sampling run touched.
 from __future__ import annotations
 
 import threading
-from itertools import chain
 
 import numpy as np
 
@@ -21,14 +20,6 @@ from .util import DataError, first_seen, read_lines, write_csv
 
 class UnknownNodeError(DataError):
     """Raised when a query names a node the oracle never revealed."""
-
-
-def _string_ranks(strings: list[str]) -> np.ndarray:
-    """Each of the distinct ``strings``' position in sorted order."""
-    order = sorted(range(len(strings)), key=strings.__getitem__)
-    ranks = np.empty(len(strings), dtype=np.int64)
-    ranks[order] = np.arange(len(strings))
-    return ranks
 
 
 class GraphOracle:
@@ -71,9 +62,10 @@ class GraphOracle:
         self._event_counts = np.array([len(t) for t in self._tuples], dtype=np.int64)[self._codes]
         self._weights = np.empty(0)   # bound by declare_seeds
         edges = order[edges]
-        self._indptr = np.searchsorted(targets[edges], np.arange(len(ids) + 1)).tolist()
-        # one int object per node, shared by its edges: less memory, identity-hit lookups
-        self._sources = np.arange(len(ids)).astype(object)[sources[edges]].tolist()
+        self._indptr = np.searchsorted(targets[edges], np.arange(len(ids) + 1))
+        self._sources = sources[edges]
+        # one int object per node, shared by all answers: less memory, identity-hit lookups
+        self._nodes = np.arange(len(ids)).astype(object)
         self.ids = ids
         self._discoverable: set[int] = set()
         self._log: list[int] = []
@@ -102,14 +94,12 @@ class GraphOracle:
         Internal ids go to nodes in order of first appearance, source before
         target. Repeated lines and self-loops are dropped.
         """
-        ids = IdMap()
-        codes = []
+        ids, codes = IdMap(), []
         for lineno, line in read_lines(path, "edge list"):
-            line = line.rstrip("\r\n")
-            if not line:
+            parts = line.rstrip("\r\n").split("\t")
+            if parts == [""]:   # a blank line
                 continue
-            parts = line.split("\t")
-            if len(parts) < 2:
+            if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected source<TAB>target")
             if not parts[0] or not parts[1]:
                 raise DataError(f"{path}:{lineno}: empty node id")
@@ -131,8 +121,9 @@ class GraphOracle:
         # users numbered by first appearance in the interleaved (author, interactor)
         internal, codes, _first = first_seen(np.column_stack((events.author, events.interactor)))
         ids = IdMap(events.users[code] for code in codes.tolist())
-        return cls(ids, internal[:, 0], internal[:, 1],
-                   events.pattern, _string_ranks(events.tweets)[events.tweet])
+        # each tweet's rank among the ids as strings: the inverse of their sorting permutation
+        ranks = np.argsort(sorted(range(len(events.tweets)), key=events.tweets.__getitem__))
+        return cls(ids, internal[:, 0], internal[:, 1], events.pattern, ranks[events.tweet])
 
     # -- seed declaration and queries -----------------------------------
 
@@ -170,8 +161,8 @@ class GraphOracle:
             raise UnknownNodeError(f"node not discoverable: {ext!r}")
         with self._lock:
             self._log.append(v)
-        i, k = self._indptr[v], self._indptr[v + 1]
-        sources = self._sources[i:k]
+        i, k = self._indptr[v:v + 2].tolist()
+        sources = self._nodes[self._sources[i:k]].tolist()
         self._discoverable.update(sources)
         return tuple(zip(sources, self._weights[i:k].tolist()))
 
@@ -179,12 +170,12 @@ class GraphOracle:
         """``sources, targets, weights, event_counts`` of the answers to ``nodes``, one
         after another, as the columns ``DiscoveredGraph.add_events`` takes; unlike
         :meth:`in_neighbors`, logs and reveals nothing."""
-        spans = [range(self._indptr[v], self._indptr[v + 1]) for v in nodes]
-        sizes = list(map(len, spans))
-        rows = np.fromiter(chain.from_iterable(spans), np.int64, sum(sizes))
-        sources = chain.from_iterable(self._sources[span.start:span.stop] for span in spans)
-        return (np.fromiter(sources, np.int64, len(rows)),
-                np.repeat(np.array(nodes, dtype=np.int64), sizes),
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts, stops = self._indptr[nodes], self._indptr[nodes + 1]
+        sizes = stops - starts
+        # answer j's rows run from starts[j]; shift a running index by its offset
+        rows = np.repeat(stops - np.cumsum(sizes), sizes) + np.arange(sizes.sum())
+        return (self._sources[rows], np.repeat(nodes, sizes),
                 self._weights[rows], self._event_counts[rows])
 
     # -- audit ----------------------------------------------------------

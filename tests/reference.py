@@ -172,6 +172,18 @@ class PatternTags:
         return tuple((u, self.tuples[int(w)]) for u, w in oracle.in_neighbors(v))
 
 
+def reference_in_edges(oracle, nodes):
+    """``GraphOracle.in_edges`` as a walk of the oracle's CSR, one ``range`` per node."""
+    indptr, csr_sources = oracle._indptr.tolist(), oracle._sources.tolist()
+    spans = [range(indptr[v], indptr[v + 1]) for v in nodes]
+    sizes = list(map(len, spans))
+    rows = np.fromiter(chain.from_iterable(spans), np.int64, sum(sizes))
+    sources = chain.from_iterable(csr_sources[span.start:span.stop] for span in spans)
+    return (np.fromiter(sources, np.int64, len(rows)),
+            np.repeat(np.array(nodes, dtype=np.int64), sizes),
+            oracle._weights[rows], oracle._event_counts[rows])
+
+
 def graph_from_edge_pairs(pairs, weight=1.0, nodes=()):
     """A graph of distinct (source, target) pairs, every endpoint and each of ``nodes``
     an insider, each edge one event of ``weight``."""

@@ -115,6 +115,25 @@ def test_sample_reproducible_from_manifest(net_dir, tmp_path):
         (out2 / "discovered.tsv").read_bytes()
 
 
+def test_recording_a_sample_builds_no_graph(net_dir, tmp_path, monkeypatch):
+    # discovered.tsv is written from the oracle's answers; no DiscoveredGraph is built
+    calls = []
+    add_events = graph.DiscoveredGraph.add_events
+
+    def counted(self, *columns):
+        calls.append(len(columns[0]))
+        return add_events(self, *columns)
+
+    monkeypatch.setattr(graph.DiscoveredGraph, "add_events", counted)
+    out = tmp_path / "run"
+    assert run_cli("sample", "--undirected", net_dir / "edges.tsv", "--seeds",
+                   seed_args(net_dir), "--budget", "100", "--out", out) == 0
+    assert calls == []
+    summary = json.loads((out / "run_summary.json").read_text())
+    lines = (out / "discovered.tsv").read_text().splitlines()
+    assert summary["discovered_edges"] == len(lines) > 100
+
+
 def test_manifest_records_input_fingerprints(net_dir, tmp_path):
     out = tmp_path / "run"
     assert run_cli("sample", "--undirected", net_dir / "edges.tsv",
@@ -355,6 +374,7 @@ BAD_INPUTS = {
     "edgelist-utf8": ("edgelist.tsv", b"0\t1\n1\t\xfe\n", 3, "edgelist.tsv:2:"),
     "edgelist-empty-id": ("edgelist.tsv", b"0\t1\n\t1\n", 3,
                           "edgelist.tsv:2: empty node id"),
+    "edgelist-extra-field": ("edgelist.tsv", b"0\t1\n1\t2\t0.5\n", 3, "edgelist.tsv:2:"),
     "events-jsonl-utf8": ("events.jsonl", b'{"tweet_id": "t"}\n\xff\n', 3,
                           "events.jsonl:2:"),
     "events-jsonl-int": ("events.jsonl", b"1" * 5000 + b"\n", 3, "events.jsonl:"),

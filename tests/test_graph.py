@@ -7,6 +7,7 @@ from tightsample import graph
 from tightsample.graph import (
     DiscoveredGraph,
     IdMap,
+    in_edge_runs,
     induced_subgraph,
     read_edge_tsv,
     total_edge_weight,
@@ -31,6 +32,16 @@ def _graph(insiders, edges):
     g.add_events([s for s, _t in edges], [t for _s, t in edges],
                  [1.0] * len(edges), [1] * len(edges))
     return g
+
+
+def _write_graph(g, path, ids, step=None):
+    """Write ``g`` in (target, source) order: rows ordered by ``in_edge_runs`` and
+    gathered ``step`` (default ``WRITE_CHUNK``) at a time; returns the line count."""
+    step = step or graph.WRITE_CHUNK
+    order, _edges = in_edge_runs(g.targets, g.sources)
+    columns = (g.sources, g.targets, g.weights, g.event_counts)
+    return write_edge_tsv(([column[order[i:i + step]] for column in columns]
+                           for i in range(0, len(order), step)), path, ids)
 
 
 def test_induced_subgraph_definition():
@@ -118,7 +129,7 @@ def test_edge_tsv_round_trip(tmp_path):
     a, b, c = ids.intern("a"), ids.intern("b"), ids.intern("c")
     g = _graph([a], [(b, a), (c, a)])
     path = tmp_path / "edges.tsv"
-    write_edge_tsv(g, path, ids)
+    assert _write_graph(g, path, ids) == 2
     lines = path.read_text().splitlines()
     # deterministic (target, source) order
     assert lines[0].startswith("b\ta") and lines[1].startswith("c\ta")
@@ -146,13 +157,19 @@ def _reference_edge_tsv(edges, n_events, ids):
     return "".join(lines)
 
 
+# weights whose repr a writer keyed by value would mix up (0.0 == -0.0), the smallest
+# subnormal, and a float repr writes in exponent form
+SPECIAL_WEIGHTS = (-0.0, 0.0, 5e-324, 1e16)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_edge_tsv_matches_reference_writer(tmp_path, monkeypatch, seed):
     rng = np.random.default_rng(seed)
     ids = IdMap()
     n = int(rng.integers(2, 60))
-    for v in rng.permutation(n):  # external ids interned out of order
-        ids.intern(f"user{int(v) * 7919 % 1000:03d}-{int(v)}")
+    for v in rng.permutation(n):  # external ids interned out of order, ints and strings
+        v = int(v)
+        ids.intern(v * 7919 % 1000 * 100 + v if v % 2 else f"user{v * 7919 % 1000:03d}-{v}")
     mask = rng.random((n, n)) < 0.3
     np.fill_diagonal(mask, False)
     pairs = [(int(s), int(t)) for s, t in zip(*np.nonzero(mask))]
@@ -160,16 +177,46 @@ def test_edge_tsv_matches_reference_writer(tmp_path, monkeypatch, seed):
     for i in rng.permutation(len(pairs)):  # scrambled append order
         key = pairs[i]
         edges[key] = float(rng.random() * 10.0 ** rng.integers(-3, 4))
+        if rng.random() < 0.2:
+            edges[key] = SPECIAL_WEIGHTS[rng.integers(len(SPECIAL_WEIGHTS))]
         n_events[key] = int(rng.integers(1, 6))
+    # the first lines, one chunk, hold every special weight
+    for key, weight in zip(sorted(edges, key=lambda st: (st[1], st[0])), SPECIAL_WEIGHTS):
+        edges[key] = weight
     g = DiscoveredGraph()
     g.add_events([s for s, _t in edges], [t for _s, t in edges],
                  list(edges.values()), list(n_events.values()))
     monkeypatch.setattr(graph, "WRITE_CHUNK", 5)  # several chunks and a partial one
     path = tmp_path / "edges.tsv"
-    write_edge_tsv(g, path, ids)
+    # chunks of 7 rows, each written as 5 lines and 2
+    assert _write_graph(g, path, ids, step=7) == len(pairs)
     assert path.read_text() == _reference_edge_tsv(edges, n_events, ids)
     g2, ids2 = read_edge_tsv(path)
     assert g2.n_edges() == len(pairs)
+
+
+def test_edge_tsv_keys_weights_by_bit_pattern(tmp_path):
+    g = DiscoveredGraph()
+    g.add_events([1, 2, 3, 4, 5], [0] * 5, [0.0, -0.0, 5e-324, 1e16, -0.0], [1, 2, 1, 2, 1])
+    path = tmp_path / "edges.tsv"
+    assert _write_graph(g, path, IdMap(range(6))) == 5
+    assert path.read_text() == ("1\t0\t0.0\t1\n2\t0\t-0.0\t2\n3\t0\t5e-324\t1\n"
+                                "4\t0\t1e+16\t2\n5\t0\t-0.0\t1\n")
+
+
+def test_in_edge_runs_matches_a_lexsort_over_the_columns(rng):
+    # one int64 key per pair sorts as the (target, source) columns do, stable on ties
+    # and under a minor key
+    targets, sources = rng.integers(0, 9, size=(2, 400))
+    minor = rng.integers(0, 3, size=400)
+    for extra in ((), (minor,)):
+        order, edges = in_edge_runs(targets, sources, *extra)
+        expected = np.lexsort(extra + (sources, targets))
+        assert order.tolist() == expected.tolist()
+        starts = np.diff(targets[expected], prepend=-1) | np.diff(sources[expected], prepend=-1)
+        assert edges.tolist() == np.flatnonzero(starts).tolist()
+    order, edges = in_edge_runs(np.empty(0, np.int64), np.empty(0, np.int64))
+    assert order.size == edges.size == 0
 
 
 def test_edge_tsv_writer_makes_no_reordered_column_copies(tmp_path):
@@ -185,7 +232,7 @@ def test_edge_tsv_writer_makes_no_reordered_column_copies(tmp_path):
                  rng.integers(1, 4, size=m))
     tracemalloc.start()
     try:
-        write_edge_tsv(g, tmp_path / "edges.tsv", ids)
+        _write_graph(g, tmp_path / "edges.tsv", ids)   # ordering plus writing
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -194,7 +241,7 @@ def test_edge_tsv_writer_makes_no_reordered_column_copies(tmp_path):
 
 def test_edge_tsv_empty_graph(tmp_path):
     path = tmp_path / "edges.tsv"
-    write_edge_tsv(DiscoveredGraph(), path, IdMap())
+    assert _write_graph(DiscoveredGraph(), path, IdMap()) == 0
     assert path.read_text() == ""
 
 

@@ -12,6 +12,7 @@ from reference import (
     PatternTags,
     event_rows,
     reference_in_adjacency,
+    reference_in_edges,
     reference_plain_in_adjacency,
 )
 from tightsample import interactions as ia
@@ -138,6 +139,25 @@ def test_bound_weights_are_each_edges_event_weight(tmp_path, table):
             == [(u, v, w, n) for v in everyone for u, w, n in expected[v]], kind
         if kind == "events":
             assert counts.max() > 1
+
+
+def test_in_edges_matches_the_per_node_walk(tmp_path):
+    # the index-arithmetic gather gives the columns, dtypes included, of one walk per node
+    backings = _backings_with_reference(tmp_path)
+    # the random undirected graph reaches every node; 0..29 adds five without an edge
+    _oracle, (externals, in_adj) = backings["undirected"]
+    pairs = [(externals[u], externals[v]) for v, answer in in_adj.items() for u, _p in answer]
+    backings["undirected"] = (GraphOracle.from_undirected_edges(pairs, n_nodes=30),
+                              reference_plain_in_adjacency(pairs, range(30)))
+    for kind, (oracle, (externals, in_adj)) in backings.items():
+        everyone = oracle.declare_seeds(externals, ia.load_reference_tables()["af"].weights)
+        silent = [v for v in everyone if not in_adj.get(v)]   # nodes with empty answers
+        assert silent or kind == "edgelist", kind   # every node of its list has an in-edge
+        shuffled = np.random.default_rng(1).permutation(everyone).tolist()
+        for nodes in ([], everyone, shuffled, shuffled[:5] * 3, silent, silent + everyone[:4]):
+            got, want = oracle.in_edges(nodes), reference_in_edges(oracle, nodes)
+            assert [column.dtype for column in got] == [column.dtype for column in want]
+            assert [column.tolist() for column in got] == [column.tolist() for column in want]
 
 
 def test_a_missing_pattern_warns_once_at_bind():

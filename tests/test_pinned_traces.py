@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from reference import event_rows, make_sbm_oracle
-from tightsample import cli, graph, sampler
+from tightsample import cli, sampler
 from tightsample import interactions as ia
 from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle
@@ -190,9 +190,7 @@ GEN_SBM_PINNED = {
 def run_digests(oracle, seeds, weights, strategy, tie_break, steps, tmp_path):
     state = sampler.init(seeds, oracle, weights)
     trace = sampler.run(state, strategy, steps=steps, rng_seed=11, tie_break=tie_break)
-    trace.write_csv(tmp_path / "trace.csv", oracle.ids)
-    graph.write_edge_tsv(state.discovered, tmp_path / "discovered.tsv", oracle.ids)
-    oracle.write_access_log(tmp_path / "access_log.csv")
+    cli._record_run(tmp_path, {}, oracle, state, trace)   # as a sample run records it
     return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in RUN_FILES)
 
