@@ -2,8 +2,9 @@
 
 Every run records its rng seed and inputs in a manifest so it can be
 reproduced byte-for-byte; the manifest also holds the size and sha256 of each
-input file, and a replay refuses inputs that no longer match. Figures are not
-rendered; all outputs are CSV or JSON for downstream plotting.
+input file, or the sha256 of a generated graph's edges, and a replay refuses
+inputs that no longer match. Figures are not rendered; all outputs are CSV or
+JSON for downstream plotting.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
 SHIPPED_SCHEMES = ("distinct", "nested", "af")   # the shipped weight table's sections
 SWEEP_COLUMNS = ("r", "strategy", "repeat", "run_seed", "steps", "insiders",
                  "final_boundary", "max_window_purity")
-ORACLE_KINDS = ("undirected", "edgelist", "events")   # a manifest's oracle.kind
+# each oracle kind of a manifest, and the JSON types its descriptor's fields may hold
+ORACLE_FIELDS = {
+    "undirected": {"path": ("string",), "n_nodes": ("null",)},   # older manifests hold null
+    "edgelist": {"path": ("string",)},
+    "events": {"path": ("string",), "format": ("string", "null")},
+    "blockmodel": {"sizes": ("array",), "k_intra": ("integer", "number"),
+                   "r": ("integer", "number"), "graph_seed": ("integer",),
+                   "edges_sha256": ("string", "null")},
+}
 
 
 def _out_dir(path) -> Path:
@@ -88,10 +97,7 @@ def _load_weights(selector: str):
         return interactions.UnitWeights()
     if selector in SHIPPED_SCHEMES:
         return interactions.load_reference_tables()[selector].weights
-    path = Path(selector)
-    if not path.exists():
-        raise ConfigError(f"weight table not found: {selector}")
-    tables = interactions.read_weight_csv(path)
+    tables = interactions.read_weight_csv(selector)
     if len(tables) == 1:
         return next(iter(tables.values())).weights
     raise ConfigError(f"{selector} holds the schemes {', '.join(tables)}; use a weight "
@@ -203,35 +209,53 @@ def _check_inputs(manifest: dict, manifest_path: Path) -> None:
               f"may differ", file=sys.stderr)
 
 
-def _oracle_from_descriptor(desc: dict, base: Path) -> GraphOracle:
-    kind = desc.get("kind")
-    path = desc.get("path")
-    if path is not None:
-        path = _resolve(path, base)
+def _block_model(desc: dict) -> tuple[sbm.BlockModelConfig, np.ndarray]:
+    """The configuration and block matrix of a ``blockmodel`` descriptor."""
+    cfg = sbm.BlockModelConfig(tuple(desc["sizes"]), desc["k_intra"], desc["r"],
+                               desc["graph_seed"])
+    return cfg, sbm.derive_block_matrix(cfg)
+
+
+def _oracle_from_descriptor(desc: dict, source: Path | None) -> GraphOracle:
+    """The oracle of a manifest's descriptor; ``source`` is the manifest file a replay read.
+
+    A relative path resolves against the manifest's directory. A ``blockmodel`` is
+    generated: ``desc`` gets the sha256 of its int64 edge array when it holds none (a
+    fresh run), and a replay whose graph has another digest is a DataError.
+    """
+    kind = desc["kind"]
+    if kind == "blockmodel":
+        import hashlib   # as in _fingerprint
+        cfg, matrix = _block_model(desc)
+        edges, _labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
+        digest = hashlib.sha256(edges.astype("<i8", copy=False).tobytes()).hexdigest()
+        if desc.get("edges_sha256") is None:
+            desc["edges_sha256"] = digest
+        elif desc["edges_sha256"] != digest:
+            raise DataError(f"{source}: manifest oracle.edges_sha256 differs from the "
+                            f"generated graph's, {digest}: the graph is not the run's")
+        return GraphOracle.from_undirected_edges(edges, n_nodes=cfg.n_nodes)
+    path = _resolve(desc["path"], source.parent if source else Path.cwd())
     if kind == "undirected":
-        edges = sbm.read_edges_tsv(path)
-        return GraphOracle.from_undirected_edges(edges, n_nodes=desc.get("n_nodes"))
+        return GraphOracle.from_undirected_edges(sbm.read_edges_tsv(path))
     if kind == "edgelist":
         return GraphOracle.from_edgelist(path)
     return GraphOracle.from_events(ingest.parse_events(path, fmt=desc.get("format")))
 
 
-def _build_oracle(args) -> tuple[GraphOracle, dict]:
-    """The oracle of the one backing option given, and its manifest descriptor."""
+def _descriptor(args) -> dict:
+    """The manifest descriptor of the one backing option given."""
     picked = [name for name in ("undirected", "edges", "events")
               if getattr(args, name, None)]
     if len(picked) != 1:
         raise ConfigError("pass exactly one of --undirected/--edges/--events")
     # manifests must replay from any directory, so record absolute paths
     if args.undirected:
-        desc = {"kind": "undirected", "path": str(Path(args.undirected).resolve()),
-                "n_nodes": None}
-    elif args.edges:
-        desc = {"kind": "edgelist", "path": str(Path(args.edges).resolve())}
-    else:
-        desc = {"kind": "events", "path": str(Path(args.events).resolve()),
-                "format": args.events_format}
-    return _oracle_from_descriptor(desc, Path.cwd()), desc
+        return {"kind": "undirected", "path": str(Path(args.undirected).resolve())}
+    if args.edges:
+        return {"kind": "edgelist", "path": str(Path(args.edges).resolve())}
+    return {"kind": "events", "path": str(Path(args.events).resolve()),
+            "format": args.events_format}
 
 
 def _read_seed_file(path) -> list[str]:
@@ -267,11 +291,10 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
                str: "string", list: "array", dict: "object"}
-# the JSON types a replayed manifest field may hold; "oracle." names its descriptor
+# the JSON types a replayed manifest field may hold; ORACLE_FIELDS types its descriptor
 _MANIFEST_TYPES = {
     "rng_seed": ("integer",), "weights": ("string",), "seeds": ("array",),
     "budget": ("integer", "null"), "target_size": ("integer", "null"),
-    "oracle.kind": ("string",), "oracle.path": ("string",), "oracle.n_nodes": ("integer", "null"),
 }
 
 
@@ -300,18 +323,27 @@ def _read_manifest(path: Path) -> dict:
     _check_types(path, manifest, _MANIFEST_TYPES)
     if any(_JSON_TYPES[type(s)] not in ("string", "integer") for s in manifest["seeds"]):
         raise DataError(f"{path}: manifest seeds must be strings or integers")
-    if manifest["rng_seed"] < 0:
-        raise DataError(f"{path}: manifest rng_seed is {manifest['rng_seed']}, expected >= 0")
-    n_nodes = _field(manifest, "oracle.n_nodes")
-    if n_nodes is not None and not 0 <= n_nodes < 2 ** 63:   # the int64 range of node ids
-        raise DataError(f"{path}: manifest oracle.n_nodes is {n_nodes}, "
-                        f"expected 0 to 2**63 - 1")
-    for key, allowed in (("strategy", sampler.STRATEGIES), ("tie_break", sampler.TIE_BREAKS),
-                         ("oracle.kind", ORACLE_KINDS)):
-        value = _field(manifest, key, allowed[0])
+    for key, allowed, default in (("strategy", sampler.STRATEGIES, None),
+                                  ("tie_break", sampler.TIE_BREAKS, "ordered"),
+                                  ("oracle.kind", tuple(ORACLE_FIELDS), None)):
+        value = _field(manifest, key, default)
         if value not in allowed:
             raise DataError(f"{path}: manifest {key} is {json.dumps(value)}, "
                             f"expected one of {', '.join(allowed)}")
+    oracle = manifest["oracle"]
+    _check_types(path, manifest, {f"oracle.{name}": allowed
+                                  for name, allowed in ORACLE_FIELDS[oracle["kind"]].items()})
+    for key in ("rng_seed", "oracle.graph_seed"):
+        seed = _field(manifest, key)
+        if seed is not None and seed < 0:
+            raise DataError(f"{path}: manifest {key} is {seed}, expected >= 0")
+    if oracle["kind"] == "blockmodel":
+        if any(_JSON_TYPES[type(s)] != "integer" for s in oracle["sizes"]):
+            raise DataError(f"{path}: manifest oracle.sizes must be integers")
+        try:
+            _block_model(oracle)
+        except (ConfigError, OverflowError) as exc:   # OverflowError: an int beyond float
+            raise DataError(f"{path}: manifest oracle is not a valid blockmodel: {exc}") from None
     return manifest
 
 
@@ -353,11 +385,29 @@ def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) ->
     (out / "run_summary.json").write_text(json.dumps(summary, indent=2))
 
 
-def _execute_sample(manifest: dict, oracle: GraphOracle, weights, out: Path | None):
-    """Run the manifest's sample on ``oracle``; unless ``out`` is None, record it there.
+def _new_manifest(strategy: str, rng_seed: int, weights: str, oracle: dict, seeds: list,
+                  budget: int | None, target_size: int | None = None,
+                  tie_break: str = "ordered", inputs=()) -> dict:
+    """A run's manifest, with the same keys in the same order for every run.
 
-    ``sample`` runs and kept ``sweep`` cells both run and record here. Returns (state, trace).
+    ``oracle`` is the backing's descriptor; ``inputs`` are the files the run reads, each
+    recorded with its size and sha256.
     """
+    return {"strategy": strategy, "rng_seed": rng_seed, "weights": weights, "oracle": oracle,
+            "seeds": seeds, "budget": budget, "target_size": target_size,
+            "tie_break": tie_break, "version": __version__, "numpy": np.__version__,
+            "inputs": {path: _fingerprint(path) for path in inputs}}
+
+
+def _execute_sample(manifest: dict, out: Path | None, source: Path | None = None):
+    """Run the manifest's sample; unless ``out`` is None, record it there.
+
+    ``sample`` runs, their replays and ``sweep`` cells all build their oracle and
+    weights, run and record here; ``source`` is the manifest file a replay read.
+    Returns (state, trace).
+    """
+    oracle = _oracle_from_descriptor(manifest["oracle"], source)
+    weights = _load_weights(manifest["weights"])
     seeds = _coerce_seed_ids(manifest["seeds"], oracle)
     state = sampler.init(seeds, oracle, weights)
     trace = sampler.run(state, manifest["strategy"], steps=manifest["budget"],
@@ -371,39 +421,26 @@ def _execute_sample(manifest: dict, oracle: GraphOracle, weights, out: Path | No
 
 def cmd_sample(args) -> int:
     out = Path(args.out)
-    if args.from_manifest:
-        manifest_path = Path(args.from_manifest)
-        manifest = _read_manifest(manifest_path)
-        _check_inputs(manifest, manifest_path)
-        oracle = _oracle_from_descriptor(manifest["oracle"], manifest_path.parent)
-        weights = _load_weights(manifest["weights"])
+    source = Path(args.from_manifest) if args.from_manifest else None
+    if source:
+        manifest = _read_manifest(source)
+        _check_inputs(manifest, source)
     else:
         if args.strategy not in sampler.STRATEGIES:
             raise ConfigError(f"unknown strategy {args.strategy!r}; "
                               f"expected one of {sampler.STRATEGIES}")
         if args.budget is None and args.target_size is None:
             raise ConfigError("need --budget or --target-size")
-        oracle, descriptor = _build_oracle(args)
+        descriptor = _descriptor(args)
         weights_ref = args.weights
-        weights = _load_weights(weights_ref)
         input_paths = [descriptor["path"]]
         if weights_ref not in ("unit", *SHIPPED_SCHEMES):
             weights_ref = str(Path(weights_ref).resolve())
             input_paths.append(weights_ref)
-        manifest = {
-            "strategy": args.strategy,
-            "rng_seed": args.seed,
-            "weights": weights_ref,
-            "oracle": descriptor,
-            "seeds": _read_seeds(args),
-            "budget": args.budget,
-            "target_size": args.target_size,
-            "tie_break": args.tie_break,
-            "version": __version__,
-            "numpy": np.__version__,
-            "inputs": {path: _fingerprint(path) for path in input_paths},
-        }
-    _state, trace = _execute_sample(manifest, oracle, weights, out)
+        manifest = _new_manifest(args.strategy, args.seed, weights_ref, descriptor,
+                                 _read_seeds(args), args.budget, args.target_size,
+                                 args.tie_break, input_paths)
+    _state, trace = _execute_sample(manifest, out, source)
     print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
           f"({trace.reason}) -> {out}/trace.csv")
     return 0
@@ -461,19 +498,13 @@ def cmd_metrics(args) -> int:
 
 
 def _sweep_cell(payload: dict) -> dict:
-    """One (r, strategy, repeat) cell; module-level for process pools.
-
-    A kept cell's manifest names a blockmodel, not an oracle file, so it does not replay.
-    """
+    """One (r, strategy, repeat) cell, run from its manifest as a replay runs one;
+    module-level for process pools."""
     manifest = payload["manifest"]
-    model = manifest["blockmodel"]
-    cfg = sbm.BlockModelConfig(block_sizes=tuple(model["sizes"]), k_intra=model["k_intra"],
-                               r=model["r"], rng_seed=model["graph_seed"])
-    matrix = sbm.derive_block_matrix(cfg)
-    edges, labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
-    oracle = GraphOracle.from_undirected_edges(edges, n_nodes=len(labels))
+    model = manifest["oracle"]
     run_dir = payload["out_dir"] and Path(payload["out_dir"], payload["name"])
-    state, trace = _execute_sample(manifest, oracle, interactions.UnitWeights(), run_dir)
+    state, trace = _execute_sample(manifest, run_dir)
+    labels = sbm.block_labels(model["sizes"])   # a generated graph's node i has internal id i
     blocks = [int(labels[v]) for v in trace.selected()]
     # a run shorter than the window reports its whole sequence; an empty one reports 0
     purity = metrics.max_window_purity(blocks, min(payload["purity_window"], max(len(blocks), 1)))
@@ -510,7 +541,7 @@ def cmd_sweep(args) -> int:
         if value < least:
             raise ConfigError(f"{option} must be >= {least}, got {value}")
 
-    layout = np.repeat(np.arange(len(args.sizes)), args.sizes)   # every cell's block labels
+    layout = sbm.block_labels(args.sizes)   # every cell's block labels
     cells = []
     for ri, r in enumerate(args.r_list):
         for rep in range(args.repeats):
@@ -518,13 +549,13 @@ def cmd_sweep(args) -> int:
             seeds = sbm.select_seeds(layout, sbm.SeedConfig(seeds_per_block,
                                                             rng_seed=graph_seed + 777))
             for si, strategy in enumerate(strategies):
+                # one descriptor per cell: its run records the edges' sha256 in it
+                model = {"kind": "blockmodel", "sizes": list(args.sizes),
+                         "k_intra": args.k_intra, "r": r, "graph_seed": graph_seed,
+                         "edges_sha256": None}
                 cells.append({
-                    "manifest": {
-                        "strategy": strategy, "rng_seed": graph_seed * 31 + si,
-                        "weights": "unit", "budget": args.budget, "tie_break": "ordered",
-                        "blockmodel": {"sizes": list(args.sizes), "k_intra": args.k_intra,
-                                       "r": r, "graph_seed": graph_seed},
-                        "version": __version__, "numpy": np.__version__, "seeds": seeds},
+                    "manifest": _new_manifest(strategy, graph_seed * 31 + si, "unit", model,
+                                              seeds, args.budget),
                     "repeat": rep, "purity_window": args.purity_window,
                     "name": f"r{r:g}_rep{rep}_{strategy}",
                     "out_dir": args.out if args.keep_runs else None,

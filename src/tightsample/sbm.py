@@ -22,6 +22,8 @@ from .graph import WRITE_CHUNK
 from .util import ConfigError, DataError, read_lines
 
 SEED_SELECTIONS = ("uniform-random", "low-degree", "high-degree")
+CONFIG_KEYS = ("block_sizes", "k_intra", "r", "rng_seed", "seed_counts", "seed_selection",
+               "seed_rng")   # the keys of a config file, as write_config writes them
 
 @dataclass(frozen=True)
 class BlockModelConfig:
@@ -90,6 +92,11 @@ def block_offsets(block_sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(block_sizes)])
 
 
+def block_labels(block_sizes) -> np.ndarray:
+    """The block index of each node, nodes numbered block after block as ``generate`` does."""
+    return np.repeat(np.arange(len(block_sizes)), block_sizes)
+
+
 def _distinct_uniform(rng: np.random.Generator, n_choices: int, m: int) -> np.ndarray:
     """m distinct uniform draws from range(n_choices), as an int64 array."""
     if m > n_choices:
@@ -117,7 +124,7 @@ def generate(matrix: np.ndarray, block_sizes, rng_seed: int):
     rng = np.random.default_rng(rng_seed)
     offsets = block_offsets(sizes).tolist()
     b = len(sizes)
-    labels = np.repeat(np.arange(b), sizes)
+    labels = block_labels(sizes)
     blocks = [np.empty((0, 2), dtype=np.int64)]
 
     for i in range(b):
@@ -248,7 +255,10 @@ def write_config(path, cfg: BlockModelConfig, seed_cfg: SeedConfig | None = None
 
 
 def read_config(path) -> tuple[BlockModelConfig, SeedConfig | None]:
-    """Parse a ``key = value`` config file mirroring the two config types."""
+    """Parse a ``key = value`` config file mirroring the two config types.
+
+    A key outside :data:`CONFIG_KEYS`, or one given twice, is a ConfigError naming its line.
+    """
     fields: dict[str, str] = {}
     for lineno, line in read_lines(path, "config"):
         line = line.strip()
@@ -256,8 +266,13 @@ def read_config(path) -> tuple[BlockModelConfig, SeedConfig | None]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                              f"expected one of {', '.join(CONFIG_KEYS)}")
+        if key in fields:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice")
+        fields[key] = value
     try:
         cfg = BlockModelConfig(
             block_sizes=tuple(int(s) for s in fields["block_sizes"].split(",")),

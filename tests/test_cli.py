@@ -368,6 +368,11 @@ BAD_INPUTS = {
                       "sbm.cfg"),
     "config-nan": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = nan\nr = 4\n", 2,
                    "k_intra=nan"),
+    "config-unknown-key": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = 4\nr = 4\n"
+                           b"seeds_per_block = 1,1\n", 2,
+                           "sbm.cfg:4: unknown key 'seeds_per_block'"),
+    "config-repeated-key": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = 4\nr = 4\nr = 2\n",
+                            2, "sbm.cfg:4: r is set twice"),
     "undirected-utf8": ("undirected.tsv", b"0\t1\n\xff\t2\n", 3, "undirected.tsv:2:"),
     "undirected-int64": ("undirected.tsv", b"0\t1\n1\t9223372036854775808\n", 3,
                          "undirected.tsv:2: node id outside int64"),
@@ -383,6 +388,7 @@ BAD_INPUTS = {
                         "events.csv:2:"),
     "events-csv-field": ("events.csv", EVENTS_HEADER + b"t" * 140_000 + b",a,u,like\n", 3,
                          "events.csv:2:"),
+    "weights-missing": ("weights.csv", None, 3, "weights.csv"),
     "weights-number": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,x,1,1,1,1,1\n", 3,
                        "weights.csv:2:"),
     "weights-nan": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,1,1,1,1,1,nan\n", 3,
@@ -445,17 +451,33 @@ def test_replay_refuses_a_mistyped_manifest_field(small_run, tmp_path, key, valu
     assert str(path) in err and key in err
 
 
-NEGATIVE_SEED_CASES = ("sample", "gen-sbm", "gen-sbm-config", "sweep", "replay")
+def test_replay_accepts_the_null_n_nodes_of_older_manifests(small_run, tmp_path):
+    # every undirected manifest once recorded "n_nodes": null
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    manifest["oracle"]["n_nodes"] = None
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("sample", "--from-manifest", path, "--out", tmp_path / "out") == 0
+    for name in ("trace.csv", "discovered.tsv", "access_log.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (small_run / name).read_bytes(), name
+
+
+NEGATIVE_SEED_CASES = ("sample", "gen-sbm", "gen-sbm-config", "sweep", "replay",
+                       "replay-graph-seed")
 
 
 @pytest.mark.parametrize("case", NEGATIVE_SEED_CASES)
-def test_negative_rng_seed_exits_cleanly(small_run, tmp_path, case):
+def test_negative_rng_seed_exits_cleanly(small_run, kept_cells, tmp_path, case):
     # numpy's generators take only non-negative seeds
     net = small_run.parent / "net"
     config, manifest = tmp_path / "sbm.cfg", tmp_path / "manifest.json"
     config.write_text((net / "sbm.cfg").read_text().replace("rng_seed = 3", "rng_seed = -1"))
     manifest.write_text(json.dumps(
         {**json.loads((small_run / "manifest.json").read_text()), "rng_seed": -1}))
+    cell = json.loads((kept_cells[0] / "manifest.json").read_text())
+    cell["oracle"]["graph_seed"] = -1
+    cell_manifest = tmp_path / "cell.json"
+    cell_manifest.write_text(json.dumps(cell))
     argv, expected, fragments = {
         "sample": (["sample", "--undirected", net / "edges.tsv", "--seeds", "0",
                     "--budget", "5", "--seed", "-1"], 2, ["--seed", "'-1'"]),
@@ -464,6 +486,8 @@ def test_negative_rng_seed_exits_cleanly(small_run, tmp_path, case):
         "sweep": (["sweep", "--sizes", "30x2", "--r-list", "4", "--budget", "5",
                    "--seed", "-1"], 2, ["--seed", "'-1'"]),
         "replay": (["sample", "--from-manifest", manifest], 3, [str(manifest), "rng_seed"]),
+        "replay-graph-seed": (["sample", "--from-manifest", cell_manifest], 3,
+                              [str(cell_manifest), "oracle.graph_seed"]),
     }[case]
     code, err = run_cli_process(*argv, "--out", tmp_path / "out")
     assert code == expected, err
@@ -648,21 +672,26 @@ def test_a_refused_sample_makes_no_run_directory(small_run, tmp_path, argv, expe
 
 @pytest.fixture(scope="module")
 def kept_cells(tmp_path_factory):
-    """Two kept sweep cells, MAS and RO, on 4x50 nodes: 4 seeds and 60 steps each."""
+    """The kept MAS and RO cells of a sweep on 4x50 nodes, 4 seeds and 60 steps each; the
+    sweep keeps a random-pick RS_DW cell beside them."""
     base = tmp_path_factory.mktemp("cells")
-    assert run_cli("sweep", "--sizes", "50x4", "--r-list", "4", "--strategies", "MAS,RO",
+    assert run_cli("sweep", "--sizes", "50x4", "--r-list", "4", "--strategies", "MAS,RO,RS_DW",
                    "--repeats", "1", "--budget", "60", "--out", base / "sweep") == 0
     assert run_cli("gen-sbm", "--sizes", "50x4", "--out", base / "net") == 0  # labels only
     return [base / "sweep" / f"r4_rep0_{s}" for s in ("MAS", "RO")]
 
 
-def test_kept_sweep_cell_is_a_whole_run_directory(kept_cells):
+def test_kept_sweep_cell_is_a_whole_run_directory(kept_cells, small_run):
     cell = kept_cells[0]
     assert sorted(p.name for p in cell.iterdir()) == sorted(
         ("trace.csv", "discovered.tsv", "access_log.csv", "manifest.json", "run_summary.json"))
     manifest = json.loads((cell / "manifest.json").read_text())
     assert manifest["strategy"] == "MAS" and manifest["weights"] == "unit"
-    assert manifest["blockmodel"]["sizes"] == [50] * 4 and "oracle" not in manifest
+    assert list(manifest) == list(json.loads((small_run / "manifest.json").read_text()))
+    assert manifest["target_size"] is None and manifest["inputs"] == {}
+    model = manifest["oracle"]
+    assert model["kind"] == "blockmodel" and model["sizes"] == [50] * 4
+    assert re.fullmatch("[0-9a-f]{64}", model["edges_sha256"]) and "blockmodel" not in manifest
     assert len(manifest["seeds"]) == 4 and all(isinstance(s, int) for s in manifest["seeds"])
     queried = [row[1] for _lineno, row in list(read_csv(cell / "access_log.csv", "log"))[1:]]
     selected = [row[1] for _lineno, row in list(read_csv(cell / "trace.csv", "trace"))[1:]]
@@ -694,12 +723,57 @@ def test_metrics_over_kept_sweep_cells_counts_the_seeds(kept_cells, tmp_path):
     assert sum(int(r["count"]) for r in evolution if r["timestep"] == "0") == 4
 
 
-def test_replay_refuses_a_kept_sweep_cell_manifest(kept_cells, tmp_path):
-    manifest = kept_cells[0] / "manifest.json"
-    code, err = run_cli_process("sample", "--from-manifest", manifest,
-                                "--out", tmp_path / "out")
+@pytest.mark.parametrize("strategy", ["MAS", "RO", "RS_DW"])
+def test_replay_of_a_kept_sweep_cell_reproduces_its_files(kept_cells, tmp_path, strategy):
+    # RO and RS_DW draw from the manifest's rng_seed; RS_DW's draws are weighted picks
+    cell, out = kept_cells[0].parent / f"r4_rep0_{strategy}", tmp_path / "replay"
+    assert run_cli("sample", "--from-manifest", cell / "manifest.json", "--out", out) == 0
+    for name in ("trace.csv", "discovered.tsv", "access_log.csv", "run_summary.json"):
+        assert (out / name).read_bytes() == (cell / name).read_bytes(), name
+
+
+def _edited_cell_manifest(kept_cells, tmp_path, key, value) -> Path:
+    """A copy of the kept MAS cell's manifest whose oracle descriptor has ``key`` = ``value``."""
+    manifest = json.loads((kept_cells[0] / "manifest.json").read_text())
+    manifest["oracle"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+# (blockmodel field, a bad value): a wrong JSON type, or a model the generator refuses
+BAD_BLOCKMODEL_FIELDS = [
+    ("sizes", "50x4"), ("sizes", [50, 50.5, 50, 50]), ("sizes", [50, "50", 50, 50]),
+    ("sizes", [50, True, 50, 50]), ("sizes", [1, 50, 50, 50]), ("sizes", []),
+    ("k_intra", "10"), ("k_intra", None), ("k_intra", 50), ("k_intra", 0),
+    ("r", None), ("r", 0), ("r", -4), ("r", float("nan")), ("r", 10 ** 400),
+    ("sizes", [10 ** 400, 50, 50, 50]),   # integers that no float holds
+    ("graph_seed", 2.5), ("graph_seed", "0"), ("graph_seed", None), ("edges_sha256", 5),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_BLOCKMODEL_FIELDS,
+                         ids=[f"{k}={json.dumps(v)[:20]}" for k, v in BAD_BLOCKMODEL_FIELDS])
+def test_replay_refuses_a_bad_blockmodel_field(kept_cells, tmp_path, key, value):
+    path = _edited_cell_manifest(kept_cells, tmp_path, key, value)
+    code, err = run_cli_process("sample", "--from-manifest", path, "--out", tmp_path / "out")
     assert code == 3, err
-    assert f"{manifest}: not a sample manifest" in err
+    assert "Traceback" not in err
+    assert f"{path}: manifest oracle" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("edges_sha256", "0" * 64), ("r", 4.5),
+                                       ("graph_seed", 1)])
+def test_replay_refuses_a_blockmodel_that_generates_another_graph(kept_cells, tmp_path,
+                                                                   key, value):
+    # a valid model whose edges are not the recorded ones, as after a generator change
+    path = _edited_cell_manifest(kept_cells, tmp_path, key, value)
+    code, err = run_cli_process("sample", "--from-manifest", path, "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"{path}: manifest oracle.edges_sha256 differs" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_json_format(tmp_path, monkeypatch):
