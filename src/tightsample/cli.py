@@ -369,8 +369,7 @@ def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) ->
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv", oracle.ids)
     # the answers to the queried nodes in ascending id are in (target, source) order
-    queried, step = sorted(state.queried), graph.WRITE_CHUNK
-    batches = (oracle.in_edges(queried[i:i + step]) for i in range(0, len(queried), step))
+    batches = oracle.in_edge_batches(sorted(state.queried), graph.WRITE_CHUNK)
     n_edges = graph.write_edge_tsv(batches, out / "discovered.tsv", oracle.ids)
     oracle.write_access_log(out / "access_log.csv")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -541,6 +540,8 @@ def cmd_sweep(args) -> int:
         if value < least:
             raise ConfigError(f"{option} must be >= {least}, got {value}")
 
+    # each configuration is valid before a cell is laid out, each model feasible before one runs
+    models = [sbm.BlockModelConfig(args.sizes, args.k_intra, r, args.seed) for r in args.r_list]
     layout = sbm.block_labels(args.sizes)   # every cell's block labels
     cells = []
     for ri, r in enumerate(args.r_list):
@@ -563,8 +564,8 @@ def cmd_sweep(args) -> int:
     _refuse_duplicates([cell["name"] for cell in cells], "sweep cells",
                        "give each strategy once, and r values that differ "
                        "to 6 significant digits")
-    for r in args.r_list:
-        sbm.derive_block_matrix(sbm.BlockModelConfig(args.sizes, args.k_intra, r, args.seed))
+    for cfg in models:
+        sbm.derive_block_matrix(cfg)
 
     workers = _worker_count(len(cells))
     if workers > 1:

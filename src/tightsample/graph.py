@@ -10,10 +10,10 @@ from array import array
 
 import numpy as np
 
-from .util import ConfigError, DataError, read_csv, read_lines, write_csv
+from .util import ConfigError, DataError, read_csv, read_lines, run_starts, write_csv
 
 EDGE_SELECTORS = ("all", "boundary", "internal")
-WRITE_CHUNK = 8192   # lines per write in write_edge_tsv, nodes per gather of a run record
+WRITE_CHUNK = 8192   # lines per write in write_edge_tsv, about the rows per gather of a run record
 
 
 class IdMap:
@@ -129,11 +129,13 @@ def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
     and dense enough (as internal ids are) that ``target * n + source`` fits in
     int64, ``n`` being one past the largest source id.
     """
-    key = targets * (int(sources.max(initial=-1)) + 1) + sources   # one int64 per pair
+    key = targets * (int(sources.max(initial=-1)) + 1)   # one int64 per pair
+    key += sources
     order = np.lexsort((*minor[::-1], key))
-    key = key[order]
-    # the first row, if any (keys are >= 0), then each row whose key differs from the last
-    return order, np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
+    key.sort()   # key[order], sorted in place
+    starts = run_starts(key)
+    del key
+    return order, np.flatnonzero(starts)
 
 
 def _format_distinct(column: np.ndarray, keys: np.ndarray, fmt) -> np.ndarray:

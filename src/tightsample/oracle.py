@@ -27,11 +27,11 @@ class GraphOracle:
 
     Backings: an in-memory generated graph (undirected edges served in both
     directions), a directed edge-list file, or an engagement-event index,
-    each held as one in-edge CSR. A run's weight table is bound to it once,
-    by :meth:`declare_seeds`, as one float64 weight column in CSR order, beside
-    the int64 event-count column. ``in_neighbors`` is read-only on the
-    backing and safe for concurrent callers; the access log append is
-    lock-protected.
+    each held as one in-edge CSR with one pattern-tuple code per edge. A run's
+    weight table is bound to it once, by :meth:`declare_seeds`, as one float64
+    weight per distinct tuple, beside the event count per tuple; answers gather
+    both through the codes. ``in_neighbors`` is read-only on the backing and
+    safe for concurrent callers; the access log append is lock-protected.
     """
 
     # -- construction --------------------------------------------------
@@ -44,26 +44,38 @@ class GraphOracle:
         edge: ``v``'s in-neighbours are ``_sources[_indptr[v]:_indptr[v + 1]]``,
         ascending. Edge ``i``'s pattern tuple is ``_tuples[_codes[i]]``, each
         distinct tuple held once: ``(PLAIN_EDGE,)`` when ``patterns`` is None,
-        else the rows' patterns in ``tweet_rank`` order.
+        else the rows' patterns in ``tweet_rank`` order. Event counts and the
+        bound weights are per-tuple tables, read through ``_codes``; a plain
+        backing's code column is a zero-stride view of one 0, so every backing
+        keeps one int64 column per edge, ``_sources``. Each temporary is dropped
+        once used, since the build's peak sets the heap that a run keeps.
         """
         kept = targets != sources
-        targets, sources = targets[kept], sources[kept]
-        minor = () if tweet_rank is None else (tweet_rank[kept],)
-        order, edges = in_edge_runs(targets, sources, *minor)
+        if not kept.all():   # copy only to drop a self-loop
+            targets, sources = targets[kept], sources[kept]
+            patterns = None if patterns is None else patterns[kept]
+            tweet_rank = None if tweet_rank is None else tweet_rank[kept]
+        del kept
+        order, edges = in_edge_runs(targets, sources,
+                                    *(() if tweet_rank is None else (tweet_rank,)))
         if patterns is None:
-            self._tuples, self._codes = [(PLAIN_EDGE,)], np.zeros(len(edges), dtype=np.int64)
+            self._tuples = [(PLAIN_EDGE,)]
+            self._codes = np.broadcast_to(np.int64(0), len(edges))
         else:
-            patterns = patterns[kept][order].tolist()
+            patterns = patterns[order].tolist()
             bounds = edges.tolist() + [len(patterns)]
             distinct: dict[tuple, int] = {}
             codes = [distinct.setdefault(tuple(patterns[i:k]), len(distinct))
                      for i, k in zip(bounds, bounds[1:])]
+            del patterns, bounds
             self._tuples, self._codes = list(distinct), np.array(codes, dtype=np.int64)
-        self._event_counts = np.array([len(t) for t in self._tuples], dtype=np.int64)[self._codes]
-        self._weights = np.empty(0)   # bound by declare_seeds
-        edges = order[edges]
-        self._indptr = np.searchsorted(targets[edges], np.arange(len(ids) + 1))
-        self._sources = sources[edges]
+        if len(edges) < len(order):   # some pair has several rows: keep each pair's first
+            order = order[edges]
+        del edges
+        self._event_counts = np.array([len(t) for t in self._tuples], dtype=np.int64)
+        self._weights = np.empty(0)   # per tuple, bound by declare_seeds
+        self._sources = sources[order]
+        self._indptr = np.searchsorted(targets[order], np.arange(len(ids) + 1))
         # one int object per node, shared by all answers: less memory, identity-hit lookups
         self._nodes = np.arange(len(ids)).astype(object)
         self.ids = ids
@@ -80,12 +92,15 @@ class GraphOracle:
         edge, after 0..n_nodes-1 when ``n_nodes`` is given, so node ``i`` of a
         generated graph has internal id ``i``. Repeats and self-loops are dropped.
         """
-        prefix = np.arange(n_nodes or 0, dtype=np.int64)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1)
-        internal, nodes, _first = first_seen(np.concatenate((prefix, edges)))
+        values = np.asarray(edges, dtype=np.int64).reshape(-1)
+        if n_nodes:
+            values = np.concatenate((np.arange(n_nodes, dtype=np.int64), values))
+        internal, nodes, _first = first_seen(values)
+        del values, _first
         ids = IdMap(nodes.tolist())
-        u, v = internal[len(prefix):].reshape(-1, 2).T
-        return cls(ids, np.concatenate((v, u)), np.concatenate((u, v)))
+        # the rows u <- v and v <- u of each edge: targets u, v and sources v, u in turn
+        targets = internal[n_nodes or 0:]
+        return cls(ids, targets, targets.reshape(-1, 2)[:, ::-1].ravel())
 
     @classmethod
     def from_edgelist(cls, path) -> "GraphOracle":
@@ -145,13 +160,13 @@ class GraphOracle:
             internal.append(v)
         weights = UnitWeights() if weights is None else weights
         per_tuple = [weights.event_weight(patterns) for patterns in self._tuples]
-        self._weights = np.array(per_tuple, dtype=np.float64)[self._codes]
+        self._weights = np.array(per_tuple, dtype=np.float64)
         return internal
 
     def in_neighbors(self, v: int):
         """All known in-neighbors of ``v``, each as ``(u, w)``.
 
-        ``w`` is the edge ``u -> v``'s entry in the bound weight column: its
+        ``w`` is the bound weight of the edge ``u -> v``'s pattern tuple: its
         events' weights, summed in tweet-id order. Strictly ascending internal id, which the
         sampler's frontiers rely on, and never ``v`` itself: self-loops are
         dropped at build. ``v`` must be discoverable.
@@ -164,7 +179,12 @@ class GraphOracle:
         i, k = self._indptr[v:v + 2].tolist()
         sources = self._nodes[self._sources[i:k]].tolist()
         self._discoverable.update(sources)
-        return tuple(zip(sources, self._weights[i:k].tolist()))
+        return tuple(zip(sources, self._weights[self._codes[i:k]].tolist()))
+
+    def node(self, v: int) -> int:
+        """Internal id ``v`` as the int object that every answer shares, so a caller
+        that keeps many ids keeps no copies."""
+        return self._nodes[v]
 
     def in_edges(self, nodes):
         """``sources, targets, weights, event_counts`` of the answers to ``nodes``, one
@@ -175,8 +195,20 @@ class GraphOracle:
         sizes = stops - starts
         # answer j's rows run from starts[j]; shift a running index by its offset
         rows = np.repeat(stops - np.cumsum(sizes), sizes) + np.arange(sizes.sum())
+        codes = self._codes[rows]
         return (self._sources[rows], np.repeat(nodes, sizes),
-                self._weights[rows], self._event_counts[rows])
+                self._weights[codes], self._event_counts[codes])
+
+    def in_edge_batches(self, nodes, rows: int):
+        """Yield :meth:`in_edges` of ``nodes`` a run of whole answers at a time, in order:
+        each batch ends with the first answer that brings it to ``rows`` rows or more."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        ends = np.cumsum(self._indptr[nodes + 1] - self._indptr[nodes])
+        cuts = np.searchsorted(ends, np.arange(rows, ends[-1] if len(ends) else 0, rows)) + 1
+        bounds = [0, *cuts.tolist(), len(nodes)]
+        for i, k in zip(bounds, bounds[1:]):
+            if k > i:   # an answer of 2 * rows rows or more spans several cuts
+                yield self.in_edges(nodes[i:k])
 
     # -- audit ----------------------------------------------------------
 

@@ -10,15 +10,18 @@ other strategies are random baselines sharing the same incremental
 bookkeeping.
 
 Both MAS tie-breaks read one structure, the outsiders grouped by exact
-priority with each tie set sorted by ``(disc_time, node)``: the ordered pick
-takes the first key of the top tie set, the random pick draws one.
+priority with each tie set sorted by ``(disc_time, node)``, held as the one int
+``disc_time * n + node`` (``n`` nodes in the oracle, so the ints sort as the
+pairs do): the ordered pick takes the first key of the top tie set, the random
+pick draws one.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +37,7 @@ class FrontierExhausted(RuntimeError):
     """No outsiders remain; the discovered frontier is empty."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     timestep: int
     node: int
@@ -205,7 +208,7 @@ class _Fenwick:
 class _TieBuckets:
     """Outsiders grouped by exact priority, for MAS.
 
-    ``buckets[p]`` holds the ``(disc_time, node)`` keys of the outsiders at
+    ``buckets[p]`` holds the keys ``disc_time * n + node`` of the outsiders at
     priority ``p``, sorted; ``heap`` holds each priority of ``buckets`` once,
     negated. A bucket that empties stays until it reaches the top of the heap,
     where both are dropped, so a priority is in the heap exactly when it is a
@@ -214,13 +217,13 @@ class _TieBuckets:
 
     __slots__ = ("buckets", "heap")
 
-    def __init__(self, outsiders: dict[int, float], disc_time: dict[int, int]):
-        self.buckets: dict[float, list[tuple[int, int]]] = {}
+    def __init__(self, outsiders: dict[int, float], disc_time: dict[int, int], n: int):
+        self.buckets: dict[float, list[int]] = {}
         self.heap: list[float] = []
         for u, p in outsiders.items():
-            self.move((disc_time[u], u), None, p)
+            self.move(disc_time[u] * n + u, None, p)
 
-    def move(self, key: tuple[int, int], old: float | None, new: float | None) -> None:
+    def move(self, key: int, old: float | None, new: float | None) -> None:
         """Move ``key`` from priority ``old`` to ``new``; None is no bucket."""
         if old is not None:
             bucket = self.buckets[old]
@@ -233,7 +236,7 @@ class _TieBuckets:
             else:
                 insort(bucket, key)
 
-    def top(self) -> list[tuple[int, int]]:
+    def top(self) -> list[int]:
         """The bucket of the largest priority; some outsider must remain."""
         heap, buckets = self.heap, self.buckets
         while not buckets[-heap[0]]:
@@ -254,8 +257,9 @@ class SampleState:
     kept up to date step by step:
 
     - ``MAS``: :class:`_TieBuckets`, the outsiders' keys per exact priority;
-      the top bucket is the tie set in ``(disc_time, node)`` order, whose
-      first key is the ordered pick and over which the random pick draws;
+      the top bucket is the tie set in ``(disc_time, node)`` order, keyed
+      ``disc_time * n_ids + node``, whose first key is the ordered pick and
+      over which the random pick draws;
     - ``RO``, ``RS_DU``, ``RS_DW``: ``outsider_set``, the outsiders as an
       O(1)-pick pool;
     - ``RS_DW`` also: :class:`_Fenwick`, prefix sums of the priorities in pool
@@ -272,6 +276,7 @@ class SampleState:
 
     def __init__(self, oracle):
         self.oracle = oracle
+        self.n_ids = len(oracle.ids)              # MAS tie keys are disc_time * n_ids + node
         self.insiders: set[int] = set()           # the sample
         self.queried: list[int] = []              # nodes asked, in query order
         self.outsiders: dict[int, float] = {}     # node -> priority
@@ -295,7 +300,7 @@ class SampleState:
 
     def _tie_buckets(self) -> _TieBuckets:
         if self._buckets is None:
-            self._buckets = _TieBuckets(self.outsiders, self.disc_time)
+            self._buckets = _TieBuckets(self.outsiders, self.disc_time, self.n_ids)
         return self._buckets
 
     @property
@@ -321,7 +326,7 @@ class SampleState:
         new_nodes = 0
         insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
         buckets, pool, tree = self._buckets, self._pool, self._tree
-        staged = self._staged
+        staged, n = self._staged, self.n_ids
         boundary = self.boundary
         answer = self.oracle.in_neighbors(v)
         self.queried.append(v)
@@ -338,7 +343,7 @@ class SampleState:
             outsiders[u] = priority
             boundary += w
             if buckets is not None:
-                buckets.move((disc_time[u], u), old, priority)
+                buckets.move(disc_time[u] * n + u, old, priority)
             if tree is not None:
                 tree.add(pool.index(u), w)
             if staged is not None:
@@ -351,7 +356,7 @@ class SampleState:
         priority = self.outsiders.pop(node)
         self.boundary -= priority
         if self._buckets is not None:
-            self._buckets.move((self.disc_time[node], node), priority, None)
+            self._buckets.move(self.disc_time[node] * self.n_ids + node, priority, None)
         del self.disc_time[node]
         if self._tree is not None:
             self._tree.swap_remove(self._pool.index(node))
@@ -374,7 +379,8 @@ class SampleState:
             raise FrontierExhausted("no outsiders to select")
         if strategy == "MAS":
             tied = self._tie_buckets().top()
-            return tied[0 if tie_break == "ordered" else int(rng.integers(len(tied)))][1]
+            key = tied[0 if tie_break == "ordered" else int(rng.integers(len(tied)))]
+            return self.oracle.node(key % self.n_ids)
         if strategy in ("RO", "RS_DU"):
             return self.outsider_set.pick(rng)
         if strategy == "RS_DW":
@@ -388,14 +394,21 @@ class SampleState:
             return candidates[int(rng.integers(len(candidates)))]
         priorities = [self.outsiders[o] for o in candidates]
         if strategy == "RS_SW":
-            cumulative = np.cumsum(priorities)
-            idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
-            return candidates[min(idx, len(candidates) - 1)]
+            return _weighted_pick(candidates, priorities, rng)
         if tie_break == "random":   # RI_MAS
             top = max(priorities)
             tied = [o for o, p in zip(candidates, priorities) if p == top]
             return tied[int(rng.integers(len(tied)))]
         return min(candidates, key=lambda o: (-self.outsiders[o], self.disc_time[o], o))
+
+
+def _weighted_pick(candidates: list, weights: list[float], rng):
+    """The first candidate whose running weight sum exceeds ``rng.random()`` times
+    the total, the last one at most: a ``cumsum`` and a right ``searchsorted``,
+    without numpy, as the same float additions and comparisons."""
+    cumulative = list(accumulate(weights))
+    return candidates[min(bisect_right(cumulative, rng.random() * cumulative[-1]),
+                          len(candidates) - 1)]
 
 
 def init(seeds, oracle, weights=None) -> SampleState:
@@ -502,7 +515,7 @@ def audit(state: SampleState) -> float:
         worst = max(worst, abs(state._tree.total - state.boundary))
     if state._buckets is not None:
         buckets = state._buckets.buckets
-        fresh = _TieBuckets(state.outsiders, state.disc_time).buckets
+        fresh = _TieBuckets(state.outsiders, state.disc_time, state.n_ids).buckets
         if {p: bucket for p, bucket in buckets.items() if bucket} != fresh \
                 or sorted(state._buckets.heap) != sorted(-p for p in buckets):
             raise AssertionError("tie buckets disagree with the outsiders")

@@ -37,6 +37,9 @@ class BlockModelConfig:
         object.__setattr__(self, "block_sizes", sizes)
         if len(sizes) < 1 or any(s < 2 for s in sizes):
             raise ConfigError("every block needs size >= 2")
+        for s in sizes:   # generate draws each block's node pairs as int64 indices
+            if s * (s - 1) // 2 >= 2**63:
+                raise ConfigError(f"block size {s} has more node pairs than int64 holds")
         if len(sizes) >= 2 and sum(sizes) <= max(sizes):
             raise ConfigError("total size must exceed the largest block")
         if not (self.k_intra > 0) or not (self.r > 0):   # true for NaN too

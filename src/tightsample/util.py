@@ -1,5 +1,5 @@
-"""Shared helpers: error types, input readers, the CSV writer, rounding,
-first-appearance numbering, an O(1)-pick set."""
+"""Shared helpers: error types, input readers, the CSV writer, rounding, run
+starts of a sorted array, first-appearance numbering, an O(1)-pick set."""
 
 from __future__ import annotations
 
@@ -65,6 +65,15 @@ def round_half_up(x: float, ndigits: int = 2) -> float:
     return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """The mask of the positions of the sorted 1-D ``ordered`` where a run of equal
+    values begins: the first position, if any, and each that differs from the last."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 def first_seen(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number ``values`` in order of first appearance, row-major for a 2-D array.
 
@@ -74,11 +83,19 @@ def first_seen(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flattened ``values``, ascending.
     """
     values = np.asarray(values)
-    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    flat = values.reshape(-1)
+    order = np.argsort(flat, kind="stable")   # equal values keep their index order
+    ordered = flat[order]
+    starts = run_starts(ordered)
+    distinct, first = ordered[starts], order[starts]
+    del ordered
+    by_first = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    return rank[inverse].reshape(values.shape), distinct[order], first[order]
+    rank[by_first] = np.arange(len(first))
+    run_lengths = np.diff(np.flatnonzero(np.append(starts, True)))
+    numbers = np.empty(len(flat), dtype=np.int64)
+    numbers[order] = np.repeat(rank, run_lengths)   # from sorted back to input order
+    return numbers.reshape(values.shape), distinct[by_first], first[by_first]
 
 
 class IndexedSet:

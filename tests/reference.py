@@ -181,7 +181,20 @@ def reference_in_edges(oracle, nodes):
     sources = chain.from_iterable(csr_sources[span.start:span.stop] for span in spans)
     return (np.fromiter(sources, np.int64, len(rows)),
             np.repeat(np.array(nodes, dtype=np.int64), sizes),
-            oracle._weights[rows], oracle._event_counts[rows])
+            oracle._weights[oracle._codes[rows]], oracle._event_counts[oracle._codes[rows]])
+
+
+def reference_weighted_pick(candidates, priorities, rng):
+    """The first of ``candidates`` whose running sum of ``priorities`` exceeds
+    ``rng.random()`` times the total, the last one at most: a numpy ``cumsum`` and a
+    right ``searchsorted``, as the RS_DW pick was before the weight tree and the
+    RS_SW pick before ``sampler._weighted_pick``."""
+    weights = np.fromiter((priorities[o] for o in candidates), dtype=float,
+                          count=len(candidates))
+    cumulative = np.cumsum(weights)
+    total = cumulative[-1]
+    idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+    return candidates[min(idx, len(candidates) - 1)]
 
 
 def graph_from_edge_pairs(pairs, weight=1.0, nodes=()):

@@ -644,6 +644,7 @@ def test_sweep_refuses_cells_that_share_a_run_directory(tmp_path, capsys, strate
     ("--seeds-per-block", "31x3"),
     ("--seeds-per-block", "0,0,0"),
     ("--k-intra", "30"),
+    ("--sizes", "1000000000000000000000000000000x2"),   # node pairs beyond int64
 ])
 def test_sweep_checks_its_configuration_before_writing(tmp_path, capsys, option, value):
     argv = {"--sizes": "30x3", "--r-list": "2", "--budget": "20", "--repeats": "1",
@@ -750,10 +751,14 @@ BAD_BLOCKMODEL_FIELDS = [
     ("sizes", [10 ** 400, 50, 50, 50]),   # integers that no float holds
     ("graph_seed", 2.5), ("graph_seed", "0"), ("graph_seed", None), ("edges_sha256", 5),
 ]
+# blocks with more node pairs than int64 holds, named apart: the first 20 characters of
+# the JSON of 10 ** 30 are those of 10 ** 400
+BEYOND_INT64_SIZES = {"sizes=10**30x2": [10 ** 30] * 2, "sizes=2**40x2": [2 ** 40] * 2}
 
 
-@pytest.mark.parametrize("key,value", BAD_BLOCKMODEL_FIELDS,
-                         ids=[f"{k}={json.dumps(v)[:20]}" for k, v in BAD_BLOCKMODEL_FIELDS])
+@pytest.mark.parametrize(
+    "key,value", BAD_BLOCKMODEL_FIELDS + [("sizes", v) for v in BEYOND_INT64_SIZES.values()],
+    ids=[f"{k}={json.dumps(v)[:20]}" for k, v in BAD_BLOCKMODEL_FIELDS] + [*BEYOND_INT64_SIZES])
 def test_replay_refuses_a_bad_blockmodel_field(kept_cells, tmp_path, key, value):
     path = _edited_cell_manifest(kept_cells, tmp_path, key, value)
     code, err = run_cli_process("sample", "--from-manifest", path, "--out", tmp_path / "out")
@@ -936,6 +941,16 @@ def test_gen_sbm_one_block_prints_no_warning(tmp_path):
                                 "--out", tmp_path / "net")
     assert code == 0
     assert err == ""
+
+
+def test_gen_sbm_refuses_a_block_beyond_int64(tmp_path):
+    # generate draws a block's node pairs as int64 indices
+    size = 10 ** 30
+    code, err = run_cli_process("gen-sbm", "--sizes", f"{size}x2", "--out", tmp_path / "net")
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert f"block size {size} " in err, err
+    assert not (tmp_path / "net").exists()
 
 
 @pytest.mark.parametrize("option", ["--k-intra", "--r"])

@@ -12,6 +12,7 @@ from reference import (
     record_appends,
     reference_in_adjacency,
     reference_plain_in_adjacency,
+    reference_weighted_pick,
 )
 from tightsample import interactions as ia
 from tightsample import sampler
@@ -580,16 +581,6 @@ def test_audit_catches_a_tie_bucket_key_at_a_wrong_priority():
 # sublinear selection against the O(n) picks it replaced, and the ordered argmax
 
 
-def reference_weighted_pick(candidates, priorities, rng):
-    """The RS_DW pick before the weight tree: a cumsum over the whole pool."""
-    weights = np.fromiter((priorities[o] for o in candidates), dtype=float,
-                          count=len(candidates))
-    cumulative = np.cumsum(weights)
-    total = cumulative[-1]
-    idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-    return candidates[min(idx, len(candidates) - 1)]
-
-
 def reference_random_tie_pick(state, rng):
     """The random-tie MAS pick before the tie buckets: the whole tie set is
     popped off a heap of ``(-priority, disc_time, node)`` and drawn from."""
@@ -686,6 +677,22 @@ def test_weight_tree_does_not_drift_on_calibrated_weights():
             assert abs(state._tree.total - live) <= 1e-9 * state.boundary
     assert state._tree.cap >= 1024   # grew, and was rebuilt, several times
     assert sampler.audit(state) <= 1e-9 * state.boundary
+
+
+def test_rs_sw_pick_is_the_numpy_pick():
+    # the same running sums and comparisons: equal picks on fractional weights and zeros
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        size = int(rng.integers(1, 12))
+        weights = rng.random(size) * rng.choice([1e-3, 1.0, 7.0, 1e6])
+        weights[rng.random(size) < 0.3] = 0.0
+        if rng.random() < 0.05:
+            weights[:] = 0.0   # every candidate at priority 0: the last is picked
+        candidates = list(range(100, 100 + size))
+        priorities = dict(zip(candidates, weights.tolist()))
+        draws = np.random.default_rng(int(rng.integers(2**32)))
+        expected = reference_weighted_pick(candidates, priorities, copy.deepcopy(draws))
+        assert sampler._weighted_pick(candidates, weights.tolist(), draws) == expected
 
 
 def test_weight_tree_find_is_searchsorted_on_integer_leaves():
