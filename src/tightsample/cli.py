@@ -352,8 +352,9 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
     coerced = []
     for s in seeds:
         digits = s.removeprefix("-") if isinstance(s, str) else ""
-        # one optional '-', then ASCII digits: int() raises on '²', a digit to isdigit()
-        if digits.isascii() and digits.isdigit() and s not in oracle.ids \
+        # one optional '-', then ASCII digits: int() raises on '²', a digit to isdigit(),
+        # and on more than 4,300 digits, while no int64 has more than 19
+        if digits.isascii() and digits.isdigit() and len(digits) <= 19 and s not in oracle.ids \
                 and int(s) in oracle.ids:
             coerced.append(int(s))
         else:
@@ -369,7 +370,7 @@ def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) ->
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv", oracle.ids)
     # the answers to the queried nodes in ascending id are in (target, source) order
-    batches = oracle.in_edge_batches(sorted(state.queried), graph.WRITE_CHUNK)
+    batches = oracle.in_edge_batches(sorted(state.queried))
     n_edges = graph.write_edge_tsv(batches, out / "discovered.tsv", oracle.ids)
     oracle.write_access_log(out / "access_log.csv")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))

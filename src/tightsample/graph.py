@@ -20,11 +20,9 @@ class IdMap:
     """Bijection between external ids and dense internal integers 0..n-1."""
 
     def __init__(self, exts=()):
-        """Intern each of ``exts`` in turn."""
-        self._ext2int: dict = {}
-        self._int2ext: list = []
-        for ext in exts:
-            self.intern(ext)
+        """Intern each of ``exts`` in turn: each distinct one by its first appearance."""
+        self._int2ext: list = list(dict.fromkeys(exts))
+        self._ext2int: dict = dict(zip(self._int2ext, range(len(self._int2ext))))
 
     def intern(self, ext) -> int:
         """Return the internal id for ``ext``, assigning a new one if needed."""

@@ -249,9 +249,9 @@ def write_events_jsonl(path, events: EventTable) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-# Default pattern mix for synthetic corpora: like-heavy with a rare tail,
+# The pattern mix of synthetic corpora: like-heavy with a rare tail,
 # roughly matching observed engagement logs.
-_DEFAULT_MIX = (
+_PATTERN_MIX = (
     ({"like"}, 0.70), ({"retweet"}, 0.09), ({"reply"}, 0.08),
     ({"like", "retweet"}, 0.06), ({"quote"}, 0.03), ({"like", "reply"}, 0.02),
     ({"like", "retweet", "reply"}, 0.01), ({"retweet", "quote"}, 0.005),
@@ -261,11 +261,10 @@ _DEFAULT_MIX = (
 
 
 def synthetic_corpus(rng, n_authors: int = 5, n_interactors: int = 40,
-                     n_tweets: int = 60, n_events: int = 300,
-                     mix=_DEFAULT_MIX) -> EventTable:
+                     n_tweets: int = 60, n_events: int = 300) -> EventTable:
     """Random fixture corpus; deterministic given the numpy Generator state."""
-    patterns = [pattern_of(names) for names, _w in mix]
-    probs = [w for _names, w in mix]
+    patterns = [pattern_of(names) for names, _w in _PATTERN_MIX]
+    probs = [w for _names, w in _PATTERN_MIX]
     total = sum(probs)
     probs = [w / total for w in probs]
     tweet_author = {f"t{k}": f"a{int(rng.integers(n_authors))}" for k in range(n_tweets)}

@@ -2,8 +2,9 @@
 
 Samplers never see the full graph; the only retrieval primitive is
 ``in_neighbors(v)`` for a node that is already discoverable (a declared seed
-or a node returned by an earlier answer). Every query is appended to an
-access log so tests can audit exactly what a sampling run touched.
+or a node returned by an earlier answer), recorded as one flag per node. Every
+query is appended to an access log so tests can audit exactly what a sampling
+run touched.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import threading
 
 import numpy as np
 
+from . import graph
 from .graph import IdMap, in_edge_runs
 from .ingest import EventTable
 from .interactions import PLAIN_EDGE, UnitWeights
@@ -31,7 +33,8 @@ class GraphOracle:
     weight table is bound to it once, by :meth:`declare_seeds`, as one float64
     weight per distinct tuple, beside the event count per tuple; answers gather
     both through the codes. ``in_neighbors`` is read-only on the backing and
-    safe for concurrent callers; the access log append is lock-protected.
+    safe for concurrent callers: it only ever sets reveal flags, one bool per
+    node, and the access log append is lock-protected.
     """
 
     # -- construction --------------------------------------------------
@@ -79,7 +82,7 @@ class GraphOracle:
         # one int object per node, shared by all answers: less memory, identity-hit lookups
         self._nodes = np.arange(len(ids)).astype(object)
         self.ids = ids
-        self._discoverable: set[int] = set()
+        self._revealed = np.zeros(len(ids), dtype=bool)   # seeds and answered nodes
         self._log: list[int] = []
         self._lock = threading.Lock()
 
@@ -155,9 +158,8 @@ class GraphOracle:
         for ext in seed_exts:
             if ext not in self.ids:
                 raise DataError(f"unknown seed: {ext!r}")
-            v = self.ids.resolve(ext)
-            self._discoverable.add(v)
-            internal.append(v)
+            internal.append(self.ids.resolve(ext))
+        self._revealed[internal] = True
         weights = UnitWeights() if weights is None else weights
         per_tuple = [weights.event_weight(patterns) for patterns in self._tuples]
         self._weights = np.array(per_tuple, dtype=np.float64)
@@ -171,15 +173,15 @@ class GraphOracle:
         sampler's frontiers rely on, and never ``v`` itself: self-loops are
         dropped at build. ``v`` must be discoverable.
         """
-        if v not in self._discoverable:
+        if not (0 <= v < len(self._revealed) and self._revealed[v]):
             ext = self.ids.external(v) if 0 <= v < len(self.ids) else v
             raise UnknownNodeError(f"node not discoverable: {ext!r}")
         with self._lock:
             self._log.append(v)
         i, k = self._indptr[v:v + 2].tolist()
-        sources = self._nodes[self._sources[i:k]].tolist()
-        self._discoverable.update(sources)
-        return tuple(zip(sources, self._weights[self._codes[i:k]].tolist()))
+        sources = self._sources[i:k]
+        self._revealed[sources] = True
+        return tuple(zip(self._nodes[sources].tolist(), self._weights[self._codes[i:k]].tolist()))
 
     def node(self, v: int) -> int:
         """Internal id ``v`` as the int object that every answer shares, so a caller
@@ -199,9 +201,11 @@ class GraphOracle:
         return (self._sources[rows], np.repeat(nodes, sizes),
                 self._weights[codes], self._event_counts[codes])
 
-    def in_edge_batches(self, nodes, rows: int):
+    def in_edge_batches(self, nodes):
         """Yield :meth:`in_edges` of ``nodes`` a run of whole answers at a time, in order:
-        each batch ends with the first answer that brings it to ``rows`` rows or more."""
+        each batch ends with the first answer that brings it to
+        :data:`~tightsample.graph.WRITE_CHUNK` rows or more."""
+        rows = graph.WRITE_CHUNK
         nodes = np.asarray(nodes, dtype=np.int64)
         ends = np.cumsum(self._indptr[nodes + 1] - self._indptr[nodes])
         cuts = np.searchsorted(ends, np.arange(rows, ends[-1] if len(ends) else 0, rows)) + 1

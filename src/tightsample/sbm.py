@@ -52,10 +52,6 @@ class BlockModelConfig:
     def n_nodes(self) -> int:
         return sum(self.block_sizes)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_sizes)
-
 
 @dataclass(frozen=True)
 class SeedConfig:

@@ -492,6 +492,18 @@ def reference_read_edges_tsv(path):
     return edges
 
 
+def reference_id_map(exts):
+    """Intern ``exts`` one at a time, the first of equal ids giving the key: the
+    ``(external -> internal, internal -> external)`` pair an ``IdMap`` holds."""
+    ext2int: dict = {}
+    int2ext: list = []
+    for ext in exts:
+        if ext not in ext2int:
+            ext2int[ext] = len(int2ext)
+            int2ext.append(ext)
+    return ext2int, int2ext
+
+
 def reference_first_seen(values):
     """First-appearance numbering by a dict over the row-major values: each value's
     number (shaped like ``values``), the distinct values and their first indices."""

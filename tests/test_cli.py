@@ -496,10 +496,11 @@ def test_negative_rng_seed_exits_cleanly(small_run, kept_cells, tmp_path, case):
 
 
 @pytest.mark.parametrize("source", ["--seeds", "--from-manifest"])
-@pytest.mark.parametrize("token", ["²", "--5"])
+@pytest.mark.parametrize("token", ["²", "--5", pytest.param("1" * 5000, id="5000-digits"),
+                                   pytest.param("-" + "1" * 5000, id="minus-5000-digits")])
 def test_digit_like_seed_that_int_rejects_exits_3(small_run, tmp_path, source, token):
-    # '²'.isdigit() holds and '--5'.lstrip('-') is digits, but int() raises on both:
-    # such a token must stay a string, and an unknown one
+    # '²'.isdigit() holds and '--5'.lstrip('-') is digits, but int() raises on both, and
+    # on more than 4,300 digits: such a token must stay a string, and an unknown one
     if source == "--seeds":
         argv = ["sample", "--undirected", small_run.parent / "net" / "edges.tsv",
                 "--seeds", f"0,{token}", "--budget", "3"]

@@ -2,6 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference import reference_id_map
 
 from tightsample import graph
 from tightsample.graph import (
@@ -25,6 +29,30 @@ def test_idmap_is_dense_bijection():
     assert ids.resolve("y") == 1
     assert "z" not in ids
     assert len(ids) == 2
+
+
+def _assert_id_map_is_the_interning_loop(exts):
+    ids, (ext2int, int2ext) = IdMap(iter(exts)), reference_id_map(exts)
+    # equal ids of other types (1, 1.0, True) share the first one's number and object
+    assert [(type(x), x) for x in map(ids.external, range(len(ids)))] == \
+        [(type(x), x) for x in int2ext]
+    assert [(type(x), x, v) for x, v in ids._ext2int.items()] == \
+        [(type(x), x, v) for x, v in ext2int.items()]
+    assert [ids.resolve(x) for x in exts] == [ext2int[x] for x in exts]
+    assert ids.intern("fresh") == len(int2ext) and ids.external(len(int2ext)) == "fresh"
+
+
+@pytest.mark.parametrize("exts", [[], ["b", "a", "b", "c", "a"], [1, 1.0, True, 2, 2.0, 1],
+                                  [True, 1, 1.0, 0, False, 0.0], [1.0, "1", 1, b"1"],
+                                  [np.int64(3), 3, 3.0, 4]])
+def test_idmap_built_at_once_is_the_interning_loop(exts):
+    _assert_id_map_is_the_interning_loop(exts)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=1),
+                          st.floats(-3, 3).map(round).map(float)), max_size=30))
+def test_idmap_of_mixed_ids_is_the_interning_loop(exts):
+    _assert_id_map_is_the_interning_loop(exts)
 
 
 def _graph(insiders, edges):

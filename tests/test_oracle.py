@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from reference import (
     PatternTags,
     event_rows,
+    make_sbm_oracle,
     reference_in_adjacency,
     reference_in_edges,
     reference_plain_in_adjacency,
 )
 from tightsample import interactions as ia
-from tightsample import sbm
+from tightsample import sampler, sbm
 from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle, UnknownNodeError
 from tightsample.util import DataError
@@ -198,6 +199,43 @@ def test_discovery_expands_through_answers():
     oracle.in_neighbors(0)  # reveals 1
     nbrs = [u for u, _ev in oracle.in_neighbors(1)]
     assert nbrs == [0, 2]
+
+
+def _assert_only_revealed_answer(state):
+    """Every id outside the insiders and outsiders, every negative id down to -len(ids)
+    (which would index a node's flag) and len(ids) are refused with UnknownNodeError,
+    and the refusals log nothing."""
+    oracle, log, n = state.oracle, state.oracle.access_log, len(state.oracle.ids)
+    revealed = state.insiders | state.outsiders.keys()
+    for v in [*range(-n, 0), n, *sorted(set(range(n)) - revealed)]:
+        with pytest.raises(UnknownNodeError, match="not discoverable"):
+            oracle.in_neighbors(v)
+    assert oracle.access_log == log
+
+
+def test_only_seeds_and_answered_nodes_are_discoverable(tmp_path):
+    # the reveal record equals the sample and its frontier, on each backing kind
+    rng = np.random.default_rng(2)
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 60, size=(90, 2))]
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"n{a}\tn{b}\n" for a, b in pairs))
+    corpus = synthetic_corpus(rng, n_authors=10, n_interactors=50, n_tweets=40, n_events=200)
+    blockmodel, seeds, _labels, _edges = make_sbm_oracle((30,) * 3, 3, 2.0, 7)
+    backings = {"blockmodel": (blockmodel, seeds),
+                "edgelist": (GraphOracle.from_edgelist(path), [f"n{pairs[0][1]}"]),
+                "events": (GraphOracle.from_events(corpus), [corpus.users[corpus.author[0]]])}
+
+    def every_fifth_step(state, row):
+        if row.timestep % 5 == 0:
+            _assert_only_revealed_answer(state)
+
+    for kind, (oracle, seed_exts) in backings.items():
+        state = sampler.init(seed_exts, oracle)
+        _assert_only_revealed_answer(state)
+        trace = sampler.run(state, "MAS", steps=40, rng_seed=0, on_step=every_fifth_step)
+        _assert_only_revealed_answer(state)
+        assert len(trace.rows) >= 5, kind
+        assert len(state.insiders | state.outsiders.keys()) < len(oracle.ids), kind
 
 
 def test_unknown_seed_named_in_error():
