@@ -375,8 +375,8 @@ def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) ->
     oracle.write_access_log(out / "access_log.csv")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     summary = {
-        "insiders": len(state.insiders),
-        "discovered_nodes": len(state.insiders) + len(state.outsiders),
+        "insiders": state.n_insiders,
+        "discovered_nodes": state.n_insiders + len(state.outsiders),
         "discovered_edges": n_edges,
         "init_boundary": trace.init_boundary,
         "final_boundary": state.boundary,
@@ -409,7 +409,10 @@ def _execute_sample(manifest: dict, out: Path | None, source: Path | None = None
     oracle = _oracle_from_descriptor(manifest["oracle"], source)
     weights = _load_weights(manifest["weights"])
     seeds = _coerce_seed_ids(manifest["seeds"], oracle)
-    state = sampler.init(seeds, oracle, weights)
+    try:
+        state = sampler.init(seeds, oracle, weights)
+    except OverflowError as exc:   # weights whose total edge weight is not finite
+        raise DataError(f"{manifest['weights']}: {exc}") from None
     trace = sampler.run(state, manifest["strategy"], steps=manifest["budget"],
                         target_size=manifest.get("target_size"),
                         rng_seed=manifest["rng_seed"],
@@ -441,7 +444,7 @@ def cmd_sample(args) -> int:
                                  _read_seeds(args), args.budget, args.target_size,
                                  args.tie_break, input_paths)
     _state, trace = _execute_sample(manifest, out, source)
-    print(f"{manifest['strategy']}: {len(trace.rows)} timesteps "
+    print(f"{manifest['strategy']}: {len(trace)} timesteps "
           f"({trace.reason}) -> {out}/trace.csv")
     return 0
 
@@ -458,8 +461,8 @@ def _load_run(run_dir: Path):
     _check_types(summary_path, summary, {"init_boundary": ("integer", "number")}, "run summary")
     g, ids = graph.read_edge_tsv(run_dir / "discovered.tsv")
     seeds = [ids.intern(str(s)) for s in manifest["seeds"]]
-    trace = sampler.SampleTrace(manifest["strategy"], tuple(seeds), summary["init_boundary"],
-                                sampler.SampleTrace.read_rows(run_dir / "trace.csv", ids))
+    trace = sampler.SampleTrace.read_csv(run_dir / "trace.csv", ids, manifest["strategy"],
+                                         seeds, summary["init_boundary"])
     return trace, g, ids
 
 
@@ -511,7 +514,7 @@ def _sweep_cell(payload: dict) -> dict:
     return {
         "r": model["r"], "strategy": manifest["strategy"],
         "repeat": payload["repeat"], "run_seed": manifest["rng_seed"],
-        "steps": len(trace.rows), "insiders": trace.final_size(),
+        "steps": len(trace), "insiders": trace.final_size(),
         "final_boundary": state.boundary,
         "max_window_purity": purity,
     }

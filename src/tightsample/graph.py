@@ -13,7 +13,10 @@ import numpy as np
 from .util import ConfigError, DataError, read_csv, read_lines, run_starts, write_csv
 
 EDGE_SELECTORS = ("all", "boundary", "internal")
-WRITE_CHUNK = 8192   # lines per write in write_edge_tsv, about the rows per gather of a run record
+# lines per write in write_columns, and about the rows per gather of a run record: a
+# chunk's field strings and pointer arrays, some 0.5 KB a trace line, set the peak
+# of a run's writes, and fewer lines per write cost more per line
+WRITE_CHUNK = 4096
 
 
 class IdMap:
@@ -122,18 +125,17 @@ def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
 def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
     """Sort edge rows by (target, source, *minor) and cut them into edges.
 
-    Returns the stable row order and ``edges``, the positions in it where the
-    run of rows of each (target, source) pair begins. Ids must be non-negative,
-    and dense enough (as internal ids are) that ``target * n + source`` fits in
+    Returns the stable row order and ``starts``, the mask over it of the rows that
+    begin the run of rows of each (target, source) pair. Ids must be non-negative
+    ints, and dense enough (as internal ids are) that ``target * n + source`` fits in
     int64, ``n`` being one past the largest source id.
     """
-    key = targets * (int(sources.max(initial=-1)) + 1)   # one int64 per pair
+    key = targets.astype(np.int64)   # one int64 per pair
+    key *= int(sources.max(initial=-1)) + 1
     key += sources
     order = np.lexsort((*minor[::-1], key))
     key.sort()   # key[order], sorted in place
-    starts = run_starts(key)
-    del key
-    return order, np.flatnonzero(starts)
+    return order, run_starts(key)
 
 
 def _format_distinct(column: np.ndarray, keys: np.ndarray, fmt) -> np.ndarray:
@@ -142,26 +144,76 @@ def _format_distinct(column: np.ndarray, keys: np.ndarray, fmt) -> np.ndarray:
     return np.array([fmt(value) for value in column[first].tolist()], dtype=object)[inverse]
 
 
+def format_floats(column: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64, once per distinct bit pattern (so ``-0.0`` keeps its sign)."""
+    return _format_distinct(column, column.view(np.int64), repr)
+
+
+def format_ints(column: np.ndarray) -> np.ndarray:
+    """``str`` of each int, once per distinct value."""
+    return _format_distinct(column, column, str)
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted, its quotes doubled, when it
+    holds a comma, a quote, a CR or an LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def format_ids(ids: IdMap, field=str, keep: bool = False):
+    """A column format: ``field(str(ext))`` of each internal id's external id, built
+    once per distinct id of a chunk; with ``keep``, once per distinct id of the whole
+    write, each string kept to its end (for ids that recur from chunk to chunk)."""
+    if not keep:
+        return lambda column: _format_distinct(
+            column, column, lambda v: field(str(ids.external(v))))
+    names = np.empty(len(ids), dtype=object)
+    done = np.zeros(len(ids), dtype=bool)
+
+    def fmt(column):
+        todo = np.unique(column[~done[column]])
+        names[todo] = [field(str(ids.external(v))) for v in todo.tolist()]
+        done[todo] = True
+        return names[column]
+    return fmt
+
+
+def write_columns(path, chunks, formats, header=(), sep: str = "\t", end: str = "\n") -> int:
+    """Write the fields of ``header`` (no line if empty), then the rows of ``chunks``;
+    returns the row count.
+
+    ``chunks`` yields tuples of equal-length numpy columns, rows already in line order;
+    ``formats`` holds one function per column, mapping a slice of it to an object array
+    of field strings. Rows are formatted column by column and written
+    :data:`WRITE_CHUNK` at a time, one ``%``-format per write. With a comma, CRLF line
+    ends and :func:`csv_field` on the text columns, the bytes are ``csv.writer``'s.
+    """
+    line = sep.join(["%s"] * len(formats)) + end
+    written = 0
+    with open(path, "w", newline="") as fh:
+        if header:
+            fh.write(sep.join(header) + end)
+        for chunk in chunks:
+            for start in range(0, len(chunk[0]), WRITE_CHUNK):
+                table = np.column_stack([fmt(column[start:start + WRITE_CHUNK])
+                                         for fmt, column in zip(formats, chunk)])
+                fh.write(line * len(table) % tuple(table.ravel().tolist()))
+                written += len(table)
+    return written
+
+
 def write_edge_tsv(chunks, path, ids: IdMap) -> int:
     """TSV export ``source target weight n_events``; returns the number of lines.
 
     ``chunks`` yields ``(sources, targets, weights, event_counts)`` columns,
-    already in line order. Lines are formatted column by column and written
-    :data:`WRITE_CHUNK` at a time: one ``str`` per node id, built once, and per
-    chunk one ``repr`` per distinct weight (by bit pattern, so ``-0.0`` keeps
-    its sign) and one ``str`` per distinct event count.
+    already in line order, written by :func:`write_columns`: one ``str`` per node
+    id that the file holds, and per chunk one ``repr`` per distinct weight (by bit
+    pattern) and one ``str`` per distinct event count.
     """
-    names = np.fromiter(map(str, map(ids.external, range(len(ids)))), object, len(ids))
-    written = 0
-    with open(path, "w", newline="") as fh:
-        for chunk in chunks:
-            for start in range(0, len(chunk[0]), WRITE_CHUNK):
-                s, t, w, n = (column[start:start + WRITE_CHUNK] for column in chunk)
-                table = np.column_stack((names[s], names[t], _format_distinct(
-                    w, w.view(np.int64), repr), _format_distinct(n, n, str)))
-                fh.write("%s\t%s\t%s\t%s\n" * len(table) % tuple(table.ravel().tolist()))
-                written += len(table)
-    return written
+    node = format_ids(ids, keep=True)
+    return write_columns(path, chunks, (node, node, format_floats, format_ints))
 
 
 def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
@@ -187,8 +239,8 @@ def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
         counts.append(n_events)
     g = DiscoveredGraph()
     g.add_events(sources, targets, weights, counts)
-    order, edges = in_edge_runs(g.targets, g.sources)
-    repeats = np.delete(order, edges)   # every row of a pair but its first
+    order, starts = in_edge_runs(g.targets, g.sources)
+    repeats = order[~starts]   # every row of a pair but its first
     if repeats.size:
         row = int(repeats.min())   # every line is one row
         raise DataError(f"{path}:{row + 1}: repeats the edge "

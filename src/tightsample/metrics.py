@@ -119,6 +119,10 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
     words = max(1, min(-(-n // 64), BFS_BLOCK_BYTES // (8 * max(n, m))))
     total = 0
     pairs = 0
+    # the frontier rows of the edge sources and the seen rows of the heads, gathered
+    # into the same two buffers at every level
+    gathered = np.empty((m, words), dtype=np.uint64)
+    unseen = np.empty((len(heads), words), dtype=np.uint64)
     # an edgeless graph has no segments for reduceat and no reachable pairs
     for base in range(0, n if m else 0, 64 * words):
         width = min(64 * words, n - base)
@@ -128,8 +132,9 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
             np.uint64(1), (own % 64).astype(np.uint64))
         seen = frontier.copy()
         for level in count(1):
-            reached = np.bitwise_or.reduceat(frontier[sources], starts, axis=0)
-            reached &= ~seen[heads]
+            reached = np.bitwise_or.reduceat(np.take(frontier, sources, axis=0, out=gathered),
+                                             starts, axis=0)
+            reached &= np.invert(np.take(seen, heads, axis=0, out=unseen), out=unseen)
             new = int(np.bitwise_count(reached).sum(dtype=np.int64))
             if not new:
                 break

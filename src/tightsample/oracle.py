@@ -9,6 +9,7 @@ run touched.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import graph
 from .graph import IdMap, in_edge_runs
 from .ingest import EventTable
 from .interactions import PLAIN_EDGE, UnitWeights
-from .util import DataError, first_seen, read_lines, write_csv
+from .util import DataError, first_seen, id_dtype, read_lines
 
 
 class UnknownNodeError(DataError):
@@ -47,11 +48,12 @@ class GraphOracle:
         edge: ``v``'s in-neighbours are ``_sources[_indptr[v]:_indptr[v + 1]]``,
         ascending. Edge ``i``'s pattern tuple is ``_tuples[_codes[i]]``, each
         distinct tuple held once: ``(PLAIN_EDGE,)`` when ``patterns`` is None,
-        else the rows' patterns in ``tweet_rank`` order. Event counts and the
-        bound weights are per-tuple tables, read through ``_codes``; a plain
-        backing's code column is a zero-stride view of one 0, so every backing
-        keeps one int64 column per edge, ``_sources``. Each temporary is dropped
-        once used, since the build's peak sets the heap that a run keeps.
+        else the rows' patterns in ``tweet_rank`` order. Event counts, edge counts
+        and the bound weights are per-tuple tables, read through ``_codes``; a plain
+        backing's code column is a zero-stride view of one 0, so every backing keeps
+        one column per edge, ``_sources``, in the dtype of the ids given (int32 from
+        :func:`~tightsample.util.first_seen`). Each temporary is dropped once used,
+        since the build's peak sets the heap that a run keeps.
         """
         kept = targets != sources
         if not kept.all():   # copy only to drop a self-loop
@@ -59,26 +61,34 @@ class GraphOracle:
             patterns = None if patterns is None else patterns[kept]
             tweet_rank = None if tweet_rank is None else tweet_rank[kept]
         del kept
-        order, edges = in_edge_runs(targets, sources,
-                                    *(() if tweet_rank is None else (tweet_rank,)))
+        order, starts = in_edge_runs(targets, sources,
+                                     *(() if tweet_rank is None else (tweet_rank,)))
+        del tweet_rank
         if patterns is None:
             self._tuples = [(PLAIN_EDGE,)]
-            self._codes = np.broadcast_to(np.int64(0), len(edges))
+            self._codes = np.broadcast_to(np.int64(0), np.count_nonzero(starts))
+            self._tuple_edges = np.array([len(self._codes)])
         else:
             patterns = patterns[order].tolist()
-            bounds = edges.tolist() + [len(patterns)]
+            bounds = np.flatnonzero(starts).tolist() + [len(patterns)]
             distinct: dict[tuple, int] = {}
             codes = [distinct.setdefault(tuple(patterns[i:k]), len(distinct))
                      for i, k in zip(bounds, bounds[1:])]
             del patterns, bounds
             self._tuples, self._codes = list(distinct), np.array(codes, dtype=np.int64)
-        if len(edges) < len(order):   # some pair has several rows: keep each pair's first
-            order = order[edges]
-        del edges
+            self._tuple_edges = np.bincount(self._codes, minlength=len(self._tuples))
+            del codes
+        if not starts.all():   # some pair has several rows: keep each pair's first
+            order = order[starts]
+        del starts
         self._event_counts = np.array([len(t) for t in self._tuples], dtype=np.int64)
         self._weights = np.empty(0)   # per tuple, bound by declare_seeds
         self._sources = sources[order]
-        self._indptr = np.searchsorted(targets[order], np.arange(len(ids) + 1))
+        del sources
+        self._indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets if len(order) == len(targets) else targets[order],
+                              minlength=len(ids)), out=self._indptr[1:])
+        del order
         # one int object per node, shared by all answers: less memory, identity-hit lookups
         self._nodes = np.arange(len(ids)).astype(object)
         self.ids = ids
@@ -96,13 +106,16 @@ class GraphOracle:
         generated graph has internal id ``i``. Repeats and self-loops are dropped.
         """
         values = np.asarray(edges, dtype=np.int64).reshape(-1)
+        del edges
         if n_nodes:
             values = np.concatenate((np.arange(n_nodes, dtype=np.int64), values))
-        internal, nodes, _first = first_seen(values)
+        internal, nodes, _first = first_seen(values, id_dtype(values.size))
         del values, _first
         ids = IdMap(nodes.tolist())
+        del nodes
         # the rows u <- v and v <- u of each edge: targets u, v and sources v, u in turn
         targets = internal[n_nodes or 0:]
+        del internal
         return cls(ids, targets, targets.reshape(-1, 2)[:, ::-1].ravel())
 
     @classmethod
@@ -122,7 +135,7 @@ class GraphOracle:
             if not parts[0] or not parts[1]:
                 raise DataError(f"{path}:{lineno}: empty node id")
             codes += ids.intern(parts[0]), ids.intern(parts[1])
-        codes = np.array(codes, dtype=np.int64)
+        codes = np.array(codes, dtype=id_dtype(len(ids)))
         return cls(ids, codes[1::2], codes[0::2])
 
     @classmethod
@@ -137,7 +150,9 @@ class GraphOracle:
         appearance, author before interactor, event by event.
         """
         # users numbered by first appearance in the interleaved (author, interactor)
-        internal, codes, _first = first_seen(np.column_stack((events.author, events.interactor)))
+        pairs = np.column_stack((events.author, events.interactor))
+        internal, codes, _first = first_seen(pairs, id_dtype(pairs.size))
+        del pairs
         ids = IdMap(events.users[code] for code in codes.tolist())
         # each tweet's rank among the ids as strings: the inverse of their sorting permutation
         ranks = np.argsort(sorted(range(len(events.tweets)), key=events.tweets.__getitem__))
@@ -152,17 +167,25 @@ class GraphOracle:
         :class:`~tightsample.interactions.UnitWeights`) is bound for the run
         that starts here: each edge weighs ``weights.event_weight`` of its
         pattern tuple, called once per distinct tuple, so a pattern the table
-        lacks warns now, whether or not its edges are ever queried.
+        lacks warns now, whether or not its edges are ever queried. Weights are
+        >= 0, so every priority and boundary of the run is at most the total edge
+        weight: a binding whose total is not finite raises OverflowError, and an
+        unknown seed DataError, before anything is revealed or bound.
         """
         internal = []
         for ext in seed_exts:
             if ext not in self.ids:
                 raise DataError(f"unknown seed: {ext!r}")
             internal.append(self.ids.resolve(ext))
-        self._revealed[internal] = True
         weights = UnitWeights() if weights is None else weights
-        per_tuple = [weights.event_weight(patterns) for patterns in self._tuples]
-        self._weights = np.array(per_tuple, dtype=np.float64)
+        per_tuple = np.array([weights.event_weight(patterns) for patterns in self._tuples],
+                             dtype=np.float64)
+        total = float(self._tuple_edges @ per_tuple)
+        if not math.isfinite(total):
+            raise OverflowError(f"the edges' total weight is {total!r}: "
+                                f"the weights sum beyond the float range")
+        self._revealed[internal] = True
+        self._weights = per_tuple
         return internal
 
     def in_neighbors(self, v: int):
@@ -179,7 +202,7 @@ class GraphOracle:
         with self._lock:
             self._log.append(v)
         i, k = self._indptr[v:v + 2].tolist()
-        sources = self._sources[i:k]
+        sources = self._sources[i:k].astype(np.intp, copy=False)   # one cast, two gathers
         self._revealed[sources] = True
         return tuple(zip(self._nodes[sources].tolist(), self._weights[self._codes[i:k]].tolist()))
 
@@ -188,17 +211,22 @@ class GraphOracle:
         that keeps many ids keeps no copies."""
         return self._nodes[v]
 
+    def in_degrees(self, nodes) -> np.ndarray:
+        """The answer size of each of ``nodes``, as an int64 array."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        return self._indptr[nodes + 1] - self._indptr[nodes]
+
     def in_edges(self, nodes):
         """``sources, targets, weights, event_counts`` of the answers to ``nodes``, one
         after another, as the columns ``DiscoveredGraph.add_events`` takes; unlike
         :meth:`in_neighbors`, logs and reveals nothing."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        starts, stops = self._indptr[nodes], self._indptr[nodes + 1]
-        sizes = stops - starts
-        # answer j's rows run from starts[j]; shift a running index by its offset
-        rows = np.repeat(stops - np.cumsum(sizes), sizes) + np.arange(sizes.sum())
+        sizes = self.in_degrees(nodes)
+        # answer j's rows run from _indptr[nodes[j]]; shift a running index by its offset
+        rows = np.repeat(self._indptr[nodes + 1] - np.cumsum(sizes), sizes) \
+            + np.arange(sizes.sum())
         codes = self._codes[rows]
-        return (self._sources[rows], np.repeat(nodes, sizes),
+        return (self._sources[rows].astype(np.int64), np.repeat(nodes, sizes),
                 self._weights[codes], self._event_counts[codes])
 
     def in_edge_batches(self, nodes):
@@ -207,7 +235,7 @@ class GraphOracle:
         :data:`~tightsample.graph.WRITE_CHUNK` rows or more."""
         rows = graph.WRITE_CHUNK
         nodes = np.asarray(nodes, dtype=np.int64)
-        ends = np.cumsum(self._indptr[nodes + 1] - self._indptr[nodes])
+        ends = np.cumsum(self.in_degrees(nodes))
         cuts = np.searchsorted(ends, np.arange(rows, ends[-1] if len(ends) else 0, rows)) + 1
         bounds = [0, *cuts.tolist(), len(nodes)]
         for i, k in zip(bounds, bounds[1:]):
@@ -221,5 +249,8 @@ class GraphOracle:
         return tuple(self._log)
 
     def write_access_log(self, path) -> None:
-        write_csv(path, ["step", "node_ext_id"],
-                  ((step, self.ids.external(v)) for step, v in enumerate(self._log, 1)))
+        """``step,node_ext_id`` per query, in ``csv.writer``'s bytes."""
+        log = np.array(self._log, dtype=np.int64)
+        graph.write_columns(path, [(np.arange(1, len(log) + 1), log)],
+                            (graph.format_ints, graph.format_ids(self.ids, graph.csv_field)),
+                            ("step", "node_ext_id"), ",", "\r\n")

@@ -19,14 +19,16 @@ pick draws one.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
+from . import graph
 from .graph import DiscoveredGraph, IdMap
-from .util import ConfigError, DataError, IndexedSet, read_csv, write_csv
+from .util import ConfigError, DataError, IndexedSet, read_csv
 
 STRATEGIES = ("MAS", "RI_MAS", "RO", "RI_RO", "RS_DU", "RS_DW", "RS_SU", "RS_SW")
 TIE_BREAKS = ("ordered", "random")   # the first is the default
@@ -39,6 +41,8 @@ class FrontierExhausted(RuntimeError):
 
 @dataclass(slots=True)
 class TraceRow:
+    """One timestep of a run, as :func:`step` returns it."""
+
     timestep: int
     node: int
     priority: float
@@ -47,54 +51,90 @@ class TraceRow:
     new_edges: int
 
 
-@dataclass
 class SampleTrace:
-    """Per-timestep record of one sampling run."""
+    """Per-timestep record of one sampling run, held as columns.
 
-    strategy: str
-    seeds: tuple[int, ...]
-    init_boundary: float
-    rows: list[TraceRow] = field(default_factory=list)
-    reason: str | None = None
+    Row ``i`` is timestep ``start + 1 + i``: ``nodes[i]`` was selected at
+    ``priority[i]``, leaving the boundary at ``boundary[i]``, and the answer to it
+    held ``new_edges[i]`` edges and ``new_nodes[i]`` newly discovered nodes. A
+    :func:`run` appends ``priority``, ``boundary`` and ``new_nodes`` step by step,
+    and when it ends takes ``nodes`` from the state's query order and ``new_edges``
+    from the oracle's in-degrees. ``rows`` (TraceRows) fills the columns.
+    """
+
+    def __init__(self, strategy: str, seeds, init_boundary: float, rows=(),
+                 reason: str | None = None):
+        rows = list(rows)
+        self.strategy, self.seeds, self.init_boundary = strategy, tuple(seeds), init_boundary
+        self.reason = reason
+        self.start = rows[0].timestep - 1 if rows else 0
+        self.nodes: list[int] = [r.node for r in rows]
+        self.priority = array("d", [r.priority for r in rows])
+        self.boundary = array("d", [r.boundary for r in rows])
+        self.new_nodes = array("q", [r.new_nodes for r in rows])
+        self.new_edges = array("q", [r.new_edges for r in rows])
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        """The columns as one new :class:`TraceRow` per timestep."""
+        return list(map(TraceRow, range(self.start + 1, self.start + 1 + len(self)), self.nodes,
+                        self.priority, self.boundary, self.new_nodes, self.new_edges))
 
     def selected(self) -> list[int]:
-        return [row.node for row in self.rows]
+        return list(self.nodes)
 
     def boundary_series(self) -> list[float]:
         """Boundary value per timestep, index 0 = state after seeding."""
-        return [self.init_boundary] + [row.boundary for row in self.rows]
+        return [self.init_boundary, *self.boundary]
 
     def final_size(self) -> int:
-        return len(self.seeds) + len(self.rows)
+        return len(self.seeds) + len(self)
 
     def insiders_at(self, size: int) -> list[int]:
         """The first ``size`` insiders in inclusion order (seeds first)."""
         if size < len(self.seeds):
             raise ConfigError("size smaller than the seed set")
-        return list(self.seeds) + [r.node for r in self.rows[:size - len(self.seeds)]]
+        return [*self.seeds, *self.nodes[:size - len(self.seeds)]]
 
     def write_csv(self, path, ids: IdMap) -> None:
-        write_csv(path, TRACE_COLUMNS,
-                  ([r.timestep, ids.external(r.node), r.priority, r.boundary,
-                    r.new_nodes, r.new_edges] for r in self.rows))
+        """``trace.csv``, in ``csv.writer``'s bytes."""
+        columns = (np.arange(self.start + 1, self.start + 1 + len(self)),
+                   np.array(self.nodes, dtype=np.int64),
+                   *(np.frombuffer(column, dtype=dtype) for column, dtype in (
+                       (self.priority, np.float64), (self.boundary, np.float64),
+                       (self.new_nodes, np.int64), (self.new_edges, np.int64))))
+        graph.write_columns(path, [columns],
+                            (graph.format_ints, graph.format_ids(ids, graph.csv_field),
+                             graph.format_floats, graph.format_floats,
+                             graph.format_ints, graph.format_ints),
+                            TRACE_COLUMNS, ",", "\r\n")
 
-    @staticmethod
-    def read_rows(path, ids: IdMap) -> list[TraceRow]:
-        """The rows of a :meth:`write_csv` file, nodes interned into ``ids``; DataError if bad."""
+    @classmethod
+    def read_csv(cls, path, ids: IdMap, strategy: str, seeds,
+                 init_boundary: float) -> "SampleTrace":
+        """The trace of a :meth:`write_csv` file, nodes interned into ``ids``; DataError
+        if a row is bad. Each record's fields go straight to the columns."""
+        trace = cls(strategy, seeds, init_boundary)
         lines = read_csv(path, "trace")
         _lineno, header = next(lines, (0, []))
-        rows = []
+        columns = (trace.nodes, trace.priority, trace.boundary, trace.new_nodes, trace.new_edges)
         for lineno, fields in lines:
             row = dict(zip(header, fields))
             try:
-                rows.append(TraceRow(
-                    int(row["timestep"]), ids.intern(row["node_ext_id"]),
-                    float(row["priority"]), float(row["boundary"]),
-                    int(row["new_nodes"]), int(row["new_edges"])))
-            except (KeyError, ValueError) as exc:
+                timestep = int(row["timestep"])
+                values = (ids.intern(row["node_ext_id"]), float(row["priority"]),
+                          float(row["boundary"]), int(row["new_nodes"]), int(row["new_edges"]))
+                for column, value in zip(columns, values):
+                    column.append(value)
+            except (KeyError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed trace row "
                                 f"({type(exc).__name__}: {exc})") from None
-        return rows
+            if len(trace) == 1:
+                trace.start = timestep - 1
+        return trace
 
 
 class _Staged:
@@ -217,7 +257,7 @@ class _TieBuckets:
 
     __slots__ = ("buckets", "heap")
 
-    def __init__(self, outsiders: dict[int, float], disc_time: dict[int, int], n: int):
+    def __init__(self, outsiders: dict[int, float], disc_time, n: int):
         self.buckets: dict[float, list[int]] = {}
         self.heap: list[float] = []
         for u, p in outsiders.items():
@@ -247,12 +287,13 @@ class _TieBuckets:
 class SampleState:
     """Mutable sampling state; confine one instance to one thread.
 
-    The core, read by every strategy: the insiders, the outsiders'
-    priorities in discovery order, their discovery timesteps, the boundary and
-    the queried nodes in query order. The state keeps no edge and no weight:
-    each read of ``discovered`` builds the graph from the oracle's answers to
-    the queried nodes (``GraphOracle.in_edges``, weights as bound at ``init``),
-    sharing the insider set. Each strategy family's selector
+    The core, read by every strategy: the insiders as one flag per node and a
+    count, the outsiders' priorities in discovery order, each node's discovery
+    timestep (one slot per node), the boundary and the queried nodes in query
+    order. The state keeps no edge and no weight: each read of ``discovered``
+    builds the graph from the oracle's answers to the queried nodes
+    (``GraphOracle.in_edges``, weights as bound at ``init``), and each read of
+    ``insiders`` builds a set from the flags. Each strategy family's selector
     state is built from the core on the first ``select`` that needs it, then
     kept up to date step by step:
 
@@ -277,10 +318,11 @@ class SampleState:
     def __init__(self, oracle):
         self.oracle = oracle
         self.n_ids = len(oracle.ids)              # MAS tie keys are disc_time * n_ids + node
-        self.insiders: set[int] = set()           # the sample
+        self._inside = bytearray(self.n_ids)      # 1 for an insider: the sample
+        self.n_insiders = 0
         self.queried: list[int] = []              # nodes asked, in query order
         self.outsiders: dict[int, float] = {}     # node -> priority
-        self.disc_time: dict[int, int] = {}       # outsider -> discovery timestep
+        self.disc_time = array("q", bytes(8 * self.n_ids))   # node -> discovery timestep
         self.boundary = 0.0
         self.timestep = 0
         self.seeds: tuple[int, ...] = ()
@@ -288,6 +330,11 @@ class SampleState:
         self._pool: IndexedSet | None = None
         self._tree: _Fenwick | None = None
         self._staged: _Staged | None = None
+
+    @property
+    def insiders(self) -> set[int]:
+        """The sample, as a new set."""
+        return set(np.flatnonzero(np.frombuffer(self._inside, dtype=np.uint8)).tolist())
 
     @property
     def discovered(self) -> DiscoveredGraph:
@@ -324,18 +371,18 @@ class SampleState:
     def _absorb_neighbors(self, v: int) -> tuple[int, int]:
         """Query the oracle for ``v`` and fold the answer into the state."""
         new_nodes = 0
-        insiders, outsiders, disc_time = self.insiders, self.outsiders, self.disc_time
+        inside, outsiders, disc_time = self._inside, self.outsiders, self.disc_time
         buckets, pool, tree = self._buckets, self._pool, self._tree
-        staged, n = self._staged, self.n_ids
+        staged, n, timestep = self._staged, self.n_ids, self.timestep
         boundary = self.boundary
         answer = self.oracle.in_neighbors(v)
         self.queried.append(v)
         for u, w in answer:
-            if u in insiders:
+            if inside[u]:
                 continue
             old = outsiders.get(u)
             if old is None:
-                disc_time[u] = self.timestep
+                disc_time[u] = timestep
                 new_nodes += 1
                 if pool is not None:
                     pool.add(u)
@@ -357,14 +404,14 @@ class SampleState:
         self.boundary -= priority
         if self._buckets is not None:
             self._buckets.move(self.disc_time[node] * self.n_ids + node, priority, None)
-        del self.disc_time[node]
         if self._tree is not None:
             self._tree.swap_remove(self._pool.index(node))
         if self._pool is not None:
             self._pool.discard(node)
         if self._staged is not None:
             self._staged.promote(node)
-        self.insiders.add(node)
+        self._inside[node] = 1
+        self.n_insiders += 1
         return priority
 
     # -- selection -------------------------------------------------------
@@ -426,7 +473,9 @@ def init(seeds, oracle, weights=None) -> SampleState:
     state = SampleState(oracle)
     internal = oracle.declare_seeds(seeds, weights)
     state.seeds = tuple(internal)
-    state.insiders.update(internal)
+    for v in internal:
+        state._inside[v] = 1
+    state.n_insiders = len(internal)
     for v in internal:
         state._absorb_neighbors(v)
     return state
@@ -464,17 +513,20 @@ def run(state: SampleState, strategy: str, *, steps: int | None = None,
         raise ConfigError("need a budget: steps or target_size")
     if steps is not None and steps < 1:
         raise ConfigError("budget must be >= 1")
-    if target_size is not None and target_size <= len(state.insiders):
+    if target_size is not None and target_size <= state.n_insiders:
         raise ConfigError(f"target size {target_size} is already met: "
-                          f"the sample holds {len(state.insiders)} nodes")
-    if rng is None:
+                          f"the sample holds {state.n_insiders} nodes")
+    if rng is None and (strategy != "MAS" or tie_break != "ordered"):   # ordered MAS draws nothing
         rng = np.random.default_rng(rng_seed)
     trace = SampleTrace(strategy, state.seeds, state.boundary)
+    trace.start, first = state.timestep, len(state.queried)
+    priority, boundary, new_nodes = (trace.priority.append, trace.boundary.append,
+                                     trace.new_nodes.append)
     while True:
-        if steps is not None and len(trace.rows) >= steps:
+        if steps is not None and len(trace.priority) >= steps:
             trace.reason = "budget"
             break
-        if target_size is not None and len(state.insiders) >= target_size:
+        if target_size is not None and state.n_insiders >= target_size:
             trace.reason = "target size"
             break
         try:
@@ -482,9 +534,17 @@ def run(state: SampleState, strategy: str, *, steps: int | None = None,
         except FrontierExhausted:
             trace.reason = "frontier exhausted"
             break
-        trace.rows.append(row)
+        priority(row.priority)
+        boundary(row.boundary)
+        new_nodes(row.new_nodes)
         if on_step is not None:
             on_step(state, row)
+    trace.nodes = state.queried[first:]
+    # a dict keeps its largest table: repack the outsiders to the count left
+    outsiders = dict(state.outsiders)
+    state.outsiders.clear()
+    state.outsiders.update(outsiders)
+    trace.new_edges = array("q", state.oracle.in_degrees(trace.nodes).tobytes())
     return trace
 
 
@@ -501,8 +561,9 @@ def audit(state: SampleState) -> float:
     """
     recomputed: dict[int, float] = {}
     g = state.discovered
+    insiders = g.insiders
     for s, t, weight in zip(g.sources.tolist(), g.targets.tolist(), g.weights.tolist()):
-        if t in state.insiders and s not in state.insiders:
+        if t in insiders and s not in insiders:
             recomputed[s] = recomputed.get(s, 0.0) + weight
     if set(recomputed) != set(state.outsiders):
         raise AssertionError("outsider sets disagree between graph and state")

@@ -74,13 +74,18 @@ def run_starts(ordered: np.ndarray) -> np.ndarray:
     return starts
 
 
-def first_seen(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def id_dtype(count: int):
+    """int32 if it holds the ids 0..count-1 exactly, else int64."""
+    return np.int32 if count <= 2**31 else np.int64
+
+
+def first_seen(values, dtype=np.int64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number ``values`` in order of first appearance, row-major for a 2-D array.
 
-    Returns ``(numbers, distinct, first)``: each value's number, shaped like
-    ``values``; the distinct values in order of first appearance, so
-    ``distinct[numbers] == values``; and each one's first index into the
-    flattened ``values``, ascending.
+    Returns ``(numbers, distinct, first)``: each value's number in ``dtype``
+    (``id_dtype(values.size)`` holds them all), shaped like ``values``; the distinct
+    values in order of first appearance, so ``distinct[numbers] == values``; and
+    each one's first index into the flattened ``values``, ascending.
     """
     values = np.asarray(values)
     flat = values.reshape(-1)
@@ -90,10 +95,11 @@ def first_seen(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     distinct, first = ordered[starts], order[starts]
     del ordered
     by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
+    rank = np.empty(len(first), dtype=dtype)
     rank[by_first] = np.arange(len(first))
     run_lengths = np.diff(np.flatnonzero(np.append(starts, True)))
-    numbers = np.empty(len(flat), dtype=np.int64)
+    del starts
+    numbers = np.empty(len(flat), dtype=dtype)
     numbers[order] = np.repeat(rank, run_lengths)   # from sorted back to input order
     return numbers.reshape(values.shape), distinct[by_first], first[by_first]
 

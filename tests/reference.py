@@ -107,8 +107,9 @@ def brute_priorities(state):
     """Outsider priorities and boundary by a full scan of the discovered graph."""
     prio = {}
     g = state.discovered
+    insiders = g.insiders
     for s, t, weight in zip(g.sources.tolist(), g.targets.tolist(), g.weights.tolist()):
-        if t in state.insiders and s not in state.insiders:
+        if t in insiders and s not in insiders:
             prio[s] = prio.get(s, 0.0) + weight
     return prio, sum(prio.values())
 
@@ -529,3 +530,52 @@ def make_sbm_oracle(sizes, k_intra, r, graph_seed, seeds_per_block=1, seed_rng=0
     seeds = sbm.select_seeds(labels, seed_cfg)
     oracle = GraphOracle.from_undirected_edges(edges, n_nodes=sum(sizes))
     return oracle, seeds, labels, edges
+
+
+# ---------------------------------------------------------------------------
+# an exact ordered MAS
+
+
+def exact_mas(oracle, seeds, weights, steps):
+    """Ordered ``MAS`` in ``Fraction`` arithmetic: ``[(node, priority, boundary)]`` per step.
+
+    Reads the oracle's CSR directly (``in_neighbors`` would log). Each pattern's
+    weight enters as the decimal it prints, ``Fraction(repr(w))``, and a tuple weighs
+    the exact sum of its patterns'. The pick is the largest exact priority, then the
+    earliest discovery timestep, then the smallest internal id; a heap with lazy
+    deletion finds it. Stops after ``steps`` steps or when no outsider remains.
+    """
+    from fractions import Fraction
+    import heapq
+    indptr, sources, codes = oracle._indptr.tolist(), oracle._sources.tolist(), oracle._codes
+    tuple_weight = [sum((Fraction(repr(weights.of(p))) for p in patterns), Fraction(0))
+                    for patterns in oracle._tuples]
+    insiders = {oracle.ids.resolve(s) for s in seeds}
+    priority, disc, heap = {}, {}, []
+    boundary, rows = Fraction(0), []
+
+    def absorb(v, timestep):
+        nonlocal boundary
+        for i in range(indptr[v], indptr[v + 1]):
+            u, w = sources[i], tuple_weight[int(codes[i])]
+            if u in insiders:
+                continue
+            disc.setdefault(u, timestep)
+            priority[u] = priority.get(u, Fraction(0)) + w
+            boundary += w
+            heapq.heappush(heap, (-priority[u], disc[u], u))
+
+    for s in seeds:
+        absorb(oracle.ids.resolve(s), 0)
+    for timestep in range(1, steps + 1):
+        while heap and (heap[0][2] in insiders or -heap[0][0] != priority[heap[0][2]]):
+            heapq.heappop(heap)   # a promoted node, or a priority since raised
+        if not heap:
+            break
+        _p, _t, node = heapq.heappop(heap)
+        picked = priority.pop(node)
+        boundary -= picked
+        insiders.add(node)
+        absorb(node, timestep)
+        rows.append((node, picked, boundary))
+    return rows

@@ -874,12 +874,12 @@ def test_metrics_reads_back_event_runs_whose_ids_hold_commas_and_quotes(tmp_path
                        "--out", tmp_path / strategy) == 0
         run = tmp_path / strategy
         trace_ids = IdMap()
-        rows = sampler.SampleTrace.read_rows(run / "trace.csv", trace_ids)
-        assert len(rows) == 20
-        assert {trace_ids.external(r.node) for r in rows} <= set(odd.values())
+        trace = sampler.SampleTrace.read_csv(run / "trace.csv", trace_ids, strategy, (), 0.0)
+        assert len(trace) == 20
+        assert {trace_ids.external(v) for v in trace.selected()} <= set(odd.values())
         log = [row for _lineno, row in read_csv(run / "access_log.csv", "access log")]
         assert log[1:] == [[str(step), s] for step, s in
-                           enumerate(seeds + [trace_ids.external(r.node) for r in rows], 1)]
+                           enumerate(seeds + [trace_ids.external(v) for v in trace.selected()], 1)]
         _g, edge_ids = graph.read_edge_tsv(run / "discovered.tsv")
         assert set(seeds) <= {edge_ids.external(v) for v in range(len(edge_ids))}
     out = tmp_path / "eval"
@@ -1028,6 +1028,29 @@ def test_events_mas_run_on_a_nan_weight_table_exits_3(tmp_path):
     assert code == 3, err
     assert "Traceback" not in err
     assert f"{weights}:2: omega_star" in err, err
+
+
+def test_events_run_on_weights_that_sum_past_the_float_range_exits_3(tmp_path):
+    # each omega_star is finite, but the edges' total weight is not: the run would print
+    # inf and nan priorities and boundaries, and Infinity and NaN into run_summary.json
+    corpus = ingest.synthetic_corpus(np.random.default_rng(91), n_events=600)
+    log = tmp_path / "events.jsonl"
+    ingest.write_events_jsonl(log, corpus)
+    assert run_cli("calibrate", log, "--out", tmp_path / "cal") == 0
+    rows = list(csv.reader((tmp_path / "cal" / "weights_distinct.csv").read_text().splitlines()))
+    for row in rows[1:]:
+        row[-1] = "1e308"
+    weights = tmp_path / "weights.csv"
+    with open(weights, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    run = tmp_path / "run"
+    code, err = run_cli_process("sample", "--events", log, "--seeds", corpus.users[corpus.author[0]],
+                                "--strategy", "MAS", "--weights", weights, "--budget", "50",
+                                "--out", run)
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"{weights}: the edges' total weight is inf" in err, err
+    assert not run.exists()
 
 
 def test_calibrate_twelve_event_fixture_matches_hand_computation(tmp_path):

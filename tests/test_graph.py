@@ -66,7 +66,7 @@ def _write_graph(g, path, ids, step=None):
     """Write ``g`` in (target, source) order: rows ordered by ``in_edge_runs`` and
     gathered ``step`` (default ``WRITE_CHUNK``) at a time; returns the line count."""
     step = step or graph.WRITE_CHUNK
-    order, _edges = in_edge_runs(g.targets, g.sources)
+    order, _starts = in_edge_runs(g.targets, g.sources)
     columns = (g.sources, g.targets, g.weights, g.event_counts)
     return write_edge_tsv(([column[order[i:i + step]] for column in columns]
                            for i in range(0, len(order), step)), path, ids)
@@ -238,13 +238,13 @@ def test_in_edge_runs_matches_a_lexsort_over_the_columns(rng):
     targets, sources = rng.integers(0, 9, size=(2, 400))
     minor = rng.integers(0, 3, size=400)
     for extra in ((), (minor,)):
-        order, edges = in_edge_runs(targets, sources, *extra)
+        order, starts = in_edge_runs(targets, sources, *extra)
         expected = np.lexsort(extra + (sources, targets))
         assert order.tolist() == expected.tolist()
-        starts = np.diff(targets[expected], prepend=-1) | np.diff(sources[expected], prepend=-1)
-        assert edges.tolist() == np.flatnonzero(starts).tolist()
-    order, edges = in_edge_runs(np.empty(0, np.int64), np.empty(0, np.int64))
-    assert order.size == edges.size == 0
+        changes = np.diff(targets[expected], prepend=-1) | np.diff(sources[expected], prepend=-1)
+        assert starts.tolist() == (changes != 0).tolist()
+    order, starts = in_edge_runs(np.empty(0, np.int64), np.empty(0, np.int64))
+    assert order.size == starts.size == 0
 
 
 def test_edge_tsv_writer_makes_no_reordered_column_copies(tmp_path):
@@ -278,3 +278,62 @@ def test_read_edge_tsv_rejects_a_repeated_pair(tmp_path):
     path.write_text("a\tb\t1.0\t1\nc\tb\t1.0\t1\nd\ta\t2.0\t2\nc\tb\t0.5\t1\n")
     with pytest.raises(DataError, match=r"edges.tsv:4: repeats the edge c -> b"):
         read_edge_tsv(path)
+
+
+# external ids that csv.writer quotes (a comma, a quote, a CR, an LF) and some it does not
+ODD_IDS = ["plain", "a,b", 'say "hi"', '"', "cr\rhere", "lf\nhere", "crlf\r\n", "  leading",
+           "trailing ", "naïve", "日本語", "tab\there", "", 7, -3]
+ODD_FLOATS = [-0.0, 5e-324, 1e16, 0.0, 0.1, 1 / 3, 2.5e-8, 123456789.0, 1e308,
+              float("inf"), float("-inf"), float("nan")]
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    import csv
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [3, 8192])
+def test_column_writer_writes_csv_writer_bytes(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(graph, "WRITE_CHUNK", chunk)
+    ids = IdMap(ODD_IDS)
+    rng = np.random.default_rng(4)
+    nodes = np.concatenate((np.arange(len(ids)), rng.integers(len(ids), size=40)))
+    floats = np.array(ODD_FLOATS * 5)[:len(nodes)]
+    counts = rng.integers(-2, 10**12, size=len(nodes))
+    steps = np.arange(1, len(nodes) + 1)
+    header = ("step", "node_ext_id", "value", "count")
+    path = tmp_path / "columns.csv"
+    written = graph.write_columns(
+        path, [(steps, nodes, floats, counts)],
+        (graph.format_ints, graph.format_ids(ids, graph.csv_field), graph.format_floats,
+         graph.format_ints), header, ",", "\r\n")
+    assert written == len(nodes)
+    expected = _csv_writer_bytes(
+        tmp_path / "reference.csv", header,
+        zip(steps.tolist(), map(ids.external, nodes.tolist()), floats.tolist(), counts.tolist()))
+    assert path.read_bytes() == expected
+
+
+def test_csv_field_quotes_as_csv_writer_does(tmp_path):
+    for text in map(str, ODD_IDS):
+        path = tmp_path / "field.csv"
+        expected = _csv_writer_bytes(path, ("a", "b"), [(text, "x")])
+        assert f"a,b\r\n{graph.csv_field(text)},x\r\n".encode() == expected, repr(text)
+
+
+def test_edge_tsv_formats_only_the_ids_it_writes(tmp_path, monkeypatch):
+    # a map of many ids, two of them written: the writer formats no other id
+    ids = IdMap(range(10_000))
+    formatted = []
+    external = ids.external
+    monkeypatch.setattr(ids, "external", lambda v: formatted.append(v) or external(v))
+    g = DiscoveredGraph()
+    g.add_events([5, 9000, 5], [9000, 5, 77], [1.0, 2.0, 0.5], [1, 1, 2])
+    assert _write_graph(g, tmp_path / "edges.tsv", ids) == 3
+    assert sorted(formatted) == [5, 77, 9000]
+    assert (tmp_path / "edges.tsv").read_text() == \
+        "9000\t5\t2.0\t1\n5\t77\t0.5\t2\n5\t9000\t1.0\t1\n"

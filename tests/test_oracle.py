@@ -325,9 +325,9 @@ def test_concurrent_queries_keep_exact_counts():
 
 
 def test_plain_build_memory_per_edge():
-    # a plain backing keeps one int64 column per edge, _sources: its code column is a
-    # zero-stride view, and weights and event counts are per-tuple tables; the build
-    # drops each temporary once used
+    # a plain backing keeps one int32 column per edge, _sources: its code column is a
+    # zero-stride view, and weights, edge and event counts are per-tuple tables; the
+    # build numbers nodes in int32 and drops each temporary once used
     cfg = sbm.BlockModelConfig((500,) * 8, 10, 4.0, 5)
     edges, _labels = sbm.generate(sbm.derive_block_matrix(cfg), cfg.block_sizes, cfg.rng_seed)
     tracemalloc.start()
@@ -338,7 +338,8 @@ def test_plain_build_memory_per_edge():
     finally:
         tracemalloc.stop()
     n_edges = 2 * len(edges)   # directed
-    # measured 21.2 and 52.0 bytes per edge; 45.2 and 97.8 with a weight and an
-    # event-count column per edge and a build that held its temporaries
-    assert kept / n_edges <= 23.0
-    assert peak / n_edges <= 57.0
+    # measured 17.7 and 39.2 bytes per edge; 21.6 and 52.3 with int64 node numbers;
+    # 45.2 and 97.8 with a weight and an event-count column per edge and a build that
+    # held its temporaries
+    assert kept / n_edges <= 19.0
+    assert peak / n_edges <= 43.0

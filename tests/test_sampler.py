@@ -1,6 +1,8 @@
 import copy
+import csv
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from reference import (
     brute_priorities,
     event_rows,
+    exact_mas,
     make_sbm_oracle,
     record_appends,
     reference_in_adjacency,
@@ -291,7 +294,7 @@ def test_identical_seeds_give_identical_traces():
 def test_insiders_only_grow():
     oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 2, 4, 2.0, 7)
     state = sampler.init(seeds, oracle)
-    assert state.insiders is state.discovered.insiders
+    assert state.insiders == state.discovered.insiders
     seen = set(state.insiders)
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -381,6 +384,103 @@ def test_trace_csv_export(tmp_path):
     assert lines[0] == "timestep,node_ext_id,priority,boundary,new_nodes,new_edges"
     assert len(lines) == 11
     assert lines[1].startswith("1,")
+
+
+def test_trace_columns_hold_the_rows_that_step_returned():
+    # timesteps are implicit and new_edges is the answer size: the columns give back
+    # each row that step handed to on_step, over two runs of one state
+    for kind in ("blockmodel", "events"):
+        for strategy in sampler.STRATEGIES:
+            oracle, seeds, weights, _in_adj = _backing(kind)
+            state = sampler.init(seeds, oracle, weights)
+            for steps in (9, 14):
+                handed = []
+                trace = sampler.run(state, strategy, steps=steps, rng_seed=3,
+                                    on_step=lambda _state, row: handed.append(row))
+                assert trace.rows == handed and len(trace) == steps, (kind, strategy)
+                assert trace.selected() == [row.node for row in handed]
+                assert trace.rows[0].timestep == state.timestep - steps + 1
+
+
+def test_trace_and_access_log_are_csv_writer_bytes(tmp_path):
+    names = ["a,b", 'q"uote', "cr\rin", "  lead", "naïve", "日本", "plain", 'x,"y"', "7"]
+    rng = np.random.default_rng(5)
+    pairs = {tuple(rng.choice(len(names), 2, replace=False).tolist()) for _ in range(40)}
+    path = tmp_path / "edges.tsv"
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"{names[s]}\t{names[t]}\n" for s, t in sorted(pairs)))
+    oracle = GraphOracle.from_edgelist(path)
+    state = sampler.init([names[0]], oracle, ia.UnitWeights().scaled(0.1))
+    trace = sampler.run(state, "MAS", steps=20, rng_seed=0)
+    assert len(trace) > 3
+    ext = oracle.ids.external
+    trace.write_csv(tmp_path / "trace.csv", oracle.ids)
+    assert (tmp_path / "trace.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "reference.csv", sampler.TRACE_COLUMNS,
+        [(r.timestep, ext(r.node), r.priority, r.boundary, r.new_nodes, r.new_edges)
+         for r in trace.rows])
+    oracle.write_access_log(tmp_path / "access_log.csv")
+    assert (tmp_path / "access_log.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "reference.csv", ("step", "node_ext_id"),
+        [(step, ext(v)) for step, v in enumerate(oracle.access_log, 1)])
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _exact_instances(tmp_path):
+    for sizes, r, graph_seed in (((60,) * 4, 4.0, 1), ((200,) * 4, 1.0, 2),
+                                 ((500,) * 8, 8.0, 3), ((300,) * 3, 0.5, 4)):
+        oracle, seeds, _labels, _edges = make_sbm_oracle(sizes, 6, r, graph_seed)
+        yield f"blockmodel {sizes[0]}x{len(sizes)} r {r}", oracle, seeds
+    rng = np.random.default_rng(12)
+    pairs = {tuple(p) for p in rng.integers(0, 400, size=(2400, 2)).tolist() if p[0] != p[1]}
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"n{s}\tn{t}\n" for s, t in sorted(pairs, key=lambda p: p[::-1])))
+    oracle = GraphOracle.from_edgelist(path)
+    yield "edgelist", oracle, [oracle.ids.external(0), oracle.ids.external(1)]
+
+
+def test_ordered_mas_is_the_exact_reference(tmp_path):
+    # on unit weights every priority and boundary is an integer, held exactly in a float:
+    # whole runs select as the exact rule does and print its values
+    for name, oracle, seeds in _exact_instances(tmp_path):
+        exact = exact_mas(oracle, seeds, ia.UnitWeights(), len(oracle.ids))
+        state = sampler.init(seeds, oracle)
+        trace = sampler.run(state, "MAS", steps=len(oracle.ids), rng_seed=0)
+        assert trace.reason == "frontier exhausted" and len(exact) == len(trace), name
+        assert trace.selected() == [node for node, _p, _b in exact], name
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path, oracle.ids)
+        printed = [(row["priority"], row["boundary"])
+                   for row in csv.DictReader(open(path, newline=""))]
+        assert printed == [(repr(float(p)), repr(float(b))) for _v, p, b in exact], name
+
+
+def test_run_state_memory_per_step():
+    # one flag and one discovery time per node, three trace columns appended per step
+    # and two taken once at the end: a whole ordered MAS run keeps no object per step
+    oracle, _seeds, _labels, _edges = make_sbm_oracle((500,) * 8, 10, 4.0, 5)
+    seeds = [b * 500 for b in range(8)]
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        state = sampler.init(seeds, oracle)
+        trace = sampler.run(state, "MAS", steps=len(oracle.ids), rng_seed=0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = len(trace)
+    assert steps == len(oracle.ids) - len(seeds) and not state.outsiders
+    # measured 185 and 208 bytes per step; 368 and 369 with a set of insiders, dicts
+    # of discovery times and a TraceRow with its floats per step
+    assert (kept - before) / steps <= 205.0
+    assert (peak - before) / steps <= 230.0
 
 
 def test_trace_insider_count_invariant():
