@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, graph, ingest, interactions, metrics, sampler, sbm
 from .oracle import GraphOracle
-from .util import ConfigError, DataError, read_lines, write_csv
+from .util import ConfigError, DataError, read_csv, read_lines, write_csv
 
 WORKERS_ENV = "TIGHTSAMPLE_WORKERS"
 SHIPPED_SCHEMES = ("distinct", "nested", "af")   # the shipped weight table's sections
@@ -461,8 +461,14 @@ def _load_run(run_dir: Path):
     _check_types(summary_path, summary, {"init_boundary": ("integer", "number")}, "run summary")
     g, ids = graph.read_edge_tsv(run_dir / "discovered.tsv")
     seeds = [ids.intern(str(s)) for s in manifest["seeds"]]
-    trace = sampler.SampleTrace.read_csv(run_dir / "trace.csv", ids, manifest["strategy"],
+    trace_path = run_dir / "trace.csv"
+    trace = sampler.SampleTrace.read_csv(trace_path, ids, manifest["strategy"],
                                          seeds, summary["init_boundary"])
+    if trace.start:   # every sample and sweep run starts at timestep 1
+        lines = read_csv(trace_path, "trace")
+        next(lines)
+        raise DataError(f"{trace_path}:{next(lines)[0]}: the trace starts at timestep "
+                        f"{trace.start + 1}, not 1")
     return trace, g, ids
 
 

@@ -6,6 +6,7 @@ external ids (strings or ints) appear only at I/O boundaries.
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
@@ -51,19 +52,21 @@ class IdMap:
 
 
 class DiscoveredGraph:
-    """The portion of the unbounded network revealed so far.
+    """The portion of the unbounded network revealed so far, as ``metrics`` reads it.
 
     Edges are numpy columns, one row per ``(source, target)`` pair:
     ``sources`` and ``targets`` hold internal ids, ``weights`` the summed
     weight of the edge's engagement events and ``event_counts`` their count;
     the events themselves are not kept. Rows enter only through
     :meth:`add_events`, whole columns at a time, and are never merged or
-    removed, so callers add each pair once: a sampler's graph is the oracle's
-    answers to the nodes it queried once each, and :func:`read_edge_tsv`
-    rejects a repeated pair. ``insiders`` is the one record of the sample:
-    every edge's target is an insider because edges are only discovered by
-    querying insiders' in-neighborhoods. Single-writer: callers serialize
-    mutations.
+    removed, so callers add each pair once: ``SampleState.discovered`` is the
+    oracle's answers to the nodes a run queried once each, and
+    :func:`read_edge_tsv` rejects a repeated pair. ``insiders`` is a copy of the
+    sample where the builder knows it (``SampleState.discovered``,
+    :func:`induced_subgraph`) and empty from :func:`read_edge_tsv`; a running
+    sampler keeps its sample as one flag per node and builds no graph. Every
+    edge's target is an insider because edges are only discovered by querying
+    insiders' in-neighborhoods. Single-writer: callers serialize mutations.
     """
 
     def __init__(self, insiders: set[int] | None = None):
@@ -219,8 +222,9 @@ def write_edge_tsv(chunks, path, ids: IdMap) -> int:
 def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
     """Rebuild a graph from :func:`write_edge_tsv` output (roles left unset).
 
-    A self-loop or a repeated (source, target) pair is a :class:`DataError`
-    naming its line.
+    A self-loop, a repeated (source, target) pair, a weight that is not a finite
+    number >= 0 and an event count below 1 or beyond int64 are each a
+    :class:`DataError` naming its line.
     """
     ids = IdMap()
     sources, targets, weights, counts = array("q"), array("q"), array("d"), array("q")
@@ -233,6 +237,9 @@ def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
                             f"source, target, weight, event count") from None
         if source == target:
             raise DataError(f"{path}:{lineno}: self-loop on {source} rejected")
+        if not (0.0 <= weight < math.inf and 1 <= n_events < 1 << 63):   # false for NaN too
+            raise DataError(f"{path}:{lineno}: expected a finite weight >= 0 and an int64 "
+                            f"event count >= 1, got {weight!r} and {n_events}")
         sources.append(ids.intern(source))
         targets.append(ids.intern(target))
         weights.append(weight)

@@ -41,7 +41,8 @@ class FrontierExhausted(RuntimeError):
 
 @dataclass(slots=True)
 class TraceRow:
-    """One timestep of a run, as :func:`step` returns it."""
+    """One timestep of a run, as :func:`step` returns it and :func:`run` hands it to
+    ``on_step``; a :class:`SampleTrace` keeps its fields as columns."""
 
     timestep: int
     node: int
@@ -56,32 +57,22 @@ class SampleTrace:
 
     Row ``i`` is timestep ``start + 1 + i``: ``nodes[i]`` was selected at
     ``priority[i]``, leaving the boundary at ``boundary[i]``, and the answer to it
-    held ``new_edges[i]`` edges and ``new_nodes[i]`` newly discovered nodes. A
-    :func:`run` appends ``priority``, ``boundary`` and ``new_nodes`` step by step,
-    and when it ends takes ``nodes`` from the state's query order and ``new_edges``
-    from the oracle's in-degrees. ``rows`` (TraceRows) fills the columns.
+    held ``new_edges[i]`` edges and ``new_nodes[i]`` newly discovered nodes. The
+    columns start empty; a :func:`run` appends ``priority``, ``boundary`` and
+    ``new_nodes`` step by step, and when it ends takes ``nodes`` from the state's
+    query order and ``new_edges`` from the oracle's in-degrees.
     """
 
-    def __init__(self, strategy: str, seeds, init_boundary: float, rows=(),
-                 reason: str | None = None):
-        rows = list(rows)
+    def __init__(self, strategy: str, seeds, init_boundary: float):
         self.strategy, self.seeds, self.init_boundary = strategy, tuple(seeds), init_boundary
-        self.reason = reason
-        self.start = rows[0].timestep - 1 if rows else 0
-        self.nodes: list[int] = [r.node for r in rows]
-        self.priority = array("d", [r.priority for r in rows])
-        self.boundary = array("d", [r.boundary for r in rows])
-        self.new_nodes = array("q", [r.new_nodes for r in rows])
-        self.new_edges = array("q", [r.new_edges for r in rows])
+        self.reason: str | None = None
+        self.start = 0
+        self.nodes: list[int] = []
+        self.priority, self.boundary = array("d"), array("d")
+        self.new_nodes, self.new_edges = array("q"), array("q")
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @property
-    def rows(self) -> list[TraceRow]:
-        """The columns as one new :class:`TraceRow` per timestep."""
-        return list(map(TraceRow, range(self.start + 1, self.start + 1 + len(self)), self.nodes,
-                        self.priority, self.boundary, self.new_nodes, self.new_edges))
 
     def selected(self) -> list[int]:
         return list(self.nodes)
@@ -101,11 +92,9 @@ class SampleTrace:
 
     def write_csv(self, path, ids: IdMap) -> None:
         """``trace.csv``, in ``csv.writer``'s bytes."""
+        typed = (self.priority, self.boundary, self.new_nodes, self.new_edges)
         columns = (np.arange(self.start + 1, self.start + 1 + len(self)),
-                   np.array(self.nodes, dtype=np.int64),
-                   *(np.frombuffer(column, dtype=dtype) for column, dtype in (
-                       (self.priority, np.float64), (self.boundary, np.float64),
-                       (self.new_nodes, np.int64), (self.new_edges, np.int64))))
+                   np.asarray(self.nodes, dtype=np.int64), *map(np.asarray, typed))
         graph.write_columns(path, [columns],
                             (graph.format_ints, graph.format_ids(ids, graph.csv_field),
                              graph.format_floats, graph.format_floats,
@@ -116,7 +105,8 @@ class SampleTrace:
     def read_csv(cls, path, ids: IdMap, strategy: str, seeds,
                  init_boundary: float) -> "SampleTrace":
         """The trace of a :meth:`write_csv` file, nodes interned into ``ids``; DataError
-        if a row is bad. Each record's fields go straight to the columns."""
+        if a row is bad, or if its timestep is not the previous row's plus one. Each
+        record's fields go straight to the columns."""
         trace = cls(strategy, seeds, init_boundary)
         lines = read_csv(path, "trace")
         _lineno, header = next(lines, (0, []))
@@ -125,6 +115,11 @@ class SampleTrace:
             row = dict(zip(header, fields))
             try:
                 timestep = int(row["timestep"])
+                if not trace.nodes:
+                    trace.start = timestep - 1
+                elif timestep != trace.start + 1 + len(trace):
+                    raise ValueError(f"timestep {timestep} does not follow "
+                                     f"timestep {trace.start + len(trace)}")
                 values = (ids.intern(row["node_ext_id"]), float(row["priority"]),
                           float(row["boundary"]), int(row["new_nodes"]), int(row["new_edges"]))
                 for column, value in zip(columns, values):
@@ -132,8 +127,6 @@ class SampleTrace:
             except (KeyError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed trace row "
                                 f"({type(exc).__name__}: {exc})") from None
-            if len(trace) == 1:
-                trace.start = timestep - 1
         return trace
 
 
@@ -549,24 +542,27 @@ def run(state: SampleState, strategy: str, *, steps: int | None = None,
 
 
 def audit(state: SampleState) -> float:
-    """Recompute priorities and boundary from the discovered graph.
+    """Recompute priorities and boundary from the oracle's answers to the queried nodes.
 
-    Returns the largest absolute deviation from the incrementally maintained
-    values, counting the RS_DW tree's total against the boundary when the tree
-    exists. Raises AssertionError if the outsider sets themselves disagree, if
-    the tree's leaves do not hold the pool's priorities, or if a built MAS or
-    staged selector differs from a fresh build from the core: the non-empty
-    tie buckets must be equal; the staged ``out_targets`` and each insider's
-    frontier, in order, must be equal, and ``eligible`` as a set.
+    The answers are read in query order (``GraphOracle.in_edges``), so the sums add
+    in the order the run added them; every answer's target is a queried node, an
+    insider, so the source's insider flag says whether an edge crosses the
+    boundary. No graph is built. Returns the largest absolute deviation from
+    the incrementally maintained values, counting the RS_DW tree's total against
+    the boundary when the tree exists. Raises AssertionError if the outsider sets
+    themselves disagree, if the tree's leaves do not hold the pool's priorities, or
+    if a built MAS or staged selector differs from a fresh build from the core: the
+    non-empty tie buckets must be equal; the staged ``out_targets`` and each
+    insider's frontier, in order, must be equal, and ``eligible`` as a set.
     """
     recomputed: dict[int, float] = {}
-    g = state.discovered
-    insiders = g.insiders
-    for s, t, weight in zip(g.sources.tolist(), g.targets.tolist(), g.weights.tolist()):
-        if t in insiders and s not in insiders:
+    inside = state._inside
+    sources, _targets, weights, _counts = state.oracle.in_edges(state.queried)
+    for s, weight in zip(sources.tolist(), weights.tolist()):
+        if not inside[s]:
             recomputed[s] = recomputed.get(s, 0.0) + weight
-    if set(recomputed) != set(state.outsiders):
-        raise AssertionError("outsider sets disagree between graph and state")
+    if recomputed.keys() != state.outsiders.keys():
+        raise AssertionError("outsider sets disagree between the answers and the state")
     worst = abs(sum(recomputed.values()) - state.boundary)
     for node, value in recomputed.items():
         worst = max(worst, abs(value - state.outsiders[node]))

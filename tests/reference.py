@@ -20,6 +20,7 @@ from tightsample.ingest import ParseReport
 from tightsample.interactions import PLAIN_EDGE, pattern_of
 from tightsample.metrics import EvolutionSeries
 from tightsample.oracle import GraphOracle
+from tightsample.sampler import SampleTrace, TraceRow
 from tightsample.util import DataError, read_csv, read_lines
 
 
@@ -375,15 +376,36 @@ def reference_community_evolution(trace, labels) -> EvolutionSeries:
     """``metrics.community_evolution`` as a per-step copy of every community's count."""
     communities = sorted({labels.get(v, "unknown")
                           for v in list(trace.seeds) + trace.selected()}, key=str)
-    length = len(trace.rows) + 1
+    length = len(trace) + 1
     counts = {c: [0] * length for c in communities}
     for v in trace.seeds:
         counts[labels.get(v, "unknown")][0] += 1
-    for idx, row in enumerate(trace.rows, start=1):
+    for idx, node in enumerate(trace.selected(), start=1):
         for c in communities:
             counts[c][idx] = counts[c][idx - 1]
-        counts[labels.get(row.node, "unknown")][idx] += 1
+        counts[labels.get(node, "unknown")][idx] += 1
     return EvolutionSeries(list(range(length)), counts, trace.boundary_series())
+
+
+def trace_rows(trace) -> list[TraceRow]:
+    """The columns of ``trace`` as one ``TraceRow`` per timestep."""
+    return list(map(TraceRow, range(trace.start + 1, trace.start + 1 + len(trace)), trace.nodes,
+                    trace.priority, trace.boundary, trace.new_nodes, trace.new_edges))
+
+
+def trace_from_rows(strategy, seeds, init_boundary, rows) -> SampleTrace:
+    """A trace whose columns hold ``rows``, consecutive timesteps from the first row's."""
+    trace = SampleTrace(strategy, seeds, init_boundary)
+    for row in rows:
+        if not len(trace):
+            trace.start = row.timestep - 1
+        assert row.timestep == trace.start + 1 + len(trace)
+        trace.nodes.append(row.node)
+        trace.priority.append(row.priority)
+        trace.boundary.append(row.boundary)
+        trace.new_nodes.append(row.new_nodes)
+        trace.new_edges.append(row.new_edges)
+    return trace
 
 
 def reference_window_purity(block_sequence, window):

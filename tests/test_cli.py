@@ -348,6 +348,14 @@ BAD_INPUTS = {
                      "discovered.tsv:3:"),
     "edges-self-loop": ("discovered.tsv", b"1\t0\t1.0\t1\nu7\tu7\t1.0\t1\n", 3,
                         "discovered.tsv:2: self-loop on u7"),
+    "edges-nan-weight": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t0\tnan\t1\n", 3,
+                         "discovered.tsv:2: expected a finite weight >= 0"),
+    "edges-negative-weight": ("discovered.tsv", b"1\t0\t-0.5\t1\n", 3,
+                              "discovered.tsv:1: expected a finite weight >= 0"),
+    "edges-zero-count": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t0\t1.0\t0\n", 3,
+                         "discovered.tsv:2: expected a finite weight >= 0"),
+    "edges-count-int64": ("discovered.tsv", b"1\t0\t1.0\t9223372036854775808\n", 3,
+                          "discovered.tsv:1: expected a finite weight >= 0"),
     "manifest-missing": ("manifest.json", None, 3, f"run{os.sep}manifest.json"),
     "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
     "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,
@@ -363,6 +371,14 @@ BAD_INPUTS = {
                        "run_summary.json"),
     "trace-column": ("trace.csv", b"timestep,node_ext_id\n1,5\n", 3, "trace.csv:2:"),
     "trace-number": ("trace.csv", TRACE_HEADER + b"1,5,x,2.0,0,0\n", 3, "trace.csv:2:"),
+    "trace-gap": ("trace.csv", TRACE_HEADER + b"1,1,1.0,8.0,4,5\n3,19,2.0,14.0,3,6\n", 3,
+                  "trace.csv:3: malformed trace row (ValueError: timestep 3 does not follow "
+                  "timestep 1)"),
+    "trace-repeat": ("trace.csv", TRACE_HEADER + b"1,1,1.0,8.0,4,5\n1,1,1.0,8.0,4,5\n", 3,
+                     "trace.csv:3: malformed trace row (ValueError: timestep 1 does not "
+                     "follow timestep 1)"),
+    "trace-start": ("trace.csv", TRACE_HEADER + b"\n2,14,1.0,12.0,4,6\n", 3,
+                    "trace.csv:3: the trace starts at timestep 2, not 1"),
     "config-missing": ("sbm.cfg", None, 3, "sbm.cfg"),
     "config-number": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = four\nr = 4\n", 2,
                       "sbm.cfg"),

@@ -10,6 +10,7 @@ from reference import (
     random_digraph,
     reference_community_evolution,
     reference_window_purity,
+    trace_from_rows,
 )
 from tightsample import metrics, sampler
 from tightsample.graph import DiscoveredGraph
@@ -348,7 +349,7 @@ def test_community_evolution_equals_the_per_step_copy():
         n_seeds = int(rng.integers(1, 4))
         rows = [sampler.TraceRow(t, v, 1.0, float(t), 0, 0)
                 for t, v in enumerate(order[n_seeds:n_seeds + len(labels) % 57], 1)]
-        trace = sampler.SampleTrace("MAS", tuple(order[:n_seeds]), 0.5, rows)
+        trace = trace_from_rows("MAS", tuple(order[:n_seeds]), 0.5, rows)
         series = metrics.community_evolution(trace, node_labels)
         expected = reference_community_evolution(trace, node_labels)
         assert series == expected and list(series.counts) == list(expected.counts)
@@ -389,7 +390,7 @@ def test_snapshot_equals_graph_at_that_time():
     edges_at_half = {(s, t) for (s, t) in state.discovered.pairs()
                      if s in state.insiders and t in state.insiders}
     rest = sampler.run(state, "MAS", steps=30, rng=np.random.default_rng(10))
-    full_trace = sampler.SampleTrace(
+    full_trace = trace_from_rows(
         "MAS", state.seeds, 0.0,
         [sampler.TraceRow(i + 1, v, 0, 0, 0, 0)
          for i, v in enumerate(half.selected() + rest.selected())])

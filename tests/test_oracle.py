@@ -234,7 +234,7 @@ def test_only_seeds_and_answered_nodes_are_discoverable(tmp_path):
         _assert_only_revealed_answer(state)
         trace = sampler.run(state, "MAS", steps=40, rng_seed=0, on_step=every_fifth_step)
         _assert_only_revealed_answer(state)
-        assert len(trace.rows) >= 5, kind
+        assert len(trace) >= 5, kind
         assert len(state.insiders | state.outsiders.keys()) < len(oracle.ids), kind
 
 

@@ -16,9 +16,12 @@ from reference import (
     reference_in_adjacency,
     reference_plain_in_adjacency,
     reference_weighted_pick,
+    trace_rows,
 )
+from test_pinned_traces import graph_corpus
 from tightsample import interactions as ia
 from tightsample import sampler
+from tightsample.graph import DiscoveredGraph
 from tightsample.ingest import EventTable, synthetic_corpus
 from tightsample.oracle import GraphOracle
 from tightsample.util import ConfigError, DataError
@@ -252,7 +255,7 @@ def test_run_stops_on_exhaustion_with_reason():
     oracle = star_oracle(2)
     state = sampler.init([0], oracle)
     trace = sampler.run(state, "MAS", steps=10, rng_seed=0)
-    assert len(trace.rows) == 2
+    assert len(trace) == 2
     assert trace.reason == "frontier exhausted"
 
 
@@ -260,7 +263,7 @@ def test_run_budget_and_target_size():
     oracle, seeds, _labels, _edges = make_sbm_oracle((40,) * 2, 5, 4.0, 3)
     state = sampler.init(seeds, oracle)
     trace = sampler.run(state, "RO", steps=7, rng_seed=5)
-    assert len(trace.rows) == 7 and trace.reason == "budget"
+    assert len(trace) == 7 and trace.reason == "budget"
     state2 = sampler.init(seeds, make_sbm_oracle((40,) * 2, 5, 4.0, 3)[0])
     trace2 = sampler.run(state2, "RO", target_size=20, rng_seed=5)
     assert trace2.final_size() == 20 and trace2.reason == "target size"
@@ -276,7 +279,7 @@ def test_run_budget_and_target_size():
             sampler.run(state3, "RO", target_size=target, rng_seed=5)
     assert state3.timestep == 0
     trace3 = sampler.run(state3, "RO", target_size=3, rng_seed=5)
-    assert len(trace3.rows) == 1 and trace3.reason == "target size"
+    assert len(trace3) == 1 and trace3.reason == "target size"
 
 
 def test_identical_seeds_give_identical_traces():
@@ -287,8 +290,7 @@ def test_identical_seeds_give_identical_traces():
             state = sampler.init(seeds, oracle)
             runs.append(sampler.run(state, strategy, steps=40, rng_seed=99))
         assert runs[0].selected() == runs[1].selected(), strategy
-        assert [r.boundary for r in runs[0].rows] == \
-            [r.boundary for r in runs[1].rows], strategy
+        assert runs[0].boundary == runs[1].boundary, strategy
 
 
 def test_insiders_only_grow():
@@ -397,9 +399,9 @@ def test_trace_columns_hold_the_rows_that_step_returned():
                 handed = []
                 trace = sampler.run(state, strategy, steps=steps, rng_seed=3,
                                     on_step=lambda _state, row: handed.append(row))
-                assert trace.rows == handed and len(trace) == steps, (kind, strategy)
+                assert trace_rows(trace) == handed and len(trace) == steps, (kind, strategy)
                 assert trace.selected() == [row.node for row in handed]
-                assert trace.rows[0].timestep == state.timestep - steps + 1
+                assert trace.start + 1 == state.timestep - steps + 1
 
 
 def test_trace_and_access_log_are_csv_writer_bytes(tmp_path):
@@ -418,7 +420,7 @@ def test_trace_and_access_log_are_csv_writer_bytes(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "reference.csv", sampler.TRACE_COLUMNS,
         [(r.timestep, ext(r.node), r.priority, r.boundary, r.new_nodes, r.new_edges)
-         for r in trace.rows])
+         for r in trace_rows(trace)])
     oracle.write_access_log(tmp_path / "access_log.csv")
     assert (tmp_path / "access_log.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "reference.csv", ("step", "node_ext_id"),
@@ -462,6 +464,34 @@ def test_ordered_mas_is_the_exact_reference(tmp_path):
         assert printed == [(repr(float(p)), repr(float(b))) for _v, p, b in exact], name
 
 
+# corpus seeds whose ordered MAS run already leaves the exact order: float rounding
+# breaks an exact tie (seed 9 at timestep 38 of 57)
+CALIBRATED_DIVERGENT = {9}
+
+
+def _calibrated_instances():
+    corpus = graph_corpus()
+    oracle = GraphOracle.from_events(corpus)
+    seeds = sorted({corpus.users[a] for a in corpus.author.tolist()})[:3]
+    weights = ia.load_reference_tables()["distinct"].weights
+    yield "graph_corpus", sampler.init(seeds, oracle, weights)
+    for corpus_seed in range(1, 41):
+        if corpus_seed not in CALIBRATED_DIVERGENT:
+            yield f"corpus seed {corpus_seed}", calibrated_corpus_state(60, 1500, corpus_seed)
+
+
+def test_ordered_mas_selects_as_the_exact_reference_on_calibrated_weights():
+    # selections only: the printed priority and boundary columns carry ulp noise
+    weights = ia.load_reference_tables()["distinct"].weights
+    for name, state in _calibrated_instances():
+        oracle = state.oracle
+        exact = exact_mas(oracle, [oracle.ids.external(v) for v in state.seeds], weights,
+                          len(oracle.ids))
+        trace = sampler.run(state, "MAS", steps=len(oracle.ids), rng_seed=0)
+        assert trace.reason == "frontier exhausted" and len(trace) == len(exact) == 57, name
+        assert trace.selected() == [node for node, _p, _b in exact], name
+
+
 def test_run_state_memory_per_step():
     # one flag and one discovery time per node, three trace columns appended per step
     # and two taken once at the end: a whole ordered MAS run keeps no object per step
@@ -487,7 +517,7 @@ def test_trace_insider_count_invariant():
     oracle, seeds, _labels, _edges = make_sbm_oracle((30,) * 2, 4, 2.0, 19)
     state = sampler.init(seeds, oracle)
     trace = sampler.run(state, "RO", steps=12, rng_seed=2)
-    for i, row in enumerate(trace.rows, start=1):
+    for i, row in enumerate(trace_rows(trace), start=1):
         assert row.timestep == i
     assert trace.final_size() == len(seeds) + 12
 
@@ -553,7 +583,7 @@ def test_discovered_columns_equal_the_per_edge_appends(backing, strategy, tie_br
     appended = record_appends(oracle, weights, in_adj)
     state = sampler.init(seeds, oracle, weights)
     trace = sampler.run(state, strategy, steps=40, rng_seed=3, tie_break=tie_break)
-    assert len(trace.rows) > 20
+    assert len(trace) > 20
     if backing != "blockmodel":
         assert max(appended.event_counts) > 1
     _assert_columns_equal_appends(state, appended)
@@ -675,6 +705,66 @@ def test_audit_catches_a_tie_bucket_key_at_a_wrong_priority():
     state._buckets.move(key, p, p + 1.0)
     with pytest.raises(AssertionError, match="tie buckets"):
         sampler.audit(state)
+
+
+def _ro_state():
+    """An audited ``RO`` state: its one selector is the pool, whose upkeep adds nothing
+    to the deviation, so :func:`sampler.audit` reads only the recomputed sums."""
+    state = _audited_state("RO")
+    assert state._pool is not None and (state._buckets, state._tree, state._staged) == \
+        (None, None, None)
+    return state
+
+
+def _raise_a_priority(state):
+    state.outsiders[next(iter(state.outsiders))] += 1.0
+
+
+def _raise_the_boundary(state):
+    state.boundary += 1.0
+
+
+@pytest.mark.parametrize("corrupt", [_raise_a_priority, _raise_the_boundary],
+                         ids=["priority", "boundary"])
+def test_audit_reports_a_wrong_priority_or_boundary(corrupt):
+    state = _ro_state()
+    corrupt(state)
+    assert sampler.audit(state) >= 1.0
+
+
+def _drop_an_outsider(state):
+    del state.outsiders[next(iter(state.outsiders))]
+
+
+def _add_an_insider_as_outsider(state):
+    state.outsiders[state.seeds[0]] = 1.0
+
+
+@pytest.mark.parametrize("corrupt", [_drop_an_outsider, _add_an_insider_as_outsider],
+                         ids=["dropped", "added"])
+def test_audit_catches_a_wrong_outsider_set(corrupt):
+    state = _ro_state()
+    corrupt(state)
+    with pytest.raises(AssertionError, match="outsider sets disagree"):
+        sampler.audit(state)
+
+
+def test_audit_catches_a_wrong_weight_tree_leaf():
+    state = _audited_state("RS_DW")
+    state._tree.leaves[0] += 1.0
+    with pytest.raises(AssertionError, match="weight tree leaves disagree"):
+        sampler.audit(state)
+
+
+def test_audit_builds_no_graph(monkeypatch):
+    # audit reads the answers and the insider flags in place
+    state = _ro_state()
+    calls = []
+    add_events = DiscoveredGraph.add_events
+    monkeypatch.setattr(DiscoveredGraph, "add_events",
+                        lambda g, *columns: calls.append(1) or add_events(g, *columns))
+    assert sampler.audit(state) == 0.0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
