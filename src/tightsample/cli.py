@@ -10,7 +10,6 @@ JSON for downstream plotting.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -180,13 +179,14 @@ def _resolve(path, base: Path) -> Path:
 
 def _fingerprint(path) -> dict:
     """Byte size and sha256 of an input file, as a manifest records it."""
-    import hashlib  # loads OpenSSL, about 4 MB resident: only sample runs pay it
+    import hashlib  # loads OpenSSL, about 3.5 MB resident: only runs that hash pay it
     digest, size = hashlib.sha256(), 0
+    buffer = memoryview(bytearray(1 << 16))   # one 64 KiB buffer, refilled in place
     try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-                size += len(chunk)
+        with open(path, "rb", buffering=0) as fh:
+            while n := fh.readinto(buffer):
+                digest.update(buffer[:n])
+                size += n
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc}") from exc
     return {"bytes": size, "sha256": digest.hexdigest()}
@@ -365,7 +365,9 @@ def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
 def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) -> None:
     """Write the run directory ``out``: the five files that ``metrics`` and a replay read.
 
-    The directory is made here, so a run that fails or is refused leaves none.
+    The directory is made here, so a run that fails or is refused leaves none. A fresh
+    run's inputs are fingerprinted here too, after the build and the writes, so that
+    OpenSSL's pages do not sit under their peaks.
     """
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv", oracle.ids)
@@ -373,6 +375,10 @@ def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) ->
     batches = oracle.in_edge_batches(sorted(state.queried))
     n_edges = graph.write_edge_tsv(batches, out / "discovered.tsv", oracle.ids)
     oracle.write_access_log(out / "access_log.csv")
+    inputs = manifest.get("inputs", {})   # a replay's were checked, and hold no None
+    for path, recorded in inputs.items():
+        if recorded is None:
+            inputs[path] = _fingerprint(path)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     summary = {
         "insiders": state.n_insiders,
@@ -391,12 +397,12 @@ def _new_manifest(strategy: str, rng_seed: int, weights: str, oracle: dict, seed
     """A run's manifest, with the same keys in the same order for every run.
 
     ``oracle`` is the backing's descriptor; ``inputs`` are the files the run reads, each
-    recorded with its size and sha256.
+    to be recorded with its size and sha256 when the run is (None until then).
     """
     return {"strategy": strategy, "rng_seed": rng_seed, "weights": weights, "oracle": oracle,
             "seeds": seeds, "budget": budget, "target_size": target_size,
             "tie_break": tie_break, "version": __version__, "numpy": np.__version__,
-            "inputs": {path: _fingerprint(path) for path in inputs}}
+            "inputs": dict.fromkeys(inputs)}
 
 
 def _execute_sample(manifest: dict, out: Path | None, source: Path | None = None):
@@ -454,12 +460,16 @@ def cmd_sample(args) -> int:
 
 
 def _load_run(run_dir: Path):
+    """A run directory's trace, discovered graph and id map; DataError if a file is
+    malformed, or if the files disagree with each other."""
     manifest_path, summary_path = run_dir / "manifest.json", run_dir / "run_summary.json"
     manifest = _read_json_object(manifest_path, "manifest")
     _check_types(manifest_path, manifest, {"seeds": ("array",), "strategy": ("string",)})
     summary = _read_json_object(summary_path, "run summary")
-    _check_types(summary_path, summary, {"init_boundary": ("integer", "number")}, "run summary")
-    g, ids = graph.read_edge_tsv(run_dir / "discovered.tsv")
+    _check_types(summary_path, summary, {"init_boundary": ("integer", "number"),
+                                         "discovered_edges": ("integer",)}, "run summary")
+    edges_path = run_dir / "discovered.tsv"
+    g, ids = graph.read_edge_tsv(edges_path)
     seeds = [ids.intern(str(s)) for s in manifest["seeds"]]
     trace_path = run_dir / "trace.csv"
     trace = sampler.SampleTrace.read_csv(trace_path, ids, manifest["strategy"],
@@ -469,6 +479,17 @@ def _load_run(run_dir: Path):
         next(lines)
         raise DataError(f"{trace_path}:{next(lines)[0]}: the trace starts at timestep "
                         f"{trace.start + 1}, not 1")
+    # every answer is to a queried node: a seed or a trace node
+    queried = trace.insiders_at(trace.final_size())
+    outside = np.flatnonzero(~np.isin(g.targets, np.array(queried, dtype=np.int64)))
+    if outside.size:   # every line is one row
+        row = int(outside[0])
+        raise DataError(f"{edges_path}:{row + 1}: the edge's target "
+                        f"{ids.external(int(g.targets[row]))} is neither a seed nor a "
+                        f"node of {trace_path}")
+    if g.n_edges() != summary["discovered_edges"]:
+        raise DataError(f"{edges_path}: {summary_path} says {summary['discovered_edges']} "
+                        f"edges, the file holds {g.n_edges()}")
     return trace, g, ids
 
 
@@ -579,6 +600,7 @@ def cmd_sweep(args) -> int:
 
     workers = _worker_count(len(cells))
     if workers > 1:
+        import concurrent.futures   # only a pooled sweep pays for the import
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:

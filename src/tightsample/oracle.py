@@ -189,7 +189,7 @@ class GraphOracle:
         return internal
 
     def in_neighbors(self, v: int):
-        """All known in-neighbors of ``v``, each as ``(u, w)``.
+        """All known in-neighbors of ``v``, a list of ``(u, w)`` pairs.
 
         ``w`` is the bound weight of the edge ``u -> v``'s pattern tuple: its
         events' weights, summed in tweet-id order. Strictly ascending internal id, which the
@@ -204,7 +204,9 @@ class GraphOracle:
         i, k = self._indptr[v:v + 2].tolist()
         sources = self._sources[i:k].astype(np.intp, copy=False)   # one cast, two gathers
         self._revealed[sources] = True
-        return tuple(zip(self._nodes[sources].tolist(), self._weights[self._codes[i:k]].tolist()))
+        # a list: CPython keeps up to 2,000 freed tuples of each length below 20 for
+        # reuse, so tuple answers would leave a run holding its dead answers
+        return list(zip(self._nodes[sources].tolist(), self._weights[self._codes[i:k]].tolist()))
 
     def node(self, v: int) -> int:
         """Internal id ``v`` as the int object that every answer shares, so a caller

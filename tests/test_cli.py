@@ -26,14 +26,18 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a child process; returns (exit code, stderr)."""
+def run_python(*argv):
+    """Run Python with ``argv`` in a child process that imports this package."""
     src = str(Path(tightsample.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "tightsample.cli",
-                           *(str(a) for a in argv)],
+    return subprocess.run([sys.executable, *(str(a) for a in argv)],
                           capture_output=True, text=True, env=env)
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a child process; returns (exit code, stderr)."""
+    proc = run_python("-m", "tightsample.cli", *argv)
     return proc.returncode, proc.stderr
 
 
@@ -134,16 +138,67 @@ def test_recording_a_sample_builds_no_graph(net_dir, tmp_path, monkeypatch):
     assert summary["discovered_edges"] == len(lines) > 100
 
 
-def test_manifest_records_input_fingerprints(net_dir, tmp_path):
+def test_manifest_records_input_fingerprints(tmp_path):
+    # each input is hashed through one 64 KiB buffer, refilled until the file ends
+    edges, table = tmp_path / "edges.tsv", tmp_path / "weights.csv"
+    edges.write_text("".join(f"n{i}\tn{(7 * i + 1) % 20_000}\n" for i in range(20_000)))
+    cli.interactions.write_weight_csv(table, cli.interactions.load_reference_tables()["nested"])
     out = tmp_path / "run"
-    assert run_cli("sample", "--undirected", net_dir / "edges.tsv",
-                   "--seeds", seed_args(net_dir), "--weights", "distinct",
+    assert run_cli("sample", "--edges", edges, "--seeds", "n1", "--weights", table,
+                   "--budget", "5", "--out", out) == 0
+    assert edges.stat().st_size > 3 << 16
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    fingerprints = {str(path.resolve()): {
+        "bytes": len(path.read_bytes()), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        for path in (edges, table)}
+    assert manifest["inputs"] == fingerprints
+    # a shipped table is no file of the run's
+    assert run_cli("sample", "--edges", edges, "--seeds", "n1", "--weights", "nested",
                    "--budget", "5", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    edges = (net_dir / "edges.tsv").read_bytes()
-    assert manifest["numpy"] == np.__version__
-    assert manifest["inputs"] == {str((net_dir / "edges.tsv").resolve()): {
-        "bytes": len(edges), "sha256": hashlib.sha256(edges).hexdigest()}}
+    assert manifest["inputs"] == {str(edges.resolve()): fingerprints[str(edges.resolve())]}
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_a_process_pool():
+    # OpenSSL (through hashlib) is some 3.5 MB resident, and only a sweep runs a pool
+    proc = run_python("-c", "import sys, tightsample.cli; "
+                            "print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# a sample in a child process that prints, at each oracle build and at its exit,
+# whether OpenSSL is loaded
+_SAMPLE_REPORTING_OPENSSL = """
+import sys
+from tightsample import cli
+build = cli.GraphOracle.from_undirected_edges
+
+def reporting(*args, **kwargs):
+    print("build", "_hashlib" in sys.modules)
+    return build(*args, **kwargs)
+
+cli.GraphOracle.from_undirected_edges = reporting
+code = cli.main(sys.argv[1:])
+print("exit", code, "_hashlib" in sys.modules)
+"""
+
+
+def test_a_fresh_sample_hashes_its_inputs_after_the_build(net_dir, tmp_path):
+    # so that OpenSSL's pages do not sit under the build's peak; a replay checks its
+    # inputs first and refuses a changed one before it builds anything
+    def reports(*argv):
+        proc = run_python("-c", _SAMPLE_REPORTING_OPENSSL, "sample", *argv)
+        return [line for line in proc.stdout.splitlines()
+                if line.startswith(("build ", "exit "))], proc.stderr
+
+    edges, out = net_dir / "edges.tsv", tmp_path / "run"
+    assert reports("--undirected", edges, "--seeds", seed_args(net_dir), "--budget", "5",
+                   "--out", out) == (["build False", "exit 0 True"], "")
+    edges.write_bytes(edges.read_bytes() + b"\n")
+    lines, err = reports("--from-manifest", out / "manifest.json", "--out", tmp_path / "r2")
+    assert lines == ["exit 3 True"] and "size or sha256 differs" in err, err
 
 
 def test_replay_refuses_an_edited_input(net_dir, tmp_path):
@@ -356,6 +411,11 @@ BAD_INPUTS = {
                          "discovered.tsv:2: expected a finite weight >= 0"),
     "edges-count-int64": ("discovered.tsv", b"1\t0\t1.0\t9223372036854775808\n", 3,
                           "discovered.tsv:1: expected a finite weight >= 0"),
+    # the run's answers hold 67 edges, and its seed is 0
+    "edges-count-mismatch": ("discovered.tsv", b"1\t0\t1.0\t1\n", 3,
+                             "run_summary.json says 67 edges, the file holds 1"),
+    "edges-target-outside": ("discovered.tsv", b"1\t0\t1.0\t1\n0\tx\t1.0\t1\n", 3,
+                             "discovered.tsv:2: the edge's target x is neither a seed nor"),
     "manifest-missing": ("manifest.json", None, 3, f"run{os.sep}manifest.json"),
     "manifest-json": ("manifest.json", b'{"seeds": [0],\n', 3, "manifest.json:2:"),
     "manifest-int": ("manifest.json", b'{"seeds": ' + b"1" * 5000 + b"}", 3,

@@ -88,7 +88,7 @@ def test_weight_binding_calls_the_traced_event_weight_once_per_pattern_tuple(mon
     assert state.discovered.n_edges() > 20
     for v in oracle.access_log:
         assert oracle.in_neighbors(v) == \
-            tuple((u, bound[patterns]) for u, patterns in in_adj.get(v, ()))
+            [(u, bound[patterns]) for u, patterns in in_adj.get(v, ())]
 
 
 def test_events_sample_parses_and_builds_once(monkeypatch, tmp_path):
