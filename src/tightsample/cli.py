@@ -216,25 +216,35 @@ def _block_model(desc: dict) -> tuple[sbm.BlockModelConfig, np.ndarray]:
     return cfg, sbm.derive_block_matrix(cfg)
 
 
+def _generated_edges(desc: dict, source: Path | None) -> np.ndarray:
+    """The edge array of a ``blockmodel`` descriptor's graph, generated.
+
+    ``desc`` gets the sha256 of the int64 edge array when it holds none (a fresh run),
+    and a replay whose graph has another digest is a DataError naming ``source``.
+    """
+    import hashlib   # as in _fingerprint
+    cfg, matrix = _block_model(desc)
+    edges, _labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
+    digest = hashlib.sha256(edges.astype("<i8", copy=False).tobytes()).hexdigest()
+    if desc.get("edges_sha256") is None:
+        desc["edges_sha256"] = digest
+    elif desc["edges_sha256"] != digest:
+        raise DataError(f"{source}: manifest oracle.edges_sha256 differs from the "
+                        f"generated graph's, {digest}: the graph is not the run's")
+    return edges
+
+
 def _oracle_from_descriptor(desc: dict, source: Path | None) -> GraphOracle:
     """The oracle of a manifest's descriptor; ``source`` is the manifest file a replay read.
 
     A relative path resolves against the manifest's directory. A ``blockmodel`` is
-    generated: ``desc`` gets the sha256 of its int64 edge array when it holds none (a
-    fresh run), and a replay whose graph has another digest is a DataError.
+    generated by :func:`_generated_edges`.
     """
     kind = desc["kind"]
     if kind == "blockmodel":
-        import hashlib   # as in _fingerprint
-        cfg, matrix = _block_model(desc)
-        edges, _labels = sbm.generate(matrix, cfg.block_sizes, cfg.rng_seed)
-        digest = hashlib.sha256(edges.astype("<i8", copy=False).tobytes()).hexdigest()
-        if desc.get("edges_sha256") is None:
-            desc["edges_sha256"] = digest
-        elif desc["edges_sha256"] != digest:
-            raise DataError(f"{source}: manifest oracle.edges_sha256 differs from the "
-                            f"generated graph's, {digest}: the graph is not the run's")
-        return GraphOracle.from_undirected_edges(edges, n_nodes=cfg.n_nodes)
+        # no name holds the edges, so the build frees them once it has read them
+        return GraphOracle.from_undirected_edges(_generated_edges(desc, source),
+                                                 n_nodes=sum(desc["sizes"]))
     path = _resolve(desc["path"], source.parent if source else Path.cwd())
     if kind == "undirected":
         return GraphOracle.from_undirected_edges(sbm.read_edges_tsv(path))
@@ -323,6 +333,19 @@ def _read_manifest(path: Path) -> dict:
     _check_types(path, manifest, _MANIFEST_TYPES)
     if any(_JSON_TYPES[type(s)] not in ("string", "integer") for s in manifest["seeds"]):
         raise DataError(f"{path}: manifest seeds must be strings or integers")
+    # the sampler's own rules, checked before anything is built
+    seeds, budget = manifest["seeds"], manifest["budget"]
+    target_size = manifest.get("target_size")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise DataError(f"{path}: manifest seeds must be non-empty, with no value repeated")
+    if budget is not None and budget < 1:
+        raise DataError(f"{path}: manifest budget is {budget}, expected >= 1 or null")
+    if budget is None and target_size is None:
+        raise DataError(f"{path}: manifest budget and target_size are both null, "
+                        f"expected at least one")
+    if target_size is not None and target_size <= len(seeds):
+        raise DataError(f"{path}: manifest target_size is {target_size}, expected more "
+                        f"than the {len(seeds)} seeds")
     for key, allowed, default in (("strategy", sampler.STRATEGIES, None),
                                   ("tie_break", sampler.TIE_BREAKS, "ordered"),
                                   ("oracle.kind", tuple(ORACLE_FIELDS), None)):

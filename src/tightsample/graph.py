@@ -152,11 +152,6 @@ def format_floats(column: np.ndarray) -> np.ndarray:
     return _format_distinct(column, column.view(np.int64), repr)
 
 
-def format_ints(column: np.ndarray) -> np.ndarray:
-    """``str`` of each int, once per distinct value."""
-    return _format_distinct(column, column, str)
-
-
 def csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes a field: quoted, its quotes doubled, when it
     holds a comma, a quote, a CR or an LF."""
@@ -188,10 +183,11 @@ def write_columns(path, chunks, formats, header=(), sep: str = "\t", end: str = 
     returns the row count.
 
     ``chunks`` yields tuples of equal-length numpy columns, rows already in line order;
-    ``formats`` holds one function per column, mapping a slice of it to an object array
-    of field strings. Rows are formatted column by column and written
-    :data:`WRITE_CHUNK` at a time, one ``%``-format per write. With a comma, CRLF line
-    ends and :func:`csv_field` on the text columns, the bytes are ``csv.writer``'s.
+    ``formats`` holds one entry per column: a function mapping a slice of it to an
+    object array of field strings, or ``None`` for an int column, written as its
+    values. Rows are written :data:`WRITE_CHUNK` at a time, one ``%``-format per write.
+    With a comma, CRLF line ends and :func:`csv_field` on the text columns, the bytes
+    are ``csv.writer``'s.
     """
     line = sep.join(["%s"] * len(formats)) + end
     written = 0
@@ -200,7 +196,8 @@ def write_columns(path, chunks, formats, header=(), sep: str = "\t", end: str = 
             fh.write(sep.join(header) + end)
         for chunk in chunks:
             for start in range(0, len(chunk[0]), WRITE_CHUNK):
-                table = np.column_stack([fmt(column[start:start + WRITE_CHUNK])
+                rows = slice(start, start + WRITE_CHUNK)
+                table = np.column_stack([column[rows] if fmt is None else fmt(column[rows])
                                          for fmt, column in zip(formats, chunk)])
                 fh.write(line * len(table) % tuple(table.ravel().tolist()))
                 written += len(table)
@@ -212,11 +209,11 @@ def write_edge_tsv(chunks, path, ids: IdMap) -> int:
 
     ``chunks`` yields ``(sources, targets, weights, event_counts)`` columns,
     already in line order, written by :func:`write_columns`: one ``str`` per node
-    id that the file holds, and per chunk one ``repr`` per distinct weight (by bit
-    pattern) and one ``str`` per distinct event count.
+    id that the file holds, per chunk one ``repr`` per distinct weight (by bit
+    pattern), and the event counts as ints.
     """
     node = format_ids(ids, keep=True)
-    return write_columns(path, chunks, (node, node, format_floats, format_ints))
+    return write_columns(path, chunks, (node, node, format_floats, None))
 
 
 def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:

@@ -254,5 +254,5 @@ class GraphOracle:
         """``step,node_ext_id`` per query, in ``csv.writer``'s bytes."""
         log = np.array(self._log, dtype=np.int64)
         graph.write_columns(path, [(np.arange(1, len(log) + 1), log)],
-                            (graph.format_ints, graph.format_ids(self.ids, graph.csv_field)),
+                            (None, graph.format_ids(self.ids, graph.csv_field)),
                             ("step", "node_ext_id"), ",", "\r\n")

@@ -96,9 +96,8 @@ class SampleTrace:
         columns = (np.arange(self.start + 1, self.start + 1 + len(self)),
                    np.asarray(self.nodes, dtype=np.int64), *map(np.asarray, typed))
         graph.write_columns(path, [columns],
-                            (graph.format_ints, graph.format_ids(ids, graph.csv_field),
-                             graph.format_floats, graph.format_floats,
-                             graph.format_ints, graph.format_ints),
+                            (None, graph.format_ids(ids, graph.csv_field),
+                             graph.format_floats, graph.format_floats, None, None),
                             TRACE_COLUMNS, ",", "\r\n")
 
     @classmethod

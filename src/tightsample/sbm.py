@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WRITE_CHUNK
+from .graph import write_columns
 from .util import ConfigError, DataError, read_lines
 
 SEED_SELECTIONS = ("uniform-random", "low-degree", "high-degree")
@@ -206,11 +206,8 @@ def realized_block_stats(edges, labels: np.ndarray) -> dict:
 
 
 def write_edges_tsv(path, edges: np.ndarray) -> None:
-    """One ``u<TAB>v`` line per row of ``edges``, written :data:`WRITE_CHUNK` at a time."""
-    with open(path, "w", newline="") as fh:
-        for start in range(0, len(edges), WRITE_CHUNK):
-            chunk = edges[start:start + WRITE_CHUNK]
-            fh.write("%d\t%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+    """One ``u<TAB>v`` line per row of ``edges``, by :func:`~tightsample.graph.write_columns`."""
+    write_columns(path, [(edges[:, 0], edges[:, 1])], (None, None))
 
 
 def read_edges_tsv(path) -> np.ndarray:

@@ -126,18 +126,15 @@ class IndexedSet:
             self._items.append(item)
 
     def discard(self, item) -> None:
-        pos = self._pos.pop(item, None)
-        if pos is None:
-            return
+        """Remove ``item``, a member: the last slot's item moves into its slot."""
+        pos = self._pos.pop(item)
         last = self._items.pop()
         if last != item:
             self._items[pos] = last
             self._pos[last] = pos
 
     def pick(self, rng):
-        """Uniform random element; ``rng`` is a numpy Generator."""
-        if not self._items:
-            raise IndexError("pick from an empty IndexedSet")
+        """Uniform random element of a non-empty set; ``rng`` is a numpy Generator."""
         return self._items[int(rng.integers(len(self._items)))]
 
     def index(self, item) -> int:
@@ -147,12 +144,6 @@ class IndexedSet:
     def items(self) -> list:
         """The backing list (do not mutate)."""
         return self._items
-
-    def __contains__(self, item) -> bool:
-        return item in self._pos
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def __iter__(self):
         return iter(self._items)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import tightsample
 from tightsample import cli, graph, ingest, sampler, sbm
 from tightsample.graph import IdMap
 from tightsample.interactions import Scheme, calibrate_records, read_weight_csv
+from tightsample.oracle import GraphOracle
 from tightsample.util import read_csv
 
 
@@ -256,6 +258,47 @@ def test_sample_config_errors_exit_2(net_dir, tmp_path):
                    "--out", tmp_path / "y") == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--edges", "EDGES", "--seeds", "0"], "pass exactly one of --undirected/--edges/--events"),
+    (["--seeds", "0", "--seeds-file", "EDGES"], "pass --seeds or --seeds-file, not both"),
+    ([], "no seeds given"),
+], ids=["two-backings", "two-seed-options", "no-seeds"])
+def test_sample_option_conflicts_exit_2(net_dir, tmp_path, capsys, argv, message):
+    edges = net_dir / "edges.tsv"
+    argv = [edges if arg == "EDGES" else arg for arg in argv]
+    out = tmp_path / "out"
+    assert run_cli("sample", "--undirected", edges, *argv, "--budget", "5", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_blank_line_in_an_edge_list_changes_no_run(net_dir, tmp_path):
+    lines = (net_dir / "edges.tsv").read_text().splitlines(keepends=True)
+    plain, blank = tmp_path / "plain.tsv", tmp_path / "blank.tsv"
+    plain.write_text("".join(lines))
+    blank.write_text("".join(lines[:5] + ["\n"] + lines[5:]))
+    for name, path in (("plain", plain), ("blank", blank)):
+        assert run_cli("sample", "--edges", path, "--seeds", seed_args(net_dir),
+                       "--budget", "40", "--out", tmp_path / name) == 0
+    for output in ("trace.csv", "discovered.tsv", "access_log.csv"):
+        assert (tmp_path / "blank" / output).read_bytes() == \
+            (tmp_path / "plain" / output).read_bytes(), output
+
+
+def test_metrics_of_a_run_of_no_steps(tmp_path):
+    # the seed has no in-neighbours, so the frontier is empty from the start
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\n")
+    assert run_cli("sample", "--edges", edges, "--seeds", "a", "--budget", "5",
+                   "--out", tmp_path / "run") == 0
+    assert (tmp_path / "run" / "trace.csv").read_bytes() == TRACE_HEADER.replace(b"\n", b"\r\n")
+    with pytest.warns(UserWarning, match="no connected triplets"):
+        assert run_cli("metrics", tmp_path / "run", "--out", tmp_path / "m") == 0
+    report = json.loads((tmp_path / "m" / "report_run.json").read_text())
+    assert report["avg_shortest_path"] is None and report["reachable_fraction"] == 0.0
+    assert (report["n"], report["m"]) == (1, 0)
+
+
 def test_undirected_edges_listed_both_ways_count_once(net_dir, tmp_path):
     plain = net_dir / "edges.tsv"
     both = tmp_path / "both.tsv"
@@ -475,6 +518,12 @@ BAD_INPUTS = {
                          "weights.csv:2: eta_global must be a finite number >= 0"),
     "weights-scheme": ("weights.csv", WEIGHTS_HEADER + b"bogus,0001,1,1,1,1,1,1\n", 3,
                        "weights.csv:2: unknown counting scheme 'bogus'"),
+    "weights-pattern-zero": ("weights.csv", WEIGHTS_HEADER + b"distinct,0000,1,1,1,1,1,1\n", 3,
+                             "weights.csv:2: pattern 0 is unrepresentable"),
+    "weights-pattern-letter": ("weights.csv", WEIGHTS_HEADER + b"distinct,01x1,1,1,1,1,1,1\n",
+                               3, "weights.csv:2: malformed pattern '01x1'"),
+    "weights-seven-fields": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,1,1,1,1,1\n", 3,
+                             "weights.csv:2: expected 8 fields"),
     "labels-number": ("labels.csv", b"node,block\n0,x\n", 3, "labels.csv:2:"),
 }
 
@@ -488,12 +537,14 @@ def test_bad_input_exits_cleanly(small_run, tmp_path, case):
     assert fragment in err
 
 
-# (manifest field, a value of the wrong JSON type); "oracle.x" is field x of the descriptor
+# (manifest field, a value of the wrong JSON type or out of the sampler's range); "oracle.x"
+# is field x of the descriptor. The run has one seed, so a target size of 1 is already met.
 MISTYPED_MANIFEST_FIELDS = [
     ("weights", 5), ("budget", "x"), ("target_size", "x"), ("seeds", 5),
     ("seeds", ["0", [0]]), ("rng_seed", "x"), ("oracle.path", 5), ("oracle.n_nodes", "x"),
     ("strategy", "XYZ"), ("strategy", 5), ("strategy", ["MAS"]), ("tie_break", 5),
     ("oracle.kind", "nope"), ("oracle.kind", ["x"]),
+    ("budget", 0), ("budget", -3), ("seeds", []), ("seeds", ["0", "0"]), ("target_size", 1),
 ]
 
 
@@ -525,6 +576,52 @@ def test_replay_refuses_a_mistyped_manifest_field(small_run, tmp_path, key, valu
     assert code == 3, err
     assert "Traceback" not in err
     assert str(path) in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields", [{"target_size": 1, "budget": None},
+                                    {"target_size": None, "budget": None}],
+                         ids=["target-size-met", "no-budget"])
+def test_replay_refuses_a_manifest_without_a_budget_it_can_spend(small_run, tmp_path, fields):
+    manifest = {**json.loads((small_run / "manifest.json").read_text()), **fields}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, err = run_cli_process("sample", "--from-manifest", path, "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert str(path) in err and "target_size" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value,message", [   # a value of None removes the key
+    ("oracle", None, "not a sample manifest"),
+    ("budget", None, "manifest lacks budget"),
+    ("inputs", [], "inputs is not an object"),
+], ids=["no-oracle", "no-budget", "inputs-list"])
+def test_replay_refuses_a_manifest_that_is_not_a_run_record(small_run, tmp_path, key, value,
+                                                            message):
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, err = run_cli_process("sample", "--from-manifest", path, "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"{path}: {message}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_of_a_manifest_from_another_numpy_warns(small_run, tmp_path, capsys):
+    manifest = {**json.loads((small_run / "manifest.json").read_text()), "numpy": "0.0"}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("sample", "--from-manifest", path, "--out", tmp_path / "out") == 0
+    assert f"warning: {path} was written with numpy 0.0" in capsys.readouterr().err
+    assert (tmp_path / "out" / "trace.csv").read_bytes() == \
+        (small_run / "trace.csv").read_bytes()
 
 
 def test_replay_accepts_the_null_n_nodes_of_older_manifests(small_run, tmp_path):
@@ -722,6 +819,7 @@ def test_sweep_refuses_cells_that_share_a_run_directory(tmp_path, capsys, strate
     ("--seeds-per-block", "0,0,0"),
     ("--k-intra", "30"),
     ("--sizes", "1000000000000000000000000000000x2"),   # node pairs beyond int64
+    ("--strategies", "MAS,BFS"),
 ])
 def test_sweep_checks_its_configuration_before_writing(tmp_path, capsys, option, value):
     argv = {"--sizes": "30x3", "--r-list": "2", "--budget": "20", "--repeats": "1",
@@ -901,10 +999,38 @@ def test_sample_random_tie_break_recorded_and_reproducible(net_dir, tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
-def test_sweep_bad_worker_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "zero")
-    assert run_cli("sweep", "--sizes", "50x2", "--r-list", "1",
-                   "--budget", "5", "--out", tmp_path / "s") == 2
+def test_sweep_bad_worker_env_exits_2(tmp_path, monkeypatch, capsys):
+    for value, message in (("zero", "must be an integer"), ("0", "must be >= 1")):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        assert run_cli("sweep", "--sizes", "50x2", "--r-list", "1",
+                       "--budget", "5", "--out", tmp_path / "s") == 2
+        assert f"{cli.WORKERS_ENV} {message}" in capsys.readouterr().err
+
+
+def test_a_blockmodel_build_is_handed_the_only_reference_to_its_edges(kept_cells, tmp_path,
+                                                                      monkeypatch):
+    # so the build can free the generated edges once it has read them: a sweep cell
+    # and the replay of one
+    generated, alive = [], []
+    generate, build = sbm.generate, GraphOracle.__init__
+
+    def spy_generate(*args):
+        edges, labels = generate(*args)
+        generated.append(weakref.ref(edges))
+        return edges, labels
+
+    def spy_build(self, *args, **kwargs):
+        alive.append(generated[-1]() is not None)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(sbm, "generate", spy_generate)
+    monkeypatch.setattr(GraphOracle, "__init__", spy_build)
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    assert run_cli("sweep", "--sizes", "50x2", "--r-list", "4", "--strategies", "RS_DU",
+                   "--repeats", "1", "--budget", "5", "--out", tmp_path / "s") == 0
+    assert run_cli("sample", "--from-manifest", kept_cells[0] / "manifest.json",
+                   "--out", tmp_path / "replay") == 0
+    assert alive == [False, False]
 
 
 def test_sample_events_backing_with_calibrated_weights(tmp_path, monkeypatch):

@@ -309,8 +309,8 @@ def test_column_writer_writes_csv_writer_bytes(tmp_path, monkeypatch, chunk):
     path = tmp_path / "columns.csv"
     written = graph.write_columns(
         path, [(steps, nodes, floats, counts)],
-        (graph.format_ints, graph.format_ids(ids, graph.csv_field), graph.format_floats,
-         graph.format_ints), header, ",", "\r\n")
+        (None, graph.format_ids(ids, graph.csv_field), graph.format_floats, None),
+        header, ",", "\r\n")
     assert written == len(nodes)
     expected = _csv_writer_bytes(
         tmp_path / "reference.csv", header,

@@ -13,7 +13,7 @@ from reference import (
     reference_generate,
     reference_read_edges_tsv,
 )
-from tightsample import sbm
+from tightsample import graph, sbm
 from tightsample.util import ConfigError, DataError
 
 
@@ -247,6 +247,16 @@ def test_edges_tsv_round_trip(tmp_path):
     path = tmp_path / "edges.tsv"
     sbm.write_edges_tsv(path, edges)
     assert sbm.read_edges_tsv(path).tolist() == edges.tolist()
+
+
+def test_edges_tsv_writes_each_row_as_its_two_ints(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "WRITE_CHUNK", 2)   # several chunks and a partial one
+    edges = np.array([(0, 1), (-4, 2**63 - 1), (-2**63, 7), (10, 11), (3, 2)], dtype=np.int64)
+    path = tmp_path / "edges.tsv"
+    sbm.write_edges_tsv(path, edges)
+    assert path.read_bytes() == b"".join(b"%d\t%d\n" % (u, v) for u, v in edges.tolist())
+    sbm.write_edges_tsv(path, edges[:0])
+    assert path.read_bytes() == b""
 
 
 # edge-list lines: pairs that loadtxt takes, lines that only the line reader takes,
