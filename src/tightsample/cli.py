@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -301,88 +302,97 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
                str: "string", list: "array", dict: "object"}
-# the JSON types a replayed manifest field may hold; ORACLE_FIELDS types its descriptor
+# the JSON types a run's manifest field may hold, an absent one read as null; ORACLE_FIELDS
+# types its descriptor. seeds come first, so {"seeds": 5} is refused for its seeds
 _MANIFEST_TYPES = {
-    "rng_seed": ("integer",), "weights": ("string",), "seeds": ("array",),
-    "budget": ("integer", "null"), "target_size": ("integer", "null"),
+    "seeds": ("array",), "strategy": ("string",), "rng_seed": ("integer",),
+    "weights": ("string",), "budget": ("integer", "null"), "target_size": ("integer", "null"),
 }
 
 
-def _field(manifest: dict, key: str, default=None):
-    section, _, name = key.rpartition(".")
-    return (manifest[section] if section else manifest).get(name, default)
-
-
-def _check_types(path: Path, manifest: dict, types: dict, what: str = "manifest") -> None:
-    """DataError naming ``path`` and the key unless each field holds an allowed JSON type."""
-    for key, allowed in types.items():
-        found = _JSON_TYPES[type(_field(manifest, key))]
+def _type_fault(fields: dict, types: dict, prefix: str = "") -> str | None:
+    """The first of ``types``' fields whose JSON type it does not allow, as a message."""
+    for name, allowed in types.items():
+        found = _JSON_TYPES[type(fields.get(name))]
         if found not in allowed:
-            raise DataError(f"{path}: {what} {key} is {found}, "
-                            f"expected {' or '.join(allowed)}")
+            return f"{prefix}{name} is {found}, expected {' or '.join(allowed)}"
+    return None
 
 
-def _read_manifest(path: Path) -> dict:
-    manifest = _read_json_object(path, "sample manifest")
-    if not isinstance(manifest.get("oracle"), dict):
-        raise DataError(f"{path}: not a sample manifest")
-    missing = [key for key in ("strategy", "rng_seed", "weights", "seeds", "budget")
-               if key not in manifest]
-    if missing:
-        raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
-    _check_types(path, manifest, _MANIFEST_TYPES)
-    if any(_JSON_TYPES[type(s)] not in ("string", "integer") for s in manifest["seeds"]):
-        raise DataError(f"{path}: manifest seeds must be strings or integers")
-    # the sampler's own rules, checked before anything is built
-    seeds, budget = manifest["seeds"], manifest["budget"]
-    target_size = manifest.get("target_size")
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise DataError(f"{path}: manifest seeds must be non-empty, with no value repeated")
-    if budget is not None and budget < 1:
-        raise DataError(f"{path}: manifest budget is {budget}, expected >= 1 or null")
-    if budget is None and target_size is None:
-        raise DataError(f"{path}: manifest budget and target_size are both null, "
-                        f"expected at least one")
-    if target_size is not None and target_size <= len(seeds):
-        raise DataError(f"{path}: manifest target_size is {target_size}, expected more "
-                        f"than the {len(seeds)} seeds")
-    for key, allowed, default in (("strategy", sampler.STRATEGIES, None),
-                                  ("tie_break", sampler.TIE_BREAKS, "ordered"),
-                                  ("oracle.kind", tuple(ORACLE_FIELDS), None)):
-        value = _field(manifest, key, default)
+def _seed_id(seed, kind: str):
+    """``seed`` as a node id of a ``kind`` oracle, or None when it can be none.
+
+    ``undirected`` and ``blockmodel`` ids are int64, given as integers or as decimal
+    tokens: one optional '-', then at most 19 ASCII digits, so ``"00"`` is node 0
+    (int() would also take '²', spaces and underscores). ``edgelist`` and ``events``
+    ids are strings.
+    """
+    if kind in ("edgelist", "events"):
+        return seed if type(seed) is str else None
+    if type(seed) is str and re.fullmatch("-?[0-9]{1,19}", seed):
+        seed = int(seed)
+    return seed if type(seed) is int and -2**63 <= seed < 2**63 else None
+
+
+def _check_run(manifest: dict, source: Path | None = None) -> list:
+    """Check a run's manifest by the run rules, before anything is built; returns its
+    seeds as node ids of the oracle kind's type.
+
+    Every run comes here: a fresh ``sample`` or ``sweep`` cell with ``source`` None, whose
+    fault is a ConfigError, and a replay or a run directory with the manifest file it
+    read, whose fault is a DataError naming that file and the field. A seed that can be
+    no id of the kind is a DataError either way, as the oracle's own ``unknown seed`` is.
+    """
+    def refuse(fault: str, error=ConfigError):
+        if source is None:
+            raise error(fault)
+        raise DataError(f"{source}: manifest {fault}")
+
+    if fault := _type_fault(manifest, _MANIFEST_TYPES):
+        refuse(fault)
+    oracle = manifest.get("oracle")
+    if not isinstance(oracle, dict):
+        raise DataError(f"{source}: not a sample manifest")
+    if "budget" not in manifest:   # the one required field that may be null
+        refuse("lacks budget")
+    for key, value, allowed in (
+            ("strategy", manifest["strategy"], sampler.STRATEGIES),
+            ("tie_break", manifest.get("tie_break", "ordered"), sampler.TIE_BREAKS),
+            ("oracle.kind", oracle.get("kind"), tuple(ORACLE_FIELDS))):
         if value not in allowed:
-            raise DataError(f"{path}: manifest {key} is {json.dumps(value)}, "
-                            f"expected one of {', '.join(allowed)}")
-    oracle = manifest["oracle"]
-    _check_types(path, manifest, {f"oracle.{name}": allowed
-                                  for name, allowed in ORACLE_FIELDS[oracle["kind"]].items()})
-    for key in ("rng_seed", "oracle.graph_seed"):
-        seed = _field(manifest, key)
-        if seed is not None and seed < 0:
-            raise DataError(f"{path}: manifest {key} is {seed}, expected >= 0")
-    if oracle["kind"] == "blockmodel":
+            refuse(f"{key} is {json.dumps(value)}, expected one of {', '.join(allowed)}")
+    kind = oracle["kind"]
+    if fault := _type_fault(oracle, ORACLE_FIELDS[kind], "oracle."):
+        refuse(fault)
+    if manifest["rng_seed"] < 0:
+        refuse(f"rng_seed is {manifest['rng_seed']}, expected >= 0")
+    if kind == "blockmodel":
+        if oracle["graph_seed"] < 0:
+            refuse(f"oracle.graph_seed is {oracle['graph_seed']}, expected >= 0")
         if any(_JSON_TYPES[type(s)] != "integer" for s in oracle["sizes"]):
-            raise DataError(f"{path}: manifest oracle.sizes must be integers")
+            refuse("oracle.sizes must be integers")
         try:
             _block_model(oracle)
         except (ConfigError, OverflowError) as exc:   # OverflowError: an int beyond float
-            raise DataError(f"{path}: manifest oracle is not a valid blockmodel: {exc}") from None
-    return manifest
-
-
-def _coerce_seed_ids(seeds, oracle: GraphOracle) -> list:
-    """Seed tokens arrive as strings; integer-keyed oracles need ints."""
-    coerced = []
-    for s in seeds:
-        digits = s.removeprefix("-") if isinstance(s, str) else ""
-        # one optional '-', then ASCII digits: int() raises on '²', a digit to isdigit(),
-        # and on more than 4,300 digits, while no int64 has more than 19
-        if digits.isascii() and digits.isdigit() and len(digits) <= 19 and s not in oracle.ids \
-                and int(s) in oracle.ids:
-            coerced.append(int(s))
-        else:
-            coerced.append(s)
-    return coerced
+            refuse(f"oracle is not a valid blockmodel: {exc}")
+    budget, target_size = manifest["budget"], manifest.get("target_size")
+    if budget is not None and budget < 1:
+        refuse(f"budget is {budget}, expected >= 1 or null")
+    if budget is None and target_size is None:
+        refuse("budget and target_size are both null, expected at least one")
+    seeds = {}   # each node once, in the order given
+    for seed in manifest["seeds"]:
+        node = _seed_id(seed, kind)
+        if node is None:
+            refuse(f"seeds hold an unknown seed: {seed!r}", DataError)
+        if node in seeds:
+            refuse(f"seeds name node {node!r} twice")
+        seeds[node] = None
+    if not seeds:
+        refuse("seeds are empty, expected at least one")
+    if target_size is not None and target_size <= len(seeds):
+        refuse(f"target_size is {target_size}, expected more than the {len(seeds)} seeds")
+    return list(seeds)
 
 
 def _record_run(out: Path, manifest: dict, oracle: GraphOracle, state, trace) -> None:
@@ -429,15 +439,17 @@ def _new_manifest(strategy: str, rng_seed: int, weights: str, oracle: dict, seed
 
 
 def _execute_sample(manifest: dict, out: Path | None, source: Path | None = None):
-    """Run the manifest's sample; unless ``out`` is None, record it there.
+    """Check the manifest's run, run it and, unless ``out`` is None, record it there.
 
-    ``sample`` runs, their replays and ``sweep`` cells all build their oracle and
-    weights, run and record here; ``source`` is the manifest file a replay read.
-    Returns (state, trace).
+    ``sample`` runs, their replays and ``sweep`` cells all come here; ``source`` is the
+    manifest file a replay read, whose recorded inputs are checked after the run rules
+    and before the oracle is built. Returns (state, trace).
     """
+    seeds = _check_run(manifest, source)
+    if source is not None:
+        _check_inputs(manifest, source)
     oracle = _oracle_from_descriptor(manifest["oracle"], source)
     weights = _load_weights(manifest["weights"])
-    seeds = _coerce_seed_ids(manifest["seeds"], oracle)
     try:
         state = sampler.init(seeds, oracle, weights)
     except OverflowError as exc:   # weights whose total edge weight is not finite
@@ -455,14 +467,8 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     source = Path(args.from_manifest) if args.from_manifest else None
     if source:
-        manifest = _read_manifest(source)
-        _check_inputs(manifest, source)
+        manifest = _read_json_object(source, "sample manifest")
     else:
-        if args.strategy not in sampler.STRATEGIES:
-            raise ConfigError(f"unknown strategy {args.strategy!r}; "
-                              f"expected one of {sampler.STRATEGIES}")
-        if args.budget is None and args.target_size is None:
-            raise ConfigError("need --budget or --target-size")
         descriptor = _descriptor(args)
         weights_ref = args.weights
         input_paths = [descriptor["path"]]
@@ -486,14 +492,15 @@ def _load_run(run_dir: Path):
     """A run directory's trace, discovered graph and id map; DataError if a file is
     malformed, or if the files disagree with each other."""
     manifest_path, summary_path = run_dir / "manifest.json", run_dir / "run_summary.json"
-    manifest = _read_json_object(manifest_path, "manifest")
-    _check_types(manifest_path, manifest, {"seeds": ("array",), "strategy": ("string",)})
+    manifest = _read_json_object(manifest_path, "sample manifest")
+    seeds = _check_run(manifest, manifest_path)
     summary = _read_json_object(summary_path, "run summary")
-    _check_types(summary_path, summary, {"init_boundary": ("integer", "number"),
-                                         "discovered_edges": ("integer",)}, "run summary")
+    if fault := _type_fault(summary, {"init_boundary": ("integer", "number"),
+                                      "discovered_edges": ("integer",)}):
+        raise DataError(f"{summary_path}: run summary {fault}")
     edges_path = run_dir / "discovered.tsv"
     g, ids = graph.read_edge_tsv(edges_path)
-    seeds = [ids.intern(str(s)) for s in manifest["seeds"]]
+    seeds = [ids.intern(str(s)) for s in seeds]   # the file's ids are strings
     trace_path = run_dir / "trace.csv"
     trace = sampler.SampleTrace.read_csv(trace_path, ids, manifest["strategy"],
                                          seeds, summary["init_boundary"])
@@ -585,41 +592,42 @@ def _worker_count(n_cells: int) -> int:
 
 def cmd_sweep(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",")]
-    for s in strategies:
-        if s not in sampler.STRATEGIES:
-            raise ConfigError(f"unknown strategy {s!r}")
     seeds_per_block = args.seeds_per_block or (1,) * len(args.sizes)
-    for option, value, least in (("--budget", args.budget, 1), ("--repeats", args.repeats, 0),
+    for option, value, least in (("--repeats", args.repeats, 0),
                                  ("--purity-window", args.purity_window, 1)):
         if value < least:
             raise ConfigError(f"{option} must be >= {least}, got {value}")
+    names = [f"r{r:g}_rep{rep}_{strategy}" for r in args.r_list
+             for rep in range(args.repeats) for strategy in strategies]   # in the cells' order
+    _refuse_duplicates(names, "sweep cells", "give each strategy once, and r values that "
+                       "differ to 6 significant digits")
 
-    # each configuration is valid before a cell is laid out, each model feasible before one runs
-    models = [sbm.BlockModelConfig(args.sizes, args.k_intra, r, args.seed) for r in args.r_list]
+    def new_manifest(strategy: str, rng_seed: int, r: float, graph_seed: int, seeds) -> dict:
+        # one descriptor per cell: its run records the edges' sha256 in it
+        model = {"kind": "blockmodel", "sizes": list(args.sizes), "k_intra": args.k_intra,
+                 "r": r, "graph_seed": graph_seed, "edges_sha256": None}
+        return _new_manifest(strategy, rng_seed, "unit", model, seeds, args.budget)
+
+    # the run rules refuse a strategy, the budget or a model before a cell is laid out, with
+    # --repeats 0 too; node 0 stands in for the seeds each cell draws from its model's nodes
+    for r in args.r_list:
+        for strategy in strategies:
+            _check_run(new_manifest(strategy, args.seed, r, args.seed, [0]))
     layout = sbm.block_labels(args.sizes)   # every cell's block labels
-    cells = []
+    cells, names = [], iter(names)
     for ri, r in enumerate(args.r_list):
         for rep in range(args.repeats):
             graph_seed = args.seed * 1_000_003 + ri * 1_009 + rep
             seeds = sbm.select_seeds(layout, sbm.SeedConfig(seeds_per_block,
                                                             rng_seed=graph_seed + 777))
             for si, strategy in enumerate(strategies):
-                # one descriptor per cell: its run records the edges' sha256 in it
-                model = {"kind": "blockmodel", "sizes": list(args.sizes),
-                         "k_intra": args.k_intra, "r": r, "graph_seed": graph_seed,
-                         "edges_sha256": None}
                 cells.append({
-                    "manifest": _new_manifest(strategy, graph_seed * 31 + si, "unit", model,
-                                              seeds, args.budget),
+                    "manifest": new_manifest(strategy, graph_seed * 31 + si, r, graph_seed,
+                                             seeds),
                     "repeat": rep, "purity_window": args.purity_window,
-                    "name": f"r{r:g}_rep{rep}_{strategy}",
+                    "name": next(names),
                     "out_dir": args.out if args.keep_runs else None,
                 })
-    _refuse_duplicates([cell["name"] for cell in cells], "sweep cells",
-                       "give each strategy once, and r values that differ "
-                       "to 6 significant digits")
-    for cfg in models:
-        sbm.derive_block_matrix(cfg)
 
     workers = _worker_count(len(cells))
     if workers > 1:

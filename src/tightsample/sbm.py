@@ -40,8 +40,6 @@ class BlockModelConfig:
         for s in sizes:   # generate draws each block's node pairs as int64 indices
             if s * (s - 1) // 2 >= 2**63:
                 raise ConfigError(f"block size {s} has more node pairs than int64 holds")
-        if len(sizes) >= 2 and sum(sizes) <= max(sizes):
-            raise ConfigError("total size must exceed the largest block")
         if not (self.k_intra > 0) or not (self.r > 0):   # true for NaN too
             raise ConfigError(f"k_intra and r must be positive, got k_intra={self.k_intra}, "
                               f"r={self.r}")

@@ -78,6 +78,25 @@ def test_gen_sbm_from_shipped_demo_config(tmp_path):
     assert seed_cfg.per_block == (1,) * 8
 
 
+def test_gen_sbm_seed_option_overrides_the_config_seed(tmp_path):
+    # the demo config is 8 blocks of 200 nodes, k_intra 10 and r 4, with a seed section
+    assert run_cli("gen-sbm", "--config", cli.demo_config_path(), "--seed", "9",
+                   "--out", tmp_path / "config") == 0
+    assert run_cli("gen-sbm", "--sizes", "200x8", "--k-intra", "10", "--r", "4", "--seed", "9",
+                   "--out", tmp_path / "options") == 0
+    assert (tmp_path / "config" / "edges.tsv").read_bytes() == \
+        (tmp_path / "options" / "edges.tsv").read_bytes()
+    assert "rng_seed = 9\n" in (tmp_path / "config" / "sbm.cfg").read_text()
+    cfg, seed_cfg = sbm.read_config(tmp_path / "config" / "sbm.cfg")
+    assert cfg.rng_seed == 9 and seed_cfg == sbm.read_config(cli.demo_config_path())[1]
+
+
+def test_gen_sbm_without_sizes_or_config_exits_2(tmp_path, capsys):
+    assert run_cli("gen-sbm", "--out", tmp_path / "net") == 2
+    assert "gen-sbm needs --sizes or --config" in capsys.readouterr().err
+    assert not (tmp_path / "net").exists()
+
+
 def test_sample_shipped_demo_exhausts_at_node_count(tmp_path):
     net = tmp_path / "demo"
     run_cli("gen-sbm", "--config", cli.demo_config_path(), "--out", net)
@@ -614,6 +633,68 @@ def test_replay_refuses_a_manifest_that_is_not_a_run_record(small_run, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind,seeds,fault", [
+    ("undirected", ["0", 0], "seeds name node 0 twice"),
+    ("undirected", ["0", "00"], "seeds name node 0 twice"),
+    ("undirected", ["0", "²"], "seeds hold an unknown seed: '²'"),
+    ("edgelist", ["0", 0], "seeds hold an unknown seed: 0"),
+], ids=["int-and-token", "two-tokens", "no-int64-token", "int-for-a-string-kind"])
+def test_replay_reads_seeds_as_ids_of_the_oracle_kind_before_the_build(
+        small_run, tmp_path, monkeypatch, capsys, kind, seeds, fault):
+    # undirected ids are int64, so 0, "0" and "00" are one node; edgelist ids are strings
+    def build(*args, **kwargs):
+        raise AssertionError("an oracle was built")
+
+    monkeypatch.setattr(GraphOracle, "__init__", build)
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    manifest["oracle"]["kind"], manifest["seeds"] = kind, seeds
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("sample", "--from-manifest", path, "--out", tmp_path / "out") == 3
+    assert f"{path}: manifest {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fresh_sample_refuses_seeds_of_one_node_before_the_build(small_run, tmp_path,
+                                                                  monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("an oracle was built")
+
+    monkeypatch.setattr(GraphOracle, "__init__", build)
+    assert run_cli("sample", "--undirected", small_run.parent / "net" / "edges.tsv",
+                   "--seeds", "0,00", "--budget", "3", "--out", tmp_path / "out") == 2
+    assert "config error: seeds name node 0 twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_metrics_reads_a_seed_token_by_the_oracle_kind(small_run, tmp_path):
+    # "00" is node 0 of an undirected oracle, and the manifest keeps the token as given
+    edges = small_run.parent / "net" / "edges.tsv"
+    for token in ("0", "00"):
+        run = tmp_path / token / "run"
+        assert run_cli("sample", "--undirected", edges, "--seeds", token, "--budget", "10",
+                       "--out", run) == 0
+        assert json.loads((run / "manifest.json").read_text())["seeds"] == [token]
+        assert run_cli("metrics", run, "--out", tmp_path / token / "eval") == 0
+    for name in ("report_run.json", "comparison.csv"):
+        assert (tmp_path / "00" / "eval" / name).read_bytes() == \
+            (tmp_path / "0" / "eval" / name).read_bytes(), name
+
+
+def test_replay_of_a_run_whose_input_was_deleted_exits_3(small_run, tmp_path):
+    edges = tmp_path / "edges.tsv"
+    shutil.copy(small_run.parent / "net" / "edges.tsv", edges)
+    assert run_cli("sample", "--undirected", edges, "--seeds", "0", "--budget", "5",
+                   "--out", tmp_path / "run") == 0
+    edges.unlink()
+    code, err = run_cli_process("sample", "--from-manifest", tmp_path / "run" / "manifest.json",
+                                "--out", tmp_path / "out")
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"cannot read input {edges.resolve()}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_of_a_manifest_from_another_numpy_warns(small_run, tmp_path, capsys):
     manifest = {**json.loads((small_run / "manifest.json").read_text()), "numpy": "0.0"}
     path = tmp_path / "manifest.json"
@@ -633,6 +714,16 @@ def test_replay_accepts_the_null_n_nodes_of_older_manifests(small_run, tmp_path)
     assert run_cli("sample", "--from-manifest", path, "--out", tmp_path / "out") == 0
     for name in ("trace.csv", "discovered.tsv", "access_log.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (small_run / name).read_bytes(), name
+
+
+def test_replay_ignores_a_field_that_its_oracle_kind_does_not_have(small_run, tmp_path):
+    # only a blockmodel has a graph_seed, so an undirected descriptor's is never read
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    manifest["oracle"]["graph_seed"] = "x"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("sample", "--from-manifest", path, "--out", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "trace.csv").read_bytes() == (small_run / "trace.csv").read_bytes()
 
 
 NEGATIVE_SEED_CASES = ("sample", "gen-sbm", "gen-sbm-config", "sweep", "replay",
@@ -823,6 +914,20 @@ def test_sweep_refuses_cells_that_share_a_run_directory(tmp_path, capsys, strate
 ])
 def test_sweep_checks_its_configuration_before_writing(tmp_path, capsys, option, value):
     argv = {"--sizes": "30x3", "--r-list": "2", "--budget": "20", "--repeats": "1",
+            "--strategies": "MAS", option: value}
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", *(x for item in argv.items() for x in item), "--out", out) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--strategies", "MAS,BFS"),
+    ("--r-list", "2,0.01"),   # r=0.01: an off-block probability over 1 at these sizes
+    ("--budget", "0"),
+])
+def test_a_sweep_of_no_cells_checks_its_run_rules(tmp_path, capsys, option, value):
+    argv = {"--sizes": "30x3", "--r-list": "2", "--budget": "20", "--repeats": "0",
             "--strategies": "MAS", option: value}
     out = tmp_path / "sweep"
     assert run_cli("sweep", *(x for item in argv.items() for x in item), "--out", out) == 2

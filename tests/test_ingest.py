@@ -87,6 +87,11 @@ def test_unreadable_file():
         ingest.parse_events("/nonexistent/events.jsonl")
 
 
+def test_unknown_format_is_refused_before_the_file_is_read():
+    with pytest.raises(DataError, match="unknown event-log format 'xml'"):
+        ingest.parse_events("/nonexistent/events.xml", fmt="xml")
+
+
 def test_csv_format_round_trip(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(

@@ -34,9 +34,12 @@ def test_local_clustering_inward_star():
     assert mean == 0.0
 
 
-def test_local_clustering_empty_graph_errors():
-    with pytest.raises(DataError):
-        metrics.clustering_local(DiscoveredGraph())
+@pytest.mark.parametrize("kernel", [metrics.clustering_local, metrics.clustering_global,
+                                    metrics.avg_shortest_path, metrics.degree_stats],
+                         ids=lambda kernel: kernel.__name__)
+def test_local_clustering_empty_graph_errors(kernel):
+    with pytest.raises(DataError, match="empty graph"):
+        kernel(DiscoveredGraph())
 
 
 def test_local_clustering_matches_brute_force(rng):
@@ -316,6 +319,8 @@ def test_window_purity_basics():
     assert series[10] == 1.0
     assert series[15] == 0.5
     assert metrics.max_window_purity(blocks, 10) == 1.0
+    with pytest.raises(ConfigError, match="window must be >= 1"):
+        metrics.window_purity(blocks, 0)
 
 
 def random_label_cases(seed, n_cases):

@@ -521,6 +521,9 @@ def test_trace_insider_count_invariant():
     for i, row in enumerate(trace_rows(trace), start=1):
         assert row.timestep == i
     assert trace.final_size() == len(seeds) + 12
+    assert trace.insiders_at(len(seeds)) == list(seeds)
+    with pytest.raises(ConfigError, match="size smaller than the seed set"):
+        trace.insiders_at(len(seeds) - 1)
 
 
 # ---------------------------------------------------------------------------
