@@ -9,7 +9,7 @@ baselines, and an evaluation suite.
 
 __version__ = "0.1.0"   # kept equal to pyproject.toml by tests/test_cli.py
 
-from .graph import DiscoveredGraph, IdMap, induced_subgraph, total_edge_weight
+from .graph import DiscoveredGraph, IdMap
 from .interactions import (
     Calibration,
     Scheme,
@@ -26,6 +26,5 @@ __all__ = [
     "Calibration", "ConfigError", "DataError", "DiscoveredGraph",
     "FrontierExhausted", "GraphOracle", "IdMap", "STRATEGIES",
     "SampleState", "SampleTrace", "Scheme", "UnitWeights", "UnknownNodeError",
-    "WeightTable", "calibrate_records", "induced_subgraph", "init",
-    "load_reference_tables", "run", "step", "total_edge_weight",
+    "WeightTable", "calibrate_records", "init", "load_reference_tables", "run", "step",
 ]

@@ -11,9 +11,8 @@ from array import array
 
 import numpy as np
 
-from .util import ConfigError, DataError, read_csv, read_lines, run_starts, write_csv
+from .util import DataError, read_csv, read_lines, run_starts, write_csv
 
-EDGE_SELECTORS = ("all", "boundary", "internal")
 # lines per write in write_columns, and about the rows per gather of a run record: a
 # chunk's field strings and pointer arrays, some 0.5 KB a trace line, set the peak
 # of a run's writes, and fewer lines per write cost more per line
@@ -63,7 +62,7 @@ class DiscoveredGraph:
     oracle's answers to the nodes a run queried once each, and
     :func:`read_edge_tsv` rejects a repeated pair. ``insiders`` is a copy of the
     sample where the builder knows it (``SampleState.discovered``,
-    :func:`induced_subgraph`) and empty from :func:`read_edge_tsv`; a running
+    ``metrics.min_common_snapshot``) and empty from :func:`read_edge_tsv`; a running
     sampler keeps its sample as one flag per node and builds no graph. Every
     edge's target is an insider because edges are only discovered by querying
     insiders' in-neighborhoods. Single-writer: callers serialize mutations.
@@ -101,28 +100,6 @@ class DiscoveredGraph:
 
     def n_edges(self) -> int:
         return len(self.sources)
-
-
-def induced_subgraph(g: DiscoveredGraph, keep: set[int]) -> DiscoveredGraph:
-    """Subgraph on ``keep`` (all marked insider), edges with both endpoints kept."""
-    sub = DiscoveredGraph(set(keep))
-    kept = np.fromiter(keep, dtype=np.int64, count=len(keep))
-    rows = np.isin(g.sources, kept) & np.isin(g.targets, kept)
-    sub.add_events(g.sources[rows], g.targets[rows], g.weights[rows], g.event_counts[rows])
-    return sub
-
-
-def total_edge_weight(g: DiscoveredGraph, selector: str = "all") -> float:
-    """Sum of edge weights over a selector class.
-
-    ``boundary`` counts outsider->insider edges, ``internal`` counts
-    insider->insider edges; with unit weights both reduce to edge counts.
-    """
-    if selector not in EDGE_SELECTORS:
-        raise ConfigError(f"unknown edge selector {selector!r}; use one of {EDGE_SELECTORS}")
-    inside = np.isin(g.sources, np.fromiter(g.insiders, np.int64, len(g.insiders)))
-    rows = {"all": slice(None), "boundary": ~inside, "internal": inside}[selector]
-    return sum(g.weights[rows].tolist(), 0.0)
 
 
 def in_edge_runs(targets: np.ndarray, sources: np.ndarray, *minor: np.ndarray):
@@ -219,9 +196,9 @@ def write_edge_tsv(chunks, path, ids: IdMap) -> int:
 def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
     """Rebuild a graph from :func:`write_edge_tsv` output (roles left unset).
 
-    A self-loop, a repeated (source, target) pair, a weight that is not a finite
-    number >= 0 and an event count below 1 or beyond int64 are each a
-    :class:`DataError` naming its line.
+    An empty node id, a self-loop, a repeated (source, target) pair, a weight that
+    is not a finite number >= 0 and an event count below 1 or beyond int64 are each
+    a :class:`DataError` naming its line.
     """
     ids = IdMap()
     sources, targets, weights, counts = array("q"), array("q"), array("d"), array("q")
@@ -232,6 +209,8 @@ def read_edge_tsv(path) -> tuple[DiscoveredGraph, IdMap]:
         except ValueError:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields: "
                             f"source, target, weight, event count") from None
+        if not source or not target:
+            raise DataError(f"{path}:{lineno}: empty node id")
         if source == target:
             raise DataError(f"{path}:{lineno}: self-loop on {source} rejected")
         if not (0.0 <= weight < math.inf and 1 <= n_events < 1 << 63):   # false for NaN too
@@ -259,7 +238,8 @@ def write_labels_csv(path, labels: dict) -> None:
 
 
 def read_labels_csv(path) -> dict[str, int]:
-    """Read a ``node,community`` (or ``node,block``) CSV into a dict."""
+    """Read a ``node,community`` (or ``node,block``) CSV into a dict; a node given
+    twice is a DataError naming its second line."""
     rows = read_csv(path, "labels")
     _lineno, header = next(rows, (0, None))
     if header is None or len(header) < 2:
@@ -267,8 +247,11 @@ def read_labels_csv(path) -> dict[str, int]:
     labels = {}
     for lineno, row in rows:
         try:
-            labels[row[0]] = int(row[1])
+            node, community = row[0], int(row[1])
         except (IndexError, ValueError):
             raise DataError(f"{path}:{lineno}: expected node and integer "
                             f"community fields") from None
+        if node in labels:
+            raise DataError(f"{path}:{lineno}: node {node!r} is labeled twice")
+        labels[node] = community
     return labels

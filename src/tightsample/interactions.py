@@ -353,7 +353,8 @@ def read_weight_csv(path) -> dict[str, Calibration]:
     """Read a weight-table CSV; returns one Calibration per scheme section.
 
     Loaded omega_star values are authoritative: no re-rounding is applied, so
-    hand-curated tables survive a round trip unchanged.
+    hand-curated tables survive a round trip unchanged. A bad row, or a scheme's
+    pattern given twice, is a DataError naming its line.
     """
     rows = read_csv(path, "weight table")
     _lineno, header = next(rows, (0, None))
@@ -367,6 +368,8 @@ def read_weight_csv(path) -> dict[str, Calibration]:
         try:
             Scheme.parse(row[0])   # an unknown tag is a ConfigError, a ValueError too
             x = parse_pattern(row[1])
+            if x in cols["omega"]:
+                raise DataError(f"{row[0]} pattern {row[1]} is given twice")
             for name, cell in zip(WEIGHT_CSV_HEADER[2:], row[2:]):
                 value = float(cell)
                 if not 0.0 <= value < math.inf:   # false for NaN too

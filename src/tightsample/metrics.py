@@ -29,7 +29,7 @@ from itertools import count
 
 import numpy as np
 
-from .graph import DiscoveredGraph, induced_subgraph
+from .graph import DiscoveredGraph
 from .sampler import SampleTrace
 from .util import ConfigError, DataError, write_csv
 
@@ -150,13 +150,12 @@ def avg_shortest_path(g: DiscoveredGraph) -> PathStats:
 
 
 def degree_stats(g: DiscoveredGraph) -> dict:
-    """Mean directed degree, by edge count and by aggregated edge weight."""
+    """Node and edge counts and the mean directed degree, edges per node."""
     n = len(g.nodes)
     if n == 0:
         raise DataError("empty graph")
     m = g.n_edges()
-    weight = sum(g.weights.tolist())
-    return {"n": n, "m": m, "avg_degree": m / n, "avg_weighted_degree": weight / n}
+    return {"n": n, "m": m, "avg_degree": m / n}
 
 
 def metrics_report(g: DiscoveredGraph) -> dict:
@@ -268,13 +267,21 @@ def max_window_purity(block_sequence, window: int) -> float:
 def min_common_snapshot(runs) -> list[DiscoveredGraph]:
     """Truncate runs to the smallest final insider count and induce subgraphs.
 
-    ``runs`` is a list of (trace, discovered_graph) pairs. Every edge between
-    two insiders was discovered no later than the younger endpoint joined, so
-    inducing on the truncated insider set reproduces the sampled subgraph at
-    that common size exactly.
+    ``runs`` is a list of (trace, discovered_graph) pairs. Each snapshot holds the
+    run's first insiders, all marked insider, and the edges with both endpoints
+    among them. Every edge between two insiders was discovered no later than the
+    younger endpoint joined, so inducing on the truncated insider set reproduces
+    the sampled subgraph at that common size exactly.
     """
     runs = list(runs)
     if not runs:
         raise DataError("no traces to compare")
     size = min(trace.final_size() for trace, _g in runs)
-    return [induced_subgraph(g, set(trace.insiders_at(size))) for trace, g in runs]
+    snapshots = []
+    for trace, g in runs:
+        keep = trace.insiders_at(size)
+        rows = np.isin(g.sources, keep) & np.isin(g.targets, keep)
+        sub = DiscoveredGraph(set(keep))
+        sub.add_events(g.sources[rows], g.targets[rows], g.weights[rows], g.event_counts[rows])
+        snapshots.append(sub)
+    return snapshots

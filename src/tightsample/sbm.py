@@ -95,9 +95,7 @@ def block_labels(block_sizes) -> np.ndarray:
 
 
 def _distinct_uniform(rng: np.random.Generator, n_choices: int, m: int) -> np.ndarray:
-    """m distinct uniform draws from range(n_choices), as an int64 array."""
-    if m > n_choices:
-        raise ConfigError("cannot draw more distinct values than exist")
+    """m distinct uniform draws from range(n_choices), m <= n_choices, as an int64 array."""
     if m * 2 >= n_choices:
         return rng.permutation(n_choices)[:m]
     drawn = np.empty(0, dtype=np.int64)
@@ -185,18 +183,14 @@ def select_seeds(labels: np.ndarray, seed_cfg: SeedConfig,
 
 
 def realized_block_stats(edges, labels: np.ndarray) -> dict:
-    """Per-block intra edge counts, mean intra degrees, and intra/inter ratios."""
+    """Per-block intra edge counts, inter edge ends and mean intra degrees."""
     b = int(labels.max()) + 1
-    sizes = np.bincount(labels, minlength=b)
     ends = labels[edges]   # the block of each endpoint
     within = ends[:, 0] == ends[:, 1]
     intra = np.bincount(ends[within, 0], minlength=b)
     inter = np.bincount(ends[~within].ravel(), minlength=b)
-    mean_intra_degree = 2.0 * intra / sizes
-    with np.errstate(divide="ignore"):
-        ratio = np.where(inter > 0, intra / np.maximum(inter, 1), np.inf)
-    return {"sizes": sizes, "intra_edges": intra, "inter_edge_ends": inter,
-            "mean_intra_degree": mean_intra_degree, "intra_inter_ratio": ratio}
+    return {"intra_edges": intra, "inter_edge_ends": inter,
+            "mean_intra_degree": 2.0 * intra / np.bincount(labels, minlength=b)}
 
 
 # ---------------------------------------------------------------------------

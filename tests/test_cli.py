@@ -463,6 +463,10 @@ BAD_INPUTS = {
                    "discovered.tsv:2:"),
     "edges-repeat": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t0\t1.0\t1\n1\t0\t1.0\t1\n", 3,
                      "discovered.tsv:3:"),
+    "edges-empty-source": ("discovered.tsv", b"\t0\t1.0\t1\n", 3,
+                           "discovered.tsv:1: empty node id"),
+    "edges-empty-target": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t\t1.0\t1\n", 3,
+                           "discovered.tsv:2: empty node id"),
     "edges-self-loop": ("discovered.tsv", b"1\t0\t1.0\t1\nu7\tu7\t1.0\t1\n", 3,
                         "discovered.tsv:2: self-loop on u7"),
     "edges-nan-weight": ("discovered.tsv", b"1\t0\t1.0\t1\n2\t0\tnan\t1\n", 3,
@@ -511,6 +515,8 @@ BAD_INPUTS = {
                            "sbm.cfg:4: unknown key 'seeds_per_block'"),
     "config-repeated-key": ("sbm.cfg", b"block_sizes = 30,30\nk_intra = 4\nr = 4\nr = 2\n",
                             2, "sbm.cfg:4: r is set twice"),
+    "config-no-equals": ("sbm.cfg", b"block_sizes = 30,30\nk_intra 4\nr = 4\n", 2,
+                         "sbm.cfg:2: expected 'key = value', got 'k_intra 4'"),
     "undirected-utf8": ("undirected.tsv", b"0\t1\n\xff\t2\n", 3, "undirected.tsv:2:"),
     "undirected-int64": ("undirected.tsv", b"0\t1\n1\t9223372036854775808\n", 3,
                          "undirected.tsv:2: node id outside int64"),
@@ -543,7 +549,12 @@ BAD_INPUTS = {
                                3, "weights.csv:2: malformed pattern '01x1'"),
     "weights-seven-fields": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,1,1,1,1,1\n", 3,
                              "weights.csv:2: expected 8 fields"),
+    "weights-repeat": ("weights.csv", WEIGHTS_HEADER + b"distinct,1000,1,1,1,1,1,0.02\n"
+                       b"distinct,1000,1,1,1,1,1,0.9\n", 3,
+                       "weights.csv:3: distinct pattern 1000 is given twice"),
     "labels-number": ("labels.csv", b"node,block\n0,x\n", 3, "labels.csv:2:"),
+    "labels-repeat": ("labels.csv", b"node,block\n0,0\n0,1\n", 3,
+                      "labels.csv:3: node '0' is labeled twice"),
 }
 
 
@@ -554,6 +565,7 @@ def test_bad_input_exits_cleanly(small_run, tmp_path, case):
     assert code == expected, err
     assert "Traceback" not in err
     assert fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 # (manifest field, a value of the wrong JSON type or out of the sampler's range); "oracle.x"

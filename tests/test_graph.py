@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from reference import reference_id_map
 
-from tightsample import graph
+from tightsample import graph, metrics
 from tightsample.graph import (
     DiscoveredGraph,
     IdMap,
     in_edge_runs,
-    induced_subgraph,
     read_edge_tsv,
-    total_edge_weight,
     write_edge_tsv,
 )
-from tightsample.util import ConfigError, DataError
+from tightsample.sampler import SampleTrace
+from tightsample.util import DataError
 
 
 def test_idmap_is_dense_bijection():
@@ -72,17 +71,24 @@ def _write_graph(g, path, ids, step=None):
                            for i in range(0, len(order), step)), path, ids)
 
 
+def _snapshot(g):
+    """``metrics.min_common_snapshot`` of ``g`` and a trace of no steps seeded with its
+    insiders: the subgraph that ``g`` induces on them."""
+    [sub] = metrics.min_common_snapshot([(SampleTrace("MAS", sorted(g.insiders), 0.0), g)])
+    return sub
+
+
 def test_induced_subgraph_definition():
     # insiders {a=0, b=1}, edges b->a and c->a: only b->a survives
     g = _graph([0, 1], [(1, 0), (2, 0)])
-    sub = induced_subgraph(g, g.insiders)
+    sub = _snapshot(g)
     assert sub.nodes == {0, 1}
     assert set(sub.pairs()) == {(1, 0)}
 
 
 def test_induced_subgraph_empty():
     g = _graph([], [])
-    sub = induced_subgraph(g, g.insiders)
+    sub = _snapshot(g)
     assert not sub.nodes and not sub.n_edges()
 
 
@@ -96,40 +102,9 @@ def test_induced_subgraph_matches_brute_filter(rng):
         if s != t and int(t) in insiders:  # targets must be insiders
             edges.append((int(s), int(t)))
     g = _graph(insiders, edges)
-    sub = induced_subgraph(g, g.insiders)
+    sub = _snapshot(g)
     expected = {(s, t) for (s, t) in g.pairs() if s in insiders and t in insiders}
     assert set(sub.pairs()) == expected
-
-
-def test_total_edge_weight_unit_counts():
-    g = _graph([0], [(1, 0), (2, 0), (3, 0)])
-    assert total_edge_weight(g, "boundary") == 3.0
-
-
-def test_total_edge_weight_sums_weights():
-    g = DiscoveredGraph({0})
-    g.add_events([1, 2], [0, 0], [0.52, 0.15], [1, 1])
-    assert total_edge_weight(g, "boundary") == pytest.approx(0.67)
-
-
-def test_edge_classes_partition_total(rng):
-    nodes = list(range(30))
-    insiders = {v for v in nodes if rng.random() < 0.6}
-    g = DiscoveredGraph(set(insiders))
-    for _ in range(150):
-        s, t = (int(x) for x in rng.integers(30, size=2))
-        if s != t and t in insiders:
-            g.add_events([s], [t], [float(rng.random())], [1])
-    full = total_edge_weight(g, "all")
-    parts = total_edge_weight(g, "boundary") + total_edge_weight(g, "internal")
-    assert full == pytest.approx(parts, rel=1e-12)
-    # matches an independent full scan
-    assert full == pytest.approx(sum(g.weights))
-
-
-def test_unknown_selector_rejected():
-    with pytest.raises(ConfigError):
-        total_edge_weight(_graph([0], []), "outside")
 
 
 def test_self_loops_rejected():

@@ -172,6 +172,8 @@ def test_empty_corpus_errors():
     counts = _count([], ia.Scheme.DISTINCT)
     with pytest.raises(DataError, match="empty corpus"):
         ia.normalize_global(counts)
+    with pytest.raises(DataError, match="empty corpus: no engaged sources"):
+        ia.normalize_source(counts)
 
 
 def test_source_single_author_collapses_to_global():

@@ -54,6 +54,10 @@ def test_infeasible_configs_rejected():
         sbm.BlockModelConfig((5, 5), 2.0, 4.0, -1)
     with pytest.raises(ConfigError, match="seed_rng"):
         sbm.SeedConfig((1, 1), rng_seed=-1)
+    with pytest.raises(ConfigError, match="seed counts must be non-negative"):
+        sbm.SeedConfig((1, -1))
+    with pytest.raises(ConfigError, match="unknown seed selection 'median-degree'"):
+        sbm.SeedConfig((1, 1), selection="median-degree")
 
 
 def test_generate_empty_and_complete():
@@ -219,6 +223,8 @@ def test_degree_extremes_with_id_tie_break():
     high = sbm.select_seeds(labels, sbm.SeedConfig((1,), selection="high-degree"),
                             degrees)
     assert high == [3]
+    with pytest.raises(ConfigError, match="needs the degree array"):
+        sbm.select_seeds(labels, sbm.SeedConfig((1,), selection="low-degree"))
 
 
 def test_seed_selection_deterministic():

@@ -49,3 +49,15 @@ def test_exits_with_the_command_status(tmp_path):
                            "raise SystemExit(3)"], cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stdout == "not run\t0 of 0 statements\n"
+
+
+def test_notes_a_package_that_no_process_ran(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(MODULE)
+    proc = subprocess.run([sys.executable, TOOL, "pkg", "--", sys.executable, "-c", "pass"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("not run\t6 of 6 statements\n")
+    assert proc.stderr == (f"note: no process ran a statement of {package.resolve()}; "
+                           f"can the command import it (PYTHONPATH)?\n")

@@ -5,9 +5,13 @@
 runs ``COMMAND`` with a ``sys.settrace`` line tracer in every Python process it
 starts, then prints each statement of the ``*.py`` files of ``DIR`` (default
 ``src/tightsample``) that no process ran, as ``file:line`` and the statement's
-first source line, followed by the count. For example::
+first source line, followed by the count. For example, from a checkout where the
+package is not installed::
 
-    python3 tools/unrun_lines.py -- python3 -m pytest -q tests
+    PYTHONPATH=src python3 tools/unrun_lines.py -- python3 -m pytest -q tests
+
+If no process ran a statement of ``DIR``, as when the command cannot import the
+package, a note on stderr says so.
 
 The tracer is installed by a generated ``sitecustomize.py``, prepended to
 ``PYTHONPATH`` (it shadows any other ``sitecustomize``), so child processes that
@@ -124,6 +128,9 @@ def main(argv=None) -> int:
                 unrun += 1
                 print(f"{path.name}:{line}\t{lines[line - 1].strip()}")
     print(f"not run\t{unrun} of {judged} statements")
+    if judged and unrun == judged:
+        print(f"note: no process ran a statement of {package}; can the command import it "
+              f"(PYTHONPATH)?", file=sys.stderr)
     return status
 
 
